@@ -21,6 +21,7 @@ from .crf import (
     PartialExample,
     TrainConfig,
     boundary_probabilities,
+    boundary_probabilities_batch,
     boundary_probability,
     bigram_marginals,
     log_partition,
@@ -29,6 +30,7 @@ from .crf import (
     score_sequence,
     train,
     viterbi,
+    viterbi_batch,
 )
 from .evaluate import PrfScore, prf, single_char_word_rate
 from .mining import (
@@ -41,6 +43,7 @@ from .mining import (
 from .pipeline import (
     CttResult,
     complete_annotation,
+    complete_corpus,
     run_ctt,
     run_partial_crf,
     segment_corpus,
@@ -68,9 +71,11 @@ __all__ = [
     "__version__",
     "bigram_marginals",
     "boundary_probabilities",
+    "boundary_probabilities_batch",
     "boundary_probability",
     "build_constraint_mask",
     "complete_annotation",
+    "complete_corpus",
     "detect_pauses",
     "filter_pauses",
     "labels_to_words",
@@ -92,6 +97,7 @@ __all__ = [
     "train",
     "train_baseline",
     "viterbi",
+    "viterbi_batch",
     "words_to_labels",
     "write_gold_corpus",
 ]

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import alignment, crf, evaluate, mining, pipeline
-from .errors import PausesegError
+from .errors import InvalidConfig, PausesegError
 from .segments import read_gold_corpus, write_gold_corpus
 
 DEFAULTS = {
@@ -46,17 +46,20 @@ def _resolve_config(args, mode: str) -> tuple[crf.TrainConfig, float]:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    train_config = crf.TrainConfig(
-        epochs=int(cfg["epochs"]),
-        learning_rate=float(cfg["learning_rate"]),
-        l2=float(cfg["l2"]),
-        batch_chars=int(cfg["batch_chars"]),
-        seed=int(cfg["seed"]),
-        threshold=float(cfg["threshold"]),
-        mode=mode,
-        deterministic=bool(getattr(args, "deterministic", False)),
-    )
-    return train_config, float(cfg["min_pause_ms"])
+    try:
+        train_config = crf.TrainConfig(
+            epochs=int(cfg["epochs"]),
+            learning_rate=float(cfg["learning_rate"]),
+            l2=float(cfg["l2"]),
+            batch_chars=int(cfg["batch_chars"]),
+            seed=int(cfg["seed"]),
+            threshold=float(cfg["threshold"]),
+            mode=mode,
+            deterministic=bool(getattr(args, "deterministic", False)),
+        )
+        return train_config, float(cfg["min_pause_ms"])
+    except (TypeError, ValueError) as exc:  # InvalidConfig is a ValueError
+        raise InvalidConfig(f"bad training settings: {exc}") from exc
 
 
 def _write_manifest(primary_output, command: str, args, config: dict, inputs, outputs):
@@ -134,14 +137,8 @@ def _cmd_mine(args) -> int:
     alignments = _read_alignment_files(
         args.alignments, args.tier_name, args.frame_offset_ms
     )
-    records = []
-    for a in alignments:
-        sentence = a.sentence
-        if len(sentence) < 2:
-            records.append((a.utterance_id, sentence, []))
-            continue
-        pauses = alignment.detect_pauses(a, min_pause_ms)
-        records.append((a.utterance_id, sentence, mining.score_pauses(model, sentence, pauses)))
+    _, scored = pipeline.mine_partials(model, alignments, config.threshold, min_pause_ms)
+    records = [(a.utterance_id, a.sentence, pauses) for a, pauses in zip(alignments, scored)]
     mining.write_scored_pauses(args.output, records)
     _write_manifest(
         args.output, "mine", args,
@@ -175,7 +172,7 @@ def _cmd_filter(args) -> int:
 def _cmd_complete(args) -> int:
     model = crf.CrfModel.load(args.model)
     partials = _load_partial(args.partial, args.strip_punct)
-    completed = [pipeline.complete_annotation(model, p) for p in partials]
+    completed = pipeline.complete_corpus(model, partials)
     write_gold_corpus(args.output, completed)
     _write_manifest(
         args.output, "complete", args, {},

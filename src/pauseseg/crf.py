@@ -1,10 +1,11 @@
 """Exact linear-chain CRF inference and training over the BMES tag space.
 
-All dynamic programming runs in log space on float64 arrays. Hard
-constraints are uniform: illegal transitions, illegal start/end labels and
-constraint-mask exclusions are -inf score entries, so a single forward /
-backward pair serves the partition function, marginals, both losses and
-(constrained) Viterbi.
+All dynamic programming runs in log space on float64 arrays, over padded
+batches of sentences. Hard constraints are uniform: illegal transitions,
+illegal start/end labels and constraint-mask exclusions are -inf score
+entries, so a single forward / backward pair serves the partition
+function, marginals and both losses, and a single Viterbi serves
+(constrained) decoding.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from .errors import (
     EmptyDataset,
     IllegalTagSequence,
     IndexOutOfRange,
+    InvalidConfig,
     LengthMismatch,
     NoLegalPath,
     ParseError,
     SentenceTooShort,
+    TrainingDiverged,
 )
 from .segments import SegmentedSentence
 
@@ -39,13 +42,21 @@ END_LEGAL = _TABLE.legal_end
 _BOUNDARY_PAIRS = sorted((int(a), int(b)) for a, b in tagset.boundary_bigrams())
 
 
+# Stands in for the max of an all -inf slice when shifting log-sum-exp:
+# below every finite score the models produce, and exp(-inf - _FLOOR) is 0.
+_FLOOR = -1e300
+
+
+def _lse(a: np.ndarray, axis: int) -> np.ndarray:
+    """``logsumexp`` without silencing log(0); the core's loops do that once."""
+    m = np.maximum(np.maximum.reduce(a, axis=axis, keepdims=True), _FLOOR)
+    return np.log(np.add.reduce(np.exp(a - m), axis=axis)) + m.squeeze(axis)
+
+
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Log-sum-exp that returns -inf (not NaN) when all inputs are -inf."""
-    m = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    s = np.exp(a - shift).sum(axis=axis)
+    """Log-sum-exp of finite or -inf scores; -inf (not NaN) when all are -inf."""
     with np.errstate(divide="ignore"):
-        return np.log(s) + np.squeeze(shift, axis=axis)
+        return _lse(a, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +203,14 @@ class CrfModel:
 # ---------------------------------------------------------------------------
 # Constraint masks
 
+_LABEL_BITS = 1 << np.arange(N)
+_START_BITS = int(_LABEL_BITS[START_LEGAL].sum())
+_END_BITS = int(_LABEL_BITS[END_LEGAL].sum())
+# _SUCCESSORS[s]: the labels a legal transition reaches from label set s
+_SUCCESSORS = [
+    int(_LABEL_BITS[TRANS_LEGAL[_LABEL_BITS & s > 0].any(axis=0)].sum()) for s in range(1 << N)
+]
+
 
 class ConstraintMask:
     """Per-position allowed-label sets encoding a partial annotation.
@@ -212,12 +231,12 @@ class ConstraintMask:
         return len(self.allowed)
 
     def _has_legal_path(self) -> bool:
-        reach = START_LEGAL & self.allowed[0]
-        for i in range(1, len(self.allowed)):
-            reach = (reach[:, None] & TRANS_LEGAL).any(axis=0) & self.allowed[i]
-            if not reach.any():
-                return False
-        return bool((reach & END_LEGAL).any())
+        # label sets as 4-bit ints: bit l is set when label l is allowed/reachable
+        rows = (self.allowed @ _LABEL_BITS).tolist()
+        reach = _START_BITS & rows[0]
+        for bits in rows[1:]:
+            reach = _SUCCESSORS[reach] & bits
+        return bool(reach & _END_BITS)
 
     @classmethod
     def all_allowed(cls, n: int) -> "ConstraintMask":
@@ -237,67 +256,167 @@ def _allowed_array(mask, n: int) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# Forward-backward
+# Batched inference core
+#
+# One forward, one backward and one Viterbi recursion serve every caller.
+# They take a batch of sentences padded to ``[B, L, 4]``: row b holds the
+# emissions of a sentence of ``lengths[b]`` characters followed by -inf
+# padding, and constraint-mask exclusions are -inf entries as well. The
+# recursions run on a ``[L, 4, B]`` copy, so that each step is a few
+# vectorised operations over contiguous per-label rows of the batch. No
+# row's arithmetic depends on the other rows, so a sentence gets bitwise
+# the same result alone (B = 1) or in any batch.
+#
+# alpha[i, l, b]: log-sum over prefixes ending at i with label l, including
+# the start weight and emissions up to i. beta[i, l, b]: log-sum over
+# suffixes from i with label l, excluding emission i, including the end
+# weight. Marginals are exp(alpha + beta - log Z); on hard-excluded entries
+# and on padding the -inf scores make them exactly 0.
 
-# alpha[i, l]: log-sum over prefixes ending at i with label l, including the
-# start weight and emissions up to i. beta[i, l]: log-sum over suffixes from
-# i with label l, excluding emission i, including the end weight. Marginals
-# are then exp(alpha + beta - log Z); on hard-excluded entries the -inf
-# scores make them exactly 0.
+# Characters per batch when a corpus goes through the core.
+INFERENCE_BATCH_CHARS = 2048
 
 
 @dataclass
 class _FB:
-    log_alpha: np.ndarray
-    log_beta: np.ndarray
-    log_z: float
-    unigram: np.ndarray  # [n, 4]
-    bigram: np.ndarray  # [n-1, 4, 4]
+    log_z: np.ndarray  # [B]
+    unigram: np.ndarray  # [B, L, 4]
+    bigram: np.ndarray  # [B, L-1, 4, 4]
 
 
-def _masked_emissions(E: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
-    if allowed is None:
-        return E
-    return np.where(allowed, E, NEG_INF)
+def _label_major(E: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(E.transpose(1, 2, 0))
 
 
-def _forward(Em, trans, start, end):
-    n = len(Em)
-    log_alpha = np.empty((n, N))
-    log_alpha[0] = start + Em[0]
-    for i in range(1, n):
-        log_alpha[i] = Em[i] + logsumexp(log_alpha[i - 1][:, None] + trans, axis=0)
-    log_z = float(logsumexp(log_alpha[n - 1] + end, axis=0))
-    return log_alpha, log_z
+def _row_ends(lengths: np.ndarray, L: int) -> dict[int, np.ndarray]:
+    """Rows that end before position L-1, grouped by their last position."""
+    if lengths.min() == L:
+        return {}
+    last = lengths - 1
+    return {int(i): np.flatnonzero(last == i) for i in np.unique(last[last < L - 1])}
 
 
-def _backward(Em, trans, end):
-    n = len(Em)
-    log_beta = np.empty((n, N))
-    log_beta[n - 1] = end
-    for i in range(n - 2, -1, -1):
-        log_beta[i] = logsumexp(trans + (Em[i + 1] + log_beta[i + 1])[None, :], axis=1)
-    return log_beta
+def _forward(Et, lengths, trans, start, end):
+    """alpha [L, 4, B] and log Z [B] of a label-major batch."""
+    L, _, B = Et.shape
+    alpha = np.empty_like(Et)
+    alpha[0] = start[:, None] + Et[0]
+    trans_pq = trans[:, :, None]
+    with np.errstate(divide="ignore"):
+        for i in range(1, L):
+            alpha[i] = Et[i] + _lse(alpha[i - 1][:, None, :] + trans_pq, 0)
+        log_z = _lse(alpha[lengths - 1, :, np.arange(B)].T + end[:, None], 0)
+    return alpha, log_z
 
 
-def _forward_backward(E, trans, start, end, allowed=None) -> _FB:
-    Em = _masked_emissions(E, allowed)
-    n = len(Em)
-    log_alpha, log_z = _forward(Em, trans, start, end)
-    if log_z == NEG_INF:
-        raise NoLegalPath("no legal tag sequence has finite score")
-    log_beta = _backward(Em, trans, end)
-    unigram = np.exp(log_alpha + log_beta - log_z)
-    if n > 1:
-        bigram = np.exp(
-            log_alpha[:-1, :, None]
-            + trans[None, :, :]
-            + (Em[1:] + log_beta[1:])[:, None, :]
-            - log_z
-        )
-    else:
-        bigram = np.zeros((0, N, N))
-    return _FB(log_alpha, log_beta, log_z, unigram, bigram)
+def _backward(Et, lengths, trans, end):
+    """beta [L, 4, B] of a label-major batch."""
+    L = len(Et)
+    ends = _row_ends(lengths, L)
+    beta = np.empty_like(Et)
+    beta[L - 1] = end[:, None]
+    trans_qp = trans.T[:, :, None]
+    with np.errstate(divide="ignore"):
+        for i in range(L - 2, -1, -1):
+            beta[i] = _lse(trans_qp + (Et[i + 1] + beta[i + 1])[:, None, :], 0)
+            rows = ends.get(i)
+            if rows is not None:
+                beta[i][:, rows] = end[:, None]
+    return beta
+
+
+def _forward_backward(E, lengths, trans, start, end) -> _FB:
+    """log Z and marginals of a padded batch; rows without a path get log Z = -inf."""
+    Et = _label_major(E)
+    alpha, log_z = _forward(Et, lengths, trans, start, end)
+    beta = _backward(Et, lengths, trans, end)
+    # in place, so that one [L-1, 4, 4, B] array is alive at a time
+    unigram = alpha + beta
+    unigram -= log_z
+    np.exp(unigram, out=unigram)
+    bigram = alpha[:-1, :, None, :] + trans[:, :, None]
+    bigram += (Et[1:] + beta[1:])[:, None, :, :]
+    bigram -= log_z
+    np.exp(bigram, out=bigram)
+    return _FB(log_z, unigram.transpose(2, 0, 1), bigram.transpose(3, 0, 1, 2))
+
+
+def _viterbi(E, lengths, trans, start, end) -> tuple[list[list[int]], np.ndarray]:
+    """Best label sequence of each row, and whether the row has a legal path.
+
+    A backward max-sum gives delta[i, l, b], the best suffix score from
+    position i with label l. A greedy forward pass then picks each label
+    with argmax, which takes the first (lowest-id) maximum: ties go to the
+    lower label id at the earliest position where tied paths differ.
+    """
+    Et = _label_major(E)
+    L, _, B = Et.shape
+    ends = _row_ends(lengths, L)
+    delta = np.empty_like(Et)
+    delta[L - 1] = Et[L - 1] + end[:, None]
+    trans_qp = trans.T[:, :, None]
+    for i in range(L - 2, -1, -1):
+        delta[i] = Et[i] + np.maximum.reduce(trans_qp + delta[i + 1][:, None, :], axis=0)
+        rows = ends.get(i)
+        if rows is not None:
+            delta[i][:, rows] = Et[i][:, rows] + end[:, None]
+    first = start[:, None] + delta[0]
+    # after label p at position i-1, the best label at i: nxt[i-1][p][b]
+    nxt = np.argmax(trans[None, :, :, None] + delta[1:, None, :, :], axis=2).tolist()
+    paths = []
+    for b, t in enumerate(np.argmax(first, axis=0).tolist()):
+        path = [t]
+        for step in nxt[: lengths[b] - 1]:
+            t = step[t][b]
+            path.append(t)
+        paths.append(path)
+    return paths, np.max(first, axis=0) > NEG_INF
+
+
+def _emission_batch(model: "CrfModel", sentences, allowed=None):
+    """Padded [B, L, 4] emissions (masked where ``allowed`` is False) and lengths."""
+    lengths = np.array([len(s) for s in sentences])
+    E = np.full((len(sentences), int(lengths.max()), N), NEG_INF)
+    for b, s in enumerate(sentences):
+        e = model.emissions(s)
+        if allowed is not None and allowed[b] is not None:
+            e = np.where(allowed[b], e, NEG_INF)
+        E[b, : len(s)] = e
+    return E, lengths
+
+
+def _batches(order, lengths, budget: int):
+    """Consecutive runs of ``order`` holding at least ``budget`` characters each."""
+    batch: list[int] = []
+    chars = 0
+    for idx in order:
+        batch.append(idx)
+        chars += lengths[idx]
+        if chars >= budget:
+            yield batch
+            batch, chars = [], 0
+    if batch:
+        yield batch
+
+
+def _corpus_batches(sentences):
+    """Index batches over a corpus, sorted by length so that little is padding."""
+    lengths = [len(s) for s in sentences]
+    order = sorted(range(len(sentences)), key=lengths.__getitem__)
+    return _batches(order, lengths, INFERENCE_BATCH_CHARS)
+
+
+def _require_paths(log_z: np.ndarray, what: str) -> None:
+    if (log_z == NEG_INF).any():
+        raise NoLegalPath(f"{what} admits no legal tag sequence")
+
+
+def _boundary_mass(bigram: np.ndarray) -> np.ndarray:
+    """Sum of the boundary bigrams' marginals, over the last two axes."""
+    out = np.zeros(bigram.shape[:-2])
+    for a, b in _BOUNDARY_PAIRS:
+        out += bigram[..., a, b]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +445,42 @@ def log_partition(sentence: str, model: CrfModel, mask=None) -> float:
     if not sentence:
         raise SentenceTooShort("empty sentence")
     allowed = _allowed_array(mask, len(sentence))
-    Em = _masked_emissions(model.emissions(sentence), allowed)
-    _, log_z = _forward(Em, model.trans, model.start, model.end)
-    if log_z == NEG_INF:
-        raise NoLegalPath("constraint mask admits no legal tag sequence")
-    return log_z
+    E, lengths = _emission_batch(model, [sentence], [allowed])
+    _, log_z = _forward(_label_major(E), lengths, model.trans, model.start, model.end)
+    _require_paths(log_z, "constraint mask")
+    return float(log_z[0])
+
+
+def _bigram_batch(sentences, model: CrfModel) -> tuple[np.ndarray, np.ndarray]:
+    """Bigram marginals [B, L-1, 4, 4] and lengths of sentences of 2+ characters."""
+    for s in sentences:
+        if len(s) < 2:
+            raise SentenceTooShort("bigram marginals need at least 2 characters")
+    E, lengths = _emission_batch(model, sentences)
+    fb = _forward_backward(E, lengths, model.trans, model.start, model.end)
+    _require_paths(fb.log_z, "the model")
+    return fb.bigram, lengths
 
 
 def bigram_marginals(sentence: str, model: CrfModel) -> np.ndarray:
     """p(l, l' | junction i) as a [n-1, 4, 4] tensor; illegal bigrams are 0."""
-    if len(sentence) < 2:
-        raise SentenceTooShort("bigram marginals need at least 2 characters")
-    fb = _forward_backward(model.emissions(sentence), model.trans, model.start, model.end)
-    return fb.bigram
+    bigram, _ = _bigram_batch([sentence], model)
+    return bigram[0]
 
 
 def boundary_probabilities(sentence: str, model: CrfModel) -> np.ndarray:
     """Boundary probability at every junction, shape [n-1]."""
-    marg = bigram_marginals(sentence, model)
-    out = np.zeros(len(marg))
-    for a, b in _BOUNDARY_PAIRS:
-        out += marg[:, a, b]
+    return _boundary_mass(bigram_marginals(sentence, model))
+
+
+def boundary_probabilities_batch(sentences, model: CrfModel) -> list[np.ndarray]:
+    """``boundary_probabilities`` of every sentence, computed in batches."""
+    out: list[np.ndarray] = [None] * len(sentences)  # type: ignore[list-item]
+    for batch in _corpus_batches(sentences):
+        bigram, lengths = _bigram_batch([sentences[k] for k in batch], model)
+        mass = _boundary_mass(bigram)
+        for k, row, n in zip(batch, mass, lengths):
+            out[k] = row[: n - 1]
     return out
 
 
@@ -357,31 +491,40 @@ def boundary_probability(sentence: str, model: CrfModel, i: int) -> float:
     return float(boundary_probabilities(sentence, model)[i])
 
 
+def _viterbi_strings(sentences, model: CrfModel, allowed) -> list[str]:
+    for s in sentences:
+        if not s:
+            raise SentenceTooShort("empty sentence")
+    E, lengths = _emission_batch(model, sentences, allowed)
+    paths, feasible = _viterbi(E, lengths, model.trans, model.start, model.end)
+    if not feasible.all():
+        raise NoLegalPath("constraint mask admits no legal tag sequence")
+    return [tagset.tags_to_str(path) for path in paths]
+
+
 def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
     """Highest-scoring legal sequence respecting ``mask``.
 
     Ties are broken toward the lower label id (B<M<E<S) at the earliest
     position where tied paths differ, which makes decoding deterministic.
     """
-    n = len(sentence)
-    if n == 0:
-        raise SentenceTooShort("empty sentence")
-    allowed = _allowed_array(mask, n)
-    Em = _masked_emissions(model.emissions(sentence), allowed)
-    # delta[i, l]: best suffix score from position i with label l.
-    delta = np.empty((n, N))
-    delta[n - 1] = Em[n - 1] + model.end
-    for i in range(n - 2, -1, -1):
-        delta[i] = Em[i] + np.max(model.trans + delta[i + 1][None, :], axis=1)
-    first = model.start + delta[0]
-    if np.max(first) == NEG_INF:
-        raise NoLegalPath("constraint mask admits no legal tag sequence")
-    # Greedy forward selection: np.argmax takes the first (lowest-id) maximum.
-    tags = [int(np.argmax(first))]
-    for i in range(1, n):
-        cand = model.trans[tags[-1]] + delta[i]
-        tags.append(int(np.argmax(cand)))
-    return tagset.tags_to_str(tags)
+    return _viterbi_strings([sentence], model, [_allowed_array(mask, len(sentence))])[0]
+
+
+def viterbi_batch(sentences, model: CrfModel, masks=None) -> list[str]:
+    """``viterbi`` of every sentence (under ``masks[k]`` when given), in batches."""
+    allowed = [
+        None if masks is None else _allowed_array(masks[k], len(s))
+        for k, s in enumerate(sentences)
+    ]
+    out: list[str] = [""] * len(sentences)
+    for batch in _corpus_batches(sentences):
+        decoded = _viterbi_strings(
+            [sentences[k] for k in batch], model, [allowed[k] for k in batch]
+        )
+        for k, tags in zip(batch, decoded):
+            out[k] = tags
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,44 +550,79 @@ class Gradient:
         )
 
 
-def _add_expected_counts(
-    grad: Gradient, ids: np.ndarray, unigram: np.ndarray, bigram: np.ndarray, sign: float
-) -> None:
-    n_templates = ids.shape[1]
-    np.add.at(grad.emit, ids.ravel(), sign * np.repeat(unigram, n_templates, axis=0))
-    grad.trans += sign * bigram.sum(axis=0)
-    grad.start += sign * unigram[0]
-    grad.end += sign * unigram[-1]
+def _prepare_full(vocab: feat.FeatureVocabulary, sentence: str, tags):
+    """(feature ids, gold labels, None) after checking the gold sequence."""
+    t = tagset.parse_tags(tags)
+    if len(t) != len(sentence):
+        raise LengthMismatch(f"{len(t)} tags for {len(sentence)} characters")
+    if not tagset.is_legal(t):
+        raise IllegalTagSequence(f"illegal gold sequence {tagset.tags_to_str(t)!r}")
+    return vocab.encode(sentence), np.array(t, dtype=np.intp), None
 
 
-def _add_observed_counts(grad: Gradient, ids: np.ndarray, t: tuple[int, ...], sign: float) -> None:
-    for i, tag in enumerate(t):
-        grad.emit[ids[i], tag] += sign  # the ids at one position are distinct
-    tarr = np.asarray(t)
-    np.add.at(grad.trans, (tarr[:-1], tarr[1:]), sign)
-    grad.start[t[0]] += sign
-    grad.end[t[-1]] += sign
+def _prepare_partial(vocab: feat.FeatureVocabulary, sentence: str, mask):
+    """(feature ids, None, allowed labels) for a constraint-mask example."""
+    return vocab.encode(sentence), None, _allowed_array(mask, len(sentence))
 
 
-def _full_example_loss(model, ids, E, t, grad: Gradient | None) -> float:
-    fb = _forward_backward(E, model.trans, model.start, model.end)
-    loss = fb.log_z - _path_score(E, t, model.trans, model.start, model.end)
-    if grad is not None:
-        _add_expected_counts(grad, ids, fb.unigram, fb.bigram, +1.0)
-        _add_observed_counts(grad, ids, t, -1.0)
-    return loss
+def _loss_and_grad(model: CrfModel, items, grad: Gradient) -> float:
+    """Summed loss of prepared examples; adds expected minus observed counts to ``grad``.
 
+    One forward-backward covers the batch: the unconstrained pass of every
+    example, then the constrained pass of each partial example. A full
+    example contributes log Z minus its gold path score, a partial one
+    log Z minus its constrained log Z.
+    """
+    B = len(items)
+    lengths = np.array([len(ids) for ids, _, _ in items])
+    L = int(lengths.max())
+    ids = np.concatenate([it[0] for it in items])
+    row = np.repeat(np.arange(B), lengths)
+    col = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    E = np.full((B, L, N), NEG_INF)
+    E[row, col] = model.emit_w[ids].sum(axis=1)
 
-def _partial_example_loss(model, ids, E, allowed, grad: Gradient | None) -> float:
-    fb_full = _forward_backward(E, model.trans, model.start, model.end)
-    fb_con = _forward_backward(E, model.trans, model.start, model.end, allowed)
-    if grad is not None:
-        # subtract marginals before scattering: when the mask excludes
-        # nothing the difference is exactly zero, so the update is too
-        _add_expected_counts(
-            grad, ids, fb_full.unigram - fb_con.unigram, fb_full.bigram - fb_con.bigram, +1.0
+    part = np.array([b for b, it in enumerate(items) if it[2] is not None], dtype=np.intp)
+    if len(part):
+        allowed = np.zeros((len(part), L, N), dtype=bool)
+        for k, b in enumerate(part):
+            allowed[k, : lengths[b]] = items[b][2]
+        E = np.concatenate([E, np.where(allowed, E[part], NEG_INF)])
+    fb = _forward_backward(
+        E, np.concatenate([lengths, lengths[part]]), model.trans, model.start, model.end
+    )
+    unigram, bigram = fb.unigram[:B], fb.bigram[:B]
+    # subtract marginals before scattering: when a mask excludes nothing
+    # the difference is exactly zero, so the update is too
+    unigram[part] -= fb.unigram[B:]
+    bigram[part] -= fb.bigram[B:]
+    loss = float(np.sum(fb.log_z[part] - fb.log_z[B:]))
+
+    full = [b for b, it in enumerate(items) if it[1] is not None]
+    if full:
+        on_full = np.isin(row, full)
+        frow, fcol = row[on_full], col[on_full]
+        gold = np.concatenate([items[b][1] for b in full])
+        first, last = fcol == 0, np.append(fcol[1:] == 0, True)
+        step = np.flatnonzero(~first)  # positions with a gold transition into them
+        prev, cur = gold[step - 1], gold[step]
+        loss += float(
+            np.sum(fb.log_z[full])
+            - E[frow, fcol, gold].sum()
+            - model.trans[prev, cur].sum()
+            - model.start[gold[first]].sum()
+            - model.end[gold[last]].sum()
         )
-    return fb_full.log_z - fb_con.log_z
+        unigram[frow, fcol, gold] -= 1.0
+        bigram[frow[step], fcol[step] - 1, prev, cur] -= 1.0
+
+    coef = unigram[row, col]  # [C, 4]: expected minus observed label counts
+    for label in range(N):
+        np.add.at(grad.emit[:, label], ids.ravel(), np.repeat(coef[:, label], ids.shape[1]))
+    grad.trans += bigram.sum(axis=(0, 1))
+    grad.start += unigram[:, 0].sum(axis=0)
+    grad.end += unigram[np.arange(B), lengths - 1].sum(axis=0)
+    return loss
 
 
 def nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
@@ -454,17 +632,8 @@ def nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
     emissions, transitions and start/end weights.
     """
     grad = Gradient.zeros(model)
-    loss = 0.0
-    for sentence, tags in batch:
-        t = tagset.parse_tags(tags)
-        if len(t) != len(sentence):
-            raise LengthMismatch(f"{len(t)} tags for {len(sentence)} characters")
-        if not tagset.is_legal(t):
-            raise IllegalTagSequence(f"illegal gold sequence {tagset.tags_to_str(t)!r}")
-        ids = model.vocab.encode(sentence)
-        E = model.emit_w[ids].sum(axis=1)
-        loss += _full_example_loss(model, ids, E, t, grad)
-    return loss, grad
+    items = [_prepare_full(model.vocab, sentence, tags) for sentence, tags in batch]
+    return (_loss_and_grad(model, items, grad) if items else 0.0), grad
 
 
 def partial_nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
@@ -474,13 +643,8 @@ def partial_nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
     mask allows; the gradient is (full - constrained) expected counts.
     """
     grad = Gradient.zeros(model)
-    loss = 0.0
-    for sentence, mask in batch:
-        allowed = _allowed_array(mask, len(sentence))
-        ids = model.vocab.encode(sentence)
-        E = model.emit_w[ids].sum(axis=1)
-        loss += _partial_example_loss(model, ids, E, allowed, grad)
-    return loss, grad
+    items = [_prepare_partial(model.vocab, sentence, mask) for sentence, mask in batch]
+    return (_loss_and_grad(model, items, grad) if items else 0.0), grad
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +673,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise InvalidConfig("epochs must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
+            raise InvalidConfig("threshold must be in [0, 1]")
         if self.mode not in ("baseline", "ctt", "self_training", "partial_crf"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InvalidConfig(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -532,24 +696,23 @@ class PartialExample:
         self.mask = mask
 
 
-def _batches(order: list[int], examples, batch_chars: int):
-    batch: list[int] = []
-    chars = 0
-    for idx in order:
-        batch.append(idx)
-        chars += len(examples[idx].sentence)
-        if chars >= batch_chars:
-            yield batch
-            batch, chars = [], 0
-    if batch:
-        yield batch
-
-
 def _dev_f1(model: CrfModel, dev: list[SegmentedSentence]) -> float:
     from .evaluate import prf  # local import: evaluate does not import crf
 
-    preds = [tagset.labels_to_words(viterbi(s.chars, model), s.chars) for s in dev]
+    sentences = [s.chars for s in dev]
+    preds = [
+        tagset.labels_to_words(tags, s) for tags, s in zip(viterbi_batch(sentences, model), sentences)
+    ]
     return prf(dev, preds).f1
+
+
+def _finite(model: CrfModel) -> bool:
+    return bool(
+        np.isfinite(model.emit_w).all()
+        and np.isfinite(model.trans[TRANS_LEGAL]).all()
+        and np.isfinite(model.start[START_LEGAL]).all()
+        and np.isfinite(model.end[END_LEGAL]).all()
+    )
 
 
 def train(
@@ -562,7 +725,8 @@ def train(
     Builds a fresh vocabulary from the training sentences, then optimizes
     with a fixed learning rate and per-update L2 decay. Returns the epoch
     with the best dev F1 when ``dev`` is given, otherwise the final epoch.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. Raises ``TrainingDiverged`` when an
+    epoch leaves a weight infinite or NaN.
     """
     examples = list(examples)
     if not examples:
@@ -574,47 +738,41 @@ def train(
     vocab.freeze()
     model = CrfModel(vocab)
 
-    prepared = []
-    for ex in examples:
-        ids = vocab.encode(ex.sentence)
-        if isinstance(ex, FullExample):
-            t = tagset.parse_tags(ex.tags)
-            if len(t) != len(ex.sentence):
-                raise LengthMismatch(
-                    f"{len(t)} tags for {len(ex.sentence)} characters"
-                )
-            if not tagset.is_legal(t):
-                raise IllegalTagSequence(f"illegal gold sequence {ex.tags!r}")
-            prepared.append((ids, t, None))
-        else:
-            prepared.append((ids, None, ex.mask.allowed))
+    prepared = [
+        _prepare_full(vocab, ex.sentence, ex.tags)
+        if isinstance(ex, FullExample)
+        else _prepare_partial(vocab, ex.sentence, ex.mask)
+        for ex in examples
+    ]
+    lengths = [len(ex.sentence) for ex in examples]
 
     rng = random.Random(config.seed)
     order = list(range(len(examples)))
     best: CrfModel | None = None
     best_f1 = -1.0
     lr = config.learning_rate
-    for _epoch in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
-        for batch in _batches(order, examples, config.batch_chars):
-            grad = Gradient.zeros(model)
-            for idx in batch:
-                ids, t, allowed = prepared[idx]
-                E = model.emit_w[ids].sum(axis=1)
-                if t is not None:
-                    _full_example_loss(model, ids, E, t, grad)
-                else:
-                    _partial_example_loss(model, ids, E, allowed, grad)
-            scale = 1.0 / len(batch)
-            model.emit_w -= lr * (scale * grad.emit + config.l2 * model.emit_w)
-            model.trans[TRANS_LEGAL] -= lr * (
-                scale * grad.trans[TRANS_LEGAL] + config.l2 * model.trans[TRANS_LEGAL]
-            )
-            model.start[START_LEGAL] -= lr * (
-                scale * grad.start[START_LEGAL] + config.l2 * model.start[START_LEGAL]
-            )
-            model.end[END_LEGAL] -= lr * (
-                scale * grad.end[END_LEGAL] + config.l2 * model.end[END_LEGAL]
+        # a diverging run overflows before the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch in _batches(order, lengths, config.batch_chars):
+                grad = Gradient.zeros(model)
+                _loss_and_grad(model, [prepared[idx] for idx in batch], grad)
+                scale = 1.0 / len(batch)
+                model.emit_w -= lr * (scale * grad.emit + config.l2 * model.emit_w)
+                model.trans[TRANS_LEGAL] -= lr * (
+                    scale * grad.trans[TRANS_LEGAL] + config.l2 * model.trans[TRANS_LEGAL]
+                )
+                model.start[START_LEGAL] -= lr * (
+                    scale * grad.start[START_LEGAL] + config.l2 * model.start[START_LEGAL]
+                )
+                model.end[END_LEGAL] -= lr * (
+                    scale * grad.end[END_LEGAL] + config.l2 * model.end[END_LEGAL]
+                )
+        if not _finite(model):
+            raise TrainingDiverged(
+                f"weights became infinite or NaN in epoch {epoch} of {config.epochs}"
+                f" (learning rate {lr:g})"
             )
         if dev:
             f1 = _dev_f1(model, dev)

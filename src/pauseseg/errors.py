@@ -54,3 +54,11 @@ class EmptyDataset(PausesegError):
 
 class SentenceMismatch(PausesegError):
     """Two corpora that must share the same sentences do not."""
+
+
+class InvalidConfig(PausesegError, ValueError):
+    """A training setting has the wrong type or is out of range."""
+
+
+class TrainingDiverged(PausesegError):
+    """Training drove a weight to infinity or NaN."""

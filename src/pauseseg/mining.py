@@ -54,7 +54,22 @@ def score_pauses(model: crf.CrfModel, sentence: str, pauses: list[Pause]) -> lis
     """Attach the model's boundary probability to each pause."""
     if not pauses:
         return []
-    probs = crf.boundary_probabilities(sentence, model)
+    return _with_probabilities(sentence, pauses, crf.boundary_probabilities(sentence, model))
+
+
+def score_pause_lists(
+    model: crf.CrfModel, sentences: list[str], pause_lists: list[list[Pause]]
+) -> list[list[Pause]]:
+    """``score_pauses`` for every sentence, scoring the corpus in batches."""
+    todo = [k for k, pauses in enumerate(pause_lists) if pauses]
+    probs = crf.boundary_probabilities_batch([sentences[k] for k in todo], model)
+    out: list[list[Pause]] = [[] for _ in pause_lists]
+    for k, p in zip(todo, probs):
+        out[k] = _with_probabilities(sentences[k], pause_lists[k], p)
+    return out
+
+
+def _with_probabilities(sentence: str, pauses: list[Pause], probs: np.ndarray) -> list[Pause]:
     out = []
     for p in pauses:
         if not 0 <= p.junction < len(sentence) - 1:

@@ -96,7 +96,9 @@ def self_train_label(model: crf.CrfModel, sentence: str) -> SegmentedSentence:
 
 
 def segment_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedSentence]:
-    return [self_train_label(model, s) for s in sentences]
+    """``self_train_label`` for every sentence, decoded in batches."""
+    tags = crf.viterbi_batch(sentences, model)
+    return [tagset.labels_to_words(t, s) for t, s in zip(tags, sentences)]
 
 
 def complete_annotation(
@@ -106,6 +108,16 @@ def complete_annotation(
     mask = mining.partial_to_mask(partial)
     tags = crf.viterbi(partial.chars, model, mask=mask)
     return tagset.labels_to_words(tags, partial.chars)
+
+
+def complete_corpus(
+    model: crf.CrfModel, partials: list[PartialSentence]
+) -> list[SegmentedSentence]:
+    """``complete_annotation`` for every partial sentence, decoded in batches."""
+    sentences = [p.chars for p in partials]
+    masks = [mining.partial_to_mask(p) for p in partials]
+    tags = crf.viterbi_batch(sentences, model, masks)
+    return [tagset.labels_to_words(t, s) for t, s in zip(tags, sentences)]
 
 
 @dataclass
@@ -135,20 +147,11 @@ def run_ctt(
     """
     if baseline is None:
         baseline = train_baseline(source, config, dev=dev)
-    self_training = config.mode == "self_training"
-    completed: list[SegmentedSentence] = []
-    skipped = 0
-    for p in target:
-        if not self_training and not p.boundaries:
-            skipped += 1
-            continue
-        try:
-            if self_training:
-                completed.append(self_train_label(baseline, p.chars))
-            else:
-                completed.append(complete_annotation(baseline, p))
-        except NoLegalPath:
-            skipped += 1
+    if config.mode == "self_training":
+        completed = segment_corpus(baseline, [p.chars for p in target])
+    else:
+        completed = complete_corpus(baseline, [p for p in target if p.boundaries])
+    skipped = len(target) - len(completed)
     if skipped:
         log.info("skipped %d target sentences without usable constraints", skipped)
     if not completed:
@@ -199,16 +202,15 @@ def mine_partials(
     """
     from .alignment import detect_pauses
 
-    partials = []
-    scored_lists = []
-    for a in alignments:
-        sentence = a.sentence
-        if len(sentence) < 2:
-            partials.append(PartialSentence(sentence, ()))
-            scored_lists.append([])
-            continue
-        scored = mining.score_pauses(model, sentence, detect_pauses(a, min_pause_ms))
-        kept = mining.filter_pauses(scored, threshold)
-        partials.append(mining.pauses_to_partial(sentence, kept))
-        scored_lists.append(scored)
+    alignments = list(alignments)
+    sentences = [a.sentence for a in alignments]
+    detected = [
+        detect_pauses(a, min_pause_ms) if len(s) >= 2 else []
+        for a, s in zip(alignments, sentences)
+    ]
+    scored_lists = mining.score_pause_lists(model, sentences, detected)
+    partials = [
+        mining.pauses_to_partial(s, mining.filter_pauses(scored, threshold))
+        for s, scored in zip(sentences, scored_lists)
+    ]
     return partials, scored_lists

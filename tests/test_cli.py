@@ -102,6 +102,31 @@ class TestMineFilterComplete:
         assert 0 in out[0].boundary_junctions()
         assert 1 in out[1].boundary_junctions()
 
+    def test_mine_writes_what_per_sentence_scoring_gives(self, workspace):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "3")
+        path = tmp / "alignments.jsonl"
+        data = [
+            CharAlignment("u1", (("一", 0, 5), ("二", 30, 35), ("三", 35, 40))),
+            CharAlignment("u2", (("六", 0, 5),)),
+            CharAlignment("u3", (("四", 0, 5), ("五", 25, 30), ("六", 60, 65), ("一", 65, 70))),
+            CharAlignment("u4", (("三", 0, 5), ("四", 5, 10))),
+        ]
+        alignment.write_alignments(path, data)
+        scored = tmp / "scored.jsonl"
+        assert run("mine", model_path, path, "-o", scored) == 0
+
+        model = crf.CrfModel.load(model_path)
+        expected = tmp / "expected.jsonl"
+        mining.write_scored_pauses(expected, [
+            (a.utterance_id, a.sentence,
+             mining.score_pauses(model, a.sentence, alignment.detect_pauses(a, 10.0))
+             if len(a.sentence) > 1 else [])
+            for a in data
+        ])
+        assert scored.read_bytes() == expected.read_bytes()
+
     def test_min_pause_flag(self, workspace):
         tmp, gold = workspace
         model_path = tmp / "model.txt"
@@ -246,6 +271,20 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             run("train")  # missing required arguments
         assert exc.value.code == 2
+
+    def test_invalid_training_setting_exits_one(self, workspace, capsys):
+        tmp, gold = workspace
+        assert run("train", gold, "-o", tmp / "m.txt", "--epochs", "0") == 1
+        assert "error[InvalidConfig]" in capsys.readouterr().err
+        assert not (tmp / "m.txt").exists()
+
+    def test_diverging_training_exits_one_and_writes_no_model(self, workspace, capsys):
+        tmp, gold = workspace
+        assert run("train", gold, "-o", tmp / "m.txt", "--lr", "1e308") == 1
+        err = capsys.readouterr().err
+        assert "error[TrainingDiverged]" in err
+        assert "epoch" in err
+        assert not (tmp / "m.txt").exists()
 
     def test_unreadable_model_reports_parse_error(self, workspace, capsys):
         tmp, gold = workspace

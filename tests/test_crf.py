@@ -14,6 +14,7 @@ from pauseseg.errors import (
     NoLegalPath,
     ParseError,
     SentenceTooShort,
+    TrainingDiverged,
 )
 
 NEG_INF = float("-inf")
@@ -434,6 +435,11 @@ class TestTraining:
         examples.append(PartialExample("abde", mining.build_constraint_mask("abde", [1])))
         model = crf.train(examples, TrainConfig(epochs=5, seed=0, batch_chars=6))
         assert np.isfinite(model.emit_w).all()
+
+    def test_diverging_run_raises_naming_the_epoch(self):
+        cfg = TrainConfig(epochs=3, seed=0, batch_chars=6, learning_rate=1e308)
+        with pytest.raises(TrainingDiverged, match=r"epoch \d+ of 3"):
+            crf.train(self.small_corpus(), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
