@@ -18,55 +18,67 @@ from . import alignment, crf, evaluate, mining, pipeline
 from .errors import InvalidConfig, PausesegError
 from .segments import read_gold_corpus, write_gold_corpus
 
+# Every setting a config file may hold; each command reads only those it uses.
 DEFAULTS = {
-    "epochs": 10,
-    "learning_rate": 0.1,
-    "l2": 1e-5,
-    "batch_chars": 1000,
-    "seed": 0,
-    "threshold": 0.5,
-    "min_pause_ms": 10.0,
+    **{f.name: f.default for f in dataclasses.fields(crf.TrainConfig)},
+    "threshold": mining.DEFAULT_THRESHOLD,
+    "min_pause_ms": alignment.DEFAULT_MIN_PAUSE_MS,
 }
 
-_CONFIG_KEYS = ("epochs", "learning_rate", "l2", "batch_chars", "seed", "threshold")
+
+def _check_setting(key: str, value):
+    """``value`` as its default's type (int or float); ``InvalidConfig`` if it does not fit."""
+    if type(value) not in (int, float):
+        raise InvalidConfig(f"{key} must be a number, not {value!r}")
+    if type(DEFAULTS[key]) is int:
+        if not float(value).is_integer():
+            raise InvalidConfig(f"{key} must be an integer, not {value!r}")
+        return int(value)
+    if key == "threshold" and not 0.0 <= value <= 1.0:
+        raise InvalidConfig(f"threshold must be in [0, 1], not {value!r}")
+    return float(value)
 
 
-def _resolve_config(args, mode: str) -> tuple[crf.TrainConfig, float]:
-    """Merge defaults, an optional JSON config file, and CLI flags (flags win)."""
-    cfg = dict(DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
+def _read_config_file(path) -> dict:
+    try:
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise PausesegError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key in _CONFIG_KEYS + ("min_pause_ms",):
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidConfig(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise InvalidConfig(f"{path}: expected a JSON object of settings")
+    unknown = set(loaded) - set(DEFAULTS)
+    if unknown:
+        raise InvalidConfig(f"{path}: unknown config keys: {sorted(unknown)}")
+    try:
+        return {key: _check_setting(key, value) for key, value in loaded.items()}
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: {exc}") from exc
+
+
+def _settings(args) -> dict:
+    """Merge defaults, an optional JSON config file, and CLI flags (flags win)."""
+    settings = dict(DEFAULTS)
+    if getattr(args, "config", None):
+        settings.update(_read_config_file(args.config))
+    for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = value
-    try:
-        train_config = crf.TrainConfig(
-            epochs=int(cfg["epochs"]),
-            learning_rate=float(cfg["learning_rate"]),
-            l2=float(cfg["l2"]),
-            batch_chars=int(cfg["batch_chars"]),
-            seed=int(cfg["seed"]),
-            threshold=float(cfg["threshold"]),
-            mode=mode,
-            deterministic=bool(getattr(args, "deterministic", False)),
-        )
-        return train_config, float(cfg["min_pause_ms"])
-    except (TypeError, ValueError) as exc:  # InvalidConfig is a ValueError
-        raise InvalidConfig(f"bad training settings: {exc}") from exc
+            settings[key] = _check_setting(key, value)
+    return settings
 
 
-def _write_manifest(primary_output, command: str, args, config: dict, inputs, outputs):
+def _train_config(args) -> crf.TrainConfig:
+    settings = _settings(args)
+    fields = dataclasses.fields(crf.TrainConfig)
+    return crf.TrainConfig(**{f.name: settings[f.name] for f in fields})
+
+
+def _write_manifest(primary_output, args, config: dict, inputs, outputs):
     manifest = {
         "tool": "pauseseg",
         "format": 1,
-        "command": command,
+        "command": args.command,
         "argv": [str(a) for a in args._argv],
         "config": config,
         "inputs": [str(p) for p in inputs],
@@ -103,13 +115,13 @@ def _read_alignment_files(paths, tier_name: str, frame_offset_ms: float):
 
 
 def _cmd_train(args) -> int:
-    config, _ = _resolve_config(args, mode="baseline")
+    config = _train_config(args)
     gold = _load_gold(args.gold, args.strip_punct)
     dev = _load_gold(args.dev, args.strip_punct) if args.dev else None
     model = pipeline.train_baseline(gold, config, dev=dev)
     model.save(args.model_out)
     _write_manifest(
-        args.model_out, "train", args, dataclasses.asdict(config),
+        args.model_out, args, dataclasses.asdict(config),
         inputs=[args.gold] + ([args.dev] if args.dev else []),
         outputs=[args.model_out],
     )
@@ -124,7 +136,7 @@ def _cmd_segment(args) -> int:
     segmented = pipeline.segment_corpus(model, sentences)
     write_gold_corpus(args.output, segmented)
     _write_manifest(
-        args.output, "segment", args, {},
+        args.output, args, {},
         inputs=[args.model, args.input], outputs=[args.output],
     )
     print(f"segmented {len(segmented)} sentences to {args.output}")
@@ -132,17 +144,16 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    config, min_pause_ms = _resolve_config(args, mode="baseline")
+    min_pause_ms = _settings(args)["min_pause_ms"]
     model = crf.CrfModel.load(args.model)
     alignments = _read_alignment_files(
         args.alignments, args.tier_name, args.frame_offset_ms
     )
-    _, scored = pipeline.mine_partials(model, alignments, config.threshold, min_pause_ms)
+    scored = pipeline.score_alignments(model, alignments, min_pause_ms)
     records = [(a.utterance_id, a.sentence, pauses) for a, pauses in zip(alignments, scored)]
     mining.write_scored_pauses(args.output, records)
     _write_manifest(
-        args.output, "mine", args,
-        {"min_pause_ms": min_pause_ms, "seed": config.seed},
+        args.output, args, {"min_pause_ms": min_pause_ms},
         inputs=[args.model] + list(args.alignments), outputs=[args.output],
     )
     n_pauses = sum(len(p) for _, _, p in records)
@@ -151,21 +162,21 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    config, _ = _resolve_config(args, mode="baseline")
+    threshold = _settings(args)["threshold"]
     records = mining.read_scored_pauses(args.scored)
     partials = []
     kept = total = 0
     for _, sentence, pauses in records:
-        surviving = mining.filter_pauses(pauses, config.threshold)
+        surviving = mining.filter_pauses(pauses, threshold)
         kept += len(surviving)
         total += len(pauses)
         partials.append(mining.pauses_to_partial(sentence, surviving))
     mining.write_partial_corpus(args.output, partials)
     _write_manifest(
-        args.output, "filter", args, {"threshold": config.threshold},
+        args.output, args, {"threshold": threshold},
         inputs=[args.scored], outputs=[args.output],
     )
-    print(f"kept {kept} of {total} pauses at threshold {config.threshold} -> {args.output}")
+    print(f"kept {kept} of {total} pauses at threshold {threshold} -> {args.output}")
     return 0
 
 
@@ -175,24 +186,28 @@ def _cmd_complete(args) -> int:
     completed = pipeline.complete_corpus(model, partials)
     write_gold_corpus(args.output, completed)
     _write_manifest(
-        args.output, "complete", args, {},
+        args.output, args, {},
         inputs=[args.model, args.partial], outputs=[args.output],
     )
     print(f"completed {len(completed)} sentences to {args.output}")
     return 0
 
 
-def _run_recipe(args, mode: str) -> int:
-    config, _ = _resolve_config(args, mode=mode)
+def _cmd_recipe(args) -> int:
+    """``ctt``, ``selftrain`` or ``partialcrf``, as the subcommand names."""
+    config = _train_config(args)
     source = _load_gold(args.source, args.strip_punct)
     target = _load_partial(args.target, args.strip_punct)
     dev = _load_gold(args.dev, args.strip_punct) if args.dev else None
     outputs = [args.model_out]
-    if mode == "partial_crf":
+    if args.command == "partialcrf":
         model = pipeline.run_partial_crf(source, target, config, dev=dev)
     else:
         baseline = crf.CrfModel.load(args.baseline) if args.baseline else None
-        result = pipeline.run_ctt(source, target, config, dev=dev, baseline=baseline)
+        result = pipeline.run_ctt(
+            source, target, config, dev=dev, baseline=baseline,
+            self_training=args.command == "selftrain",
+        )
         model = result.model
         if args.baseline_out:
             result.baseline.save(args.baseline_out)
@@ -203,24 +218,12 @@ def _run_recipe(args, mode: str) -> int:
         print(f"completed {result.used} target sentences, skipped {result.skipped}")
     model.save(args.model_out)
     _write_manifest(
-        args.model_out, mode, args, dataclasses.asdict(config),
+        args.model_out, args, dataclasses.asdict(config),
         inputs=[args.source, args.target] + ([args.dev] if args.dev else []),
         outputs=outputs,
     )
     print(f"wrote model to {args.model_out}")
     return 0
-
-
-def _cmd_ctt(args) -> int:
-    return _run_recipe(args, "ctt")
-
-
-def _cmd_selftrain(args) -> int:
-    return _run_recipe(args, "self_training")
-
-
-def _cmd_partialcrf(args) -> int:
-    return _run_recipe(args, "partial_crf")
 
 
 def _cmd_eval(args) -> int:
@@ -254,7 +257,7 @@ def _cmd_disagree(args) -> int:
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(evaluate.format_review_tsv(rows))
     _write_manifest(
-        args.output, "disagree", args, {"seed": args.seed or 0},
+        args.output, args, {"seed": args.seed or 0},
         inputs=[args.pred_a, args.pred_b], outputs=[args.output],
     )
     print(f"wrote {len(rows)} disagreement rows to {args.output}")
@@ -272,10 +275,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l2", type=float, default=None)
     p.add_argument("--batch-chars", dest="batch_chars", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--deterministic", action="store_true",
-        help="insist on a reproducible run (fixed-seed training already is)",
-    )
     p.add_argument("--strip-punct", dest="strip_punct", action="store_true")
     p.add_argument("--dev", help="gold corpus for best-epoch selection")
 
@@ -305,7 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="scored-pause JSON lines")
     p.add_argument("--min-pause-ms", dest="min_pause_ms", type=float, default=None)
     p.add_argument("--tier-name", default="characters")
-    p.add_argument("--frame-offset-ms", dest="frame_offset_ms", type=float, default=10.0)
+    p.add_argument(
+        "--frame-offset-ms", dest="frame_offset_ms", type=float,
+        default=alignment.DEFAULT_FRAME_OFFSET_MS,
+    )
     p.add_argument("--config")
     p.set_defaults(func=_cmd_mine)
 
@@ -333,14 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("target", help="target-domain partial corpus")
         p.add_argument("-o", "--model-out", dest="model_out", required=True)
         _add_train_flags(p)
-        p.add_argument("--threshold", type=float, default=None)
         if name != "partialcrf":
             p.add_argument("--baseline", help="reuse an already trained baseline model")
             p.add_argument("--baseline-out", dest="baseline_out")
             p.add_argument("--completed-out", dest="completed_out")
-        p.set_defaults(
-            func={"ctt": _cmd_ctt, "selftrain": _cmd_selftrain, "partialcrf": _cmd_partialcrf}[name]
-        )
+        p.set_defaults(func=_cmd_recipe)
 
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("gold")

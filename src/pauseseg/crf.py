@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -653,31 +653,17 @@ def partial_nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
 
 @dataclass
 class TrainConfig:
-    """Optimization and pipeline settings.
-
-    ``mode`` selects how target-domain data is used downstream:
-    ``baseline`` (ignore it), ``ctt`` (complete partial annotations by
-    constrained decoding, then retrain), ``self_training`` (complete by
-    unconstrained decoding) or ``partial_crf`` (train directly on the
-    marginalized loss).
-    """
+    """Optimizer settings for ``train``."""
 
     epochs: int = 10
     learning_rate: float = 0.1
     l2: float = 1e-5
     batch_chars: int = 1000
     seed: int = 0
-    threshold: float = 0.5
-    mode: str = "ctt"
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidConfig("epochs must be >= 1")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise InvalidConfig("threshold must be in [0, 1]")
-        if self.mode not in ("baseline", "ctt", "self_training", "partial_crf"):
-            raise InvalidConfig(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ and training.
 
 from __future__ import annotations
 
+import bisect
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +19,8 @@ from . import crf, tagset
 from .alignment import Pause
 from .errors import IndexOutOfRange, LengthMismatch, ParseError, UnscoredPause
 from .segments import SegmentedSentence
+
+DEFAULT_THRESHOLD = 0.5
 
 PROBABILITY_BIN_EDGES = (0.1, 0.9, 1.0)
 PROBABILITY_BIN_NAMES = ("[0.0, 0.1)", "[0.1, 0.9)", "[0.9, 1.0)", "1.0")
@@ -122,23 +126,13 @@ def partial_to_mask(partial: PartialSentence) -> crf.ConstraintMask:
 
 def probability_bin(p: float) -> int:
     """Bin index for a boundary probability; values within 1e-12 of 1 are 1."""
-    if p >= 1.0 - _ONE_SNAP:
-        return 3
-    if p >= 0.9:
-        return 2
-    if p >= 0.1:
-        return 1
-    return 0
+    if p >= PROBABILITY_BIN_EDGES[-1] - _ONE_SNAP:
+        return len(PROBABILITY_BIN_EDGES)
+    return bisect.bisect_right(PROBABILITY_BIN_EDGES, p)
 
 
 def duration_bin(d_ms: float) -> int:
-    if d_ms >= 500.0:
-        return 3
-    if d_ms >= 150.0:
-        return 2
-    if d_ms >= 50.0:
-        return 1
-    return 0
+    return bisect.bisect_right(DURATION_BIN_EDGES_MS, d_ms)
 
 
 @dataclass
@@ -147,7 +141,7 @@ class PauseStats:
 
     counts: np.ndarray  # [duration_bin, probability_bin]
     total_pauses: int
-    total_kept: int  # probability >= 0.5
+    total_kept: int  # probability >= DEFAULT_THRESHOLD
     correct: np.ndarray | None = None  # same shape, pauses at gold boundaries
     total_correct: int | None = None
 
@@ -187,7 +181,7 @@ def pause_statistics(
             db = duration_bin(p.duration_ms)
             pb = probability_bin(p.probability)
             counts[db, pb] += 1
-            if p.probability >= 0.5:
+            if p.probability >= DEFAULT_THRESHOLD:
                 kept += 1
             if gold_junctions is not None and p.junction in gold_junctions:
                 correct[db, pb] += 1
@@ -217,7 +211,7 @@ def format_stats_report(stats: PauseStats) -> str:
     lines.append("")
     lines.append(f"pauses: {stats.total_pauses}")
     lines.append(
-        f"kept at threshold 0.5: {stats.total_kept} ({stats.kept_percent:.1f}%)"
+        f"kept at threshold {DEFAULT_THRESHOLD}: {stats.total_kept} ({stats.kept_percent:.1f}%)"
     )
     if stats.accuracy is not None:
         lines.append(
@@ -322,6 +316,21 @@ def write_scored_pauses(path, records) -> None:
             fh.write(scored_pauses_to_json_line(utterance_id, sentence, pauses) + "\n")
 
 
+def _pause_from_json(obj, sentence: str, lineno: int) -> Pause:
+    junction, duration, probability = obj["junction"], obj["duration_ms"], obj.get("probability")
+    if type(junction) is not int or not 0 <= junction < len(sentence) - 1:
+        raise ParseError(
+            f"junction {junction!r} is not an integer in 0..{len(sentence) - 2}", line=lineno
+        )
+    if type(duration) not in (int, float) or not 0 <= duration < math.inf:
+        raise ParseError(f"duration_ms {duration!r} is not a finite number >= 0", line=lineno)
+    if not (probability is None or type(probability) in (int, float) and 0 <= probability <= 1):
+        raise ParseError(
+            f"probability {probability!r} is not null or a number in [0, 1]", line=lineno
+        )
+    return Pause(junction, float(duration), probability)
+
+
 def read_scored_pauses(path) -> list[tuple[str, str, list[Pause]]]:
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -330,11 +339,9 @@ def read_scored_pauses(path) -> list[tuple[str, str, list[Pause]]]:
                 continue
             try:
                 obj = json.loads(line)
-                pauses = [
-                    Pause(int(p["junction"]), float(p["duration_ms"]), p.get("probability"))
-                    for p in obj["pauses"]
-                ]
-                out.append((str(obj["utterance_id"]), str(obj["sentence"]), pauses))
+                sentence = str(obj["sentence"])
+                pauses = [_pause_from_json(p, sentence, lineno) for p in obj["pauses"]]
+                out.append((str(obj["utterance_id"]), sentence, pauses))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad scored-pause record: {exc}", line=lineno) from exc
     return out

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import crf, mining, tagset
-from .errors import EmptyDataset, NoLegalPath
+from . import alignment, crf, mining, tagset
+from .errors import EmptyDataset
 from .mining import PartialSentence
-from .segments import SegmentedSentence, read_gold_corpus, write_gold_corpus
+from .segments import SegmentedSentence
 
 log = logging.getLogger(__name__)
 
@@ -135,19 +135,20 @@ def run_ctt(
     config: crf.TrainConfig,
     dev: list[SegmentedSentence] | None = None,
     baseline: crf.CrfModel | None = None,
+    self_training: bool = False,
 ) -> CttResult:
-    """Complete-then-train (or self-training, per ``config.mode``).
+    """Complete-then-train, or self-training when ``self_training`` is set.
 
     Steps: train a baseline on ``source`` (unless one is passed in), decode
     each target sentence under its boundary constraints to complete the
     annotation, then train a fresh model on source plus completions. In
-    ``self_training`` mode the constraints are ignored and every target
-    sentence is decoded freely. Target sentences without boundaries carry
-    no constraint signal and are skipped in ctt mode.
+    self-training the constraints are ignored and every target sentence is
+    decoded freely. Target sentences without boundaries carry no constraint
+    signal and are skipped in complete-then-train.
     """
     if baseline is None:
         baseline = train_baseline(source, config, dev=dev)
-    if config.mode == "self_training":
+    if self_training:
         completed = segment_corpus(baseline, [p.chars for p in target])
     else:
         completed = complete_corpus(baseline, [p for p in target if p.boundaries])
@@ -174,14 +175,7 @@ def run_partial_crf(
     drags predictions toward single-character words.
     """
     examples: list[crf.FullExample | crf.PartialExample] = list(gold_examples(source))
-    skipped = 0
-    for p in target:
-        try:
-            examples.append(crf.PartialExample(p.chars, mining.partial_to_mask(p)))
-        except NoLegalPath:
-            skipped += 1
-    if skipped:
-        log.info("skipped %d target sentences with unusable constraints", skipped)
+    examples += [crf.PartialExample(p.chars, mining.partial_to_mask(p)) for p in target]
     return crf.train(examples, config, dev=dev)
 
 
@@ -189,28 +183,36 @@ def run_partial_crf(
 # Pause mining across a corpus of alignments
 
 
+def score_alignments(
+    model: crf.CrfModel,
+    alignments,
+    min_pause_ms: float = alignment.DEFAULT_MIN_PAUSE_MS,
+) -> list[list[alignment.Pause]]:
+    """Detect each alignment's pauses and score them: one list per alignment."""
+    alignments = list(alignments)
+    sentences = [a.sentence for a in alignments]
+    detected = [
+        alignment.detect_pauses(a, min_pause_ms) if len(s) >= 2 else []
+        for a, s in zip(alignments, sentences)
+    ]
+    return mining.score_pause_lists(model, sentences, detected)
+
+
 def mine_partials(
     model: crf.CrfModel,
     alignments,
-    threshold: float = 0.5,
-    min_pause_ms: float = 10.0,
-) -> tuple[list[PartialSentence], list[list]]:
+    threshold: float = mining.DEFAULT_THRESHOLD,
+    min_pause_ms: float = alignment.DEFAULT_MIN_PAUSE_MS,
+) -> tuple[list[PartialSentence], list[list[alignment.Pause]]]:
     """Detect, score and filter pauses; return partial sentences and scores.
 
     Returns one PartialSentence per alignment (possibly with no boundaries)
     plus the parallel scored-pause lists for reporting.
     """
-    from .alignment import detect_pauses
-
     alignments = list(alignments)
-    sentences = [a.sentence for a in alignments]
-    detected = [
-        detect_pauses(a, min_pause_ms) if len(s) >= 2 else []
-        for a, s in zip(alignments, sentences)
-    ]
-    scored_lists = mining.score_pause_lists(model, sentences, detected)
+    scored_lists = score_alignments(model, alignments, min_pause_ms)
     partials = [
-        mining.pauses_to_partial(s, mining.filter_pauses(scored, threshold))
-        for s, scored in zip(sentences, scored_lists)
+        mining.pauses_to_partial(a.sentence, mining.filter_pauses(scored, threshold))
+        for a, scored in zip(alignments, scored_lists)
     ]
     return partials, scored_lists

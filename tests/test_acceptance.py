@@ -5,6 +5,7 @@ inference checks compare against brute-force enumeration (tests/oracle.py);
 the pipeline checks run on the synthetic two-domain world (tests/synthetic.py).
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -14,9 +15,10 @@ import pytest
 
 import oracle
 import synthetic
-from pauseseg import cli, crf, evaluate, mining, pipeline, tagset
+import pauseseg
+from pauseseg import crf, evaluate, mining, pipeline, tagset
 from pauseseg.crf import ConstraintMask, TrainConfig
-from pauseseg.segments import read_gold_corpus, write_gold_corpus
+from pauseseg.segments import write_gold_corpus
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -292,8 +294,7 @@ def test_07_marginalized_partial_training_over_segments(world):
     cfg = TrainConfig(epochs=10, seed=1)
     baseline = pipeline.train_baseline(world.source_train, cfg, dev=world.target_dev)
     partials_05, _, _ = mine_at_thresholds(baseline, world.target_alignments)
-    pc_cfg = TrainConfig(epochs=10, seed=1, mode="partial_crf")
-    pc_model = pipeline.run_partial_crf(world.source_train, partials_05, pc_cfg)
+    pc_model = pipeline.run_partial_crf(world.source_train, partials_05, cfg)
 
     test_chars = [s.chars for s in world.target_test]
     rate_base = evaluate.single_char_word_rate(pipeline.segment_corpus(baseline, test_chars))
@@ -321,9 +322,13 @@ def test_08_end_to_end_rerun_is_bit_identical(world, tmp_path):
         cmd = [
             sys.executable, "-m", "pauseseg.cli", "ctt",
             str(source), str(target), "-o", str(out),
-            "--epochs", "3", "--seed", "11", "--deterministic",
+            "--epochs", "3", "--seed", "11",
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        # the child imports pauseseg from where this process found it
+        src = os.path.dirname(os.path.dirname(pauseseg.__file__))
+        paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return out.read_bytes()
 

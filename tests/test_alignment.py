@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pauseseg import alignment
-from pauseseg.alignment import CharAlignment, Pause
+from pauseseg.alignment import CharAlignment
 from pauseseg.errors import NonMonotoneFrames, ParseError, SentenceTooShort
 
 

@@ -137,6 +137,22 @@ class TestMineFilterComplete:
         records = mining.read_scored_pauses(scored)
         assert all(not ps for _, _, ps in records)  # no pause that long
 
+    def test_mine_ignores_the_threshold_setting(self, workspace):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "3")
+        outputs = []
+        for threshold in (0.0, 0.99):
+            cfg = tmp / f"config_{threshold}.json"
+            cfg.write_text(json.dumps({"threshold": threshold}), encoding="utf-8")
+            scored = tmp / f"scored_{threshold}.jsonl"
+            assert run("mine", model_path, self.alignments_file(tmp), "-o", scored,
+                       "--config", cfg) == 0
+            outputs.append(scored.read_bytes())
+            manifest = json.loads((tmp / f"scored_{threshold}.jsonl.manifest.json").read_text())
+            assert manifest["config"] == {"min_pause_ms": 10.0}
+        assert outputs[0] == outputs[1]
+
     def test_mine_reads_textgrids(self, workspace):
         tmp, gold = workspace
         model_path = tmp / "model.txt"
@@ -197,7 +213,7 @@ class TestRecipes:
         tmp, gold = workspace
         target = self.target_file(tmp)
         m1, m2 = tmp / "run1.txt", tmp / "run2.txt"
-        args = [gold, target, "--epochs", "2", "--seed", "3", "--deterministic"]
+        args = [gold, target, "--epochs", "2", "--seed", "3"]
         assert run("ctt", *args, "-o", m1) == 0
         assert run("ctt", *args, "-o", m2) == 0
         assert m1.read_bytes() == m2.read_bytes()
@@ -218,6 +234,16 @@ class TestRecipes:
         model_path = tmp / "pc.txt"
         assert run("partialcrf", gold, target, "-o", model_path, "--epochs", "2") == 0
         assert model_path.exists()
+
+    @pytest.mark.parametrize("command", ["ctt", "selftrain", "partialcrf"])
+    def test_manifest_names_the_subcommand(self, workspace, command):
+        tmp, gold = workspace
+        model_path = tmp / f"{command}.txt"
+        target = self.target_file(tmp)
+        assert run(command, gold, target, "-o", model_path, "--epochs", "1") == 0
+        manifest = json.loads((tmp / f"{command}.txt.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert list(manifest["config"]) == ["epochs", "learning_rate", "l2", "batch_chars", "seed"]
 
 
 class TestReporting:
@@ -294,3 +320,69 @@ class TestErrorHandling:
         raw.write_text("一二三\n", encoding="utf-8")
         assert run("segment", bad, raw, "-o", tmp / "out.txt") == 1
         assert "error[ParseError]" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text", [
+        "{bad",
+        "[1, 2]",
+        '{"epochs": 2.7}',
+        '{"batch_chars": 999.5}',
+        '{"seed": 0.25}',
+        '{"epochs": "3"}',
+        '{"epochs": true}',
+        '{"threshold": 1.5}',
+    ])
+    def test_malformed_config_file_exits_one(self, workspace, capsys, text):
+        tmp, gold = workspace
+        cfg = tmp / "config.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert run("train", gold, "-o", tmp / "m.txt", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert "error[InvalidConfig]" in err
+        assert str(cfg) in err
+        assert not (tmp / "m.txt").exists()
+
+    def test_integral_float_in_config_file_is_a_count(self, workspace):
+        tmp, gold = workspace
+        cfg = tmp / "config.json"
+        cfg.write_text('{"epochs": 2.0}', encoding="utf-8")
+        assert run("train", gold, "-o", tmp / "m.txt", "--config", cfg) == 0
+        manifest = json.loads((tmp / "m.txt.manifest.json").read_text())
+        assert manifest["config"]["epochs"] == 2
+
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+    def test_filter_threshold_out_of_range_exits_one(self, workspace, capsys, threshold):
+        tmp, _ = workspace
+        scored = tmp / "scored.jsonl"
+        mining.write_scored_pauses(scored, [("u1", "一二三", [alignment.Pause(0, 230.0, 0.97)])])
+        out = tmp / "partial.txt"
+        assert run("filter", scored, "-o", out, "--threshold", threshold) == 1
+        assert "error[InvalidConfig]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ctt", "--threshold", "0.5"],
+        ["selftrain", "--threshold", "0.5"],
+        ["partialcrf", "--threshold", "0.5"],
+        ["train", "--deterministic"],
+        ["ctt", "--deterministic"],
+    ])
+    def test_removed_flags_are_usage_errors(self, workspace, argv):
+        tmp, gold = workspace
+        inputs = [gold] if argv[0] == "train" else [gold, gold]
+        with pytest.raises(SystemExit) as exc:
+            run(argv[0], *inputs, "-o", tmp / "m.txt", *argv[1:])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["filter", "stats"])
+    def test_bad_scored_pause_file_exits_one(self, workspace, capsys, command):
+        tmp, _ = workspace
+        scored = tmp / "scored.jsonl"
+        record = {"utterance_id": "u1", "sentence": "一二三",
+                  "pauses": [{"junction": 0, "duration_ms": 230.0, "probability": "high"}]}
+        scored.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        argv = [command, scored] + (["-o", tmp / "partial.txt"] if command == "filter" else [])
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "error[ParseError]" in err
+        assert "line 1" in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,33 @@ class TestScoredPauseIO:
         with pytest.raises(ParseError) as exc:
             mining.read_scored_pauses(path)
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("pause", [
+        {"junction": 0, "duration_ms": 230.0, "probability": "high"},
+        {"junction": 0, "duration_ms": 230.0, "probability": 1.5},
+        {"junction": 0, "duration_ms": 230.0, "probability": -0.1},
+        {"junction": 0, "duration_ms": 230.0, "probability": float("nan")},
+        {"junction": 0, "duration_ms": 230.0, "probability": True},
+        {"junction": 2, "duration_ms": 230.0, "probability": 0.5},  # past the last junction
+        {"junction": -1, "duration_ms": 230.0, "probability": 0.5},
+        {"junction": 0.5, "duration_ms": 230.0, "probability": 0.5},
+        {"junction": "0", "duration_ms": 230.0, "probability": 0.5},
+        {"junction": 0, "duration_ms": float("nan"), "probability": 0.5},
+        {"junction": 0, "duration_ms": -5.0, "probability": 0.5},
+        {"junction": 0, "duration_ms": "230", "probability": 0.5},
+    ])
+    def test_bad_pause_field_reports_line(self, tmp_path, pause):
+        path = tmp_path / "scored.jsonl"
+        good = {"utterance_id": "u1", "sentence": "一二三", "pauses": []}
+        bad = {"utterance_id": "u2", "sentence": "四五六", "pauses": [pause]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            mining.read_scored_pauses(path)
+        assert exc.value.line == 2
+
+    def test_unscored_and_boundary_values_are_read(self, tmp_path):
+        path = tmp_path / "scored.jsonl"
+        records = [("u1", "一二三", [Pause(0, 30.0, None), Pause(1, 40.0, 0.0)]),
+                   ("u2", "四五", [Pause(0, 50.0, 1.0)])]
+        mining.write_scored_pauses(path, records)
+        assert mining.read_scored_pauses(path) == records

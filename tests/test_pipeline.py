@@ -1,9 +1,7 @@
-import logging
-
 import numpy as np
 import pytest
 
-from pauseseg import crf, features, mining, pipeline, tagset
+from pauseseg import crf, features, pipeline
 from pauseseg.alignment import CharAlignment
 from pauseseg.crf import TrainConfig
 from pauseseg.errors import EmptyDataset
@@ -133,16 +131,16 @@ class TestRunCtt:
         assert result.model is not result.baseline
 
     def test_self_training_keeps_boundary_free_sentences(self):
-        cfg = TrainConfig(epochs=2, seed=0, batch_chars=10, mode="self_training")
+        cfg = TrainConfig(epochs=2, seed=0, batch_chars=10)
         target = [PartialSentence("一二三", (1,)), PartialSentence("四五六", ())]
-        result = pipeline.run_ctt(TINY_GOLD, target, cfg)
+        result = pipeline.run_ctt(TINY_GOLD, target, cfg, self_training=True)
         assert result.used == 2
         assert result.skipped == 0
 
     def test_self_training_ignores_boundaries(self):
-        cfg = TrainConfig(epochs=2, seed=0, batch_chars=10, mode="self_training")
+        cfg = TrainConfig(epochs=2, seed=0, batch_chars=10)
         target = [PartialSentence("一二三四五六", (0, 1, 2, 3, 4))]
-        result = pipeline.run_ctt(TINY_GOLD, target, cfg)
+        result = pipeline.run_ctt(TINY_GOLD, target, cfg, self_training=True)
         # constrained decoding would be forced to all single-char words;
         # self-training decodes freely, so the completion need not be
         free = pipeline.segment_corpus(result.baseline, ["一二三四五六"])[0]
@@ -171,7 +169,7 @@ class TestRunCtt:
 
 class TestRunPartialCrf:
     def test_trains_on_mixed_losses(self):
-        cfg = TrainConfig(epochs=2, seed=0, batch_chars=10, mode="partial_crf")
+        cfg = TrainConfig(epochs=2, seed=0, batch_chars=10)
         target = [PartialSentence("一二三", (1,)), PartialSentence("四五六", (0,))]
         model = pipeline.run_partial_crf(TINY_GOLD, target, cfg)
         assert np.isfinite(model.emit_w).all()

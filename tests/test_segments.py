@@ -1,7 +1,6 @@
 import pytest
 
 from pauseseg import segments
-from pauseseg.errors import ParseError
 from pauseseg.segments import SegmentedSentence
 
 
