@@ -11,10 +11,17 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import NonMonotoneFrames, ParseError, SentenceTooShort
+from .errors import InvalidConfig, NonMonotoneFrames, ParseError, SentenceTooShort
 
 DEFAULT_FRAME_OFFSET_MS = 10.0
 DEFAULT_MIN_PAUSE_MS = 10.0
+
+
+def _check_frame_offset(frame_offset_ms: float) -> None:
+    if not (math.isfinite(frame_offset_ms) and frame_offset_ms > 0):
+        raise InvalidConfig(
+            f"frame offset must be a finite number of ms > 0, got {frame_offset_ms!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -22,8 +29,9 @@ class CharAlignment:
     """One utterance: characters with begin/end frame indices.
 
     ``chars`` is a tuple of (character, begin_frame, end_frame). Frames are
-    non-negative integers at ``frame_offset_ms`` per frame; ends may touch
-    or overlap the next begin (pause 0), but begins must not decrease.
+    non-negative integers at ``frame_offset_ms`` (finite, > 0) per frame;
+    ends may touch or overlap the next begin (pause 0), but begins must not
+    decrease.
     """
 
     utterance_id: str
@@ -31,6 +39,7 @@ class CharAlignment:
     frame_offset_ms: float = DEFAULT_FRAME_OFFSET_MS
 
     def __post_init__(self):
+        _check_frame_offset(self.frame_offset_ms)
         prev_begin = -1
         for ch, b, e in self.chars:
             if len(ch) != 1:
@@ -183,12 +192,21 @@ def write_alignments(path, alignments) -> None:
 # TextGrid import
 #
 # Long-format TextGrid with an interval tier of single characters; intervals
-# with empty text are silence. Interval times (seconds) are converted to
-# frame indices by rounding to the nearest frame.
+# with empty text are silence. Strings are quoted, with an embedded quote
+# written twice (``""""`` is the one-character text ``"``). Interval times
+# (seconds) are converted to frame indices by rounding to the nearest frame.
 
 
 def _seconds_to_frame(t: float, frame_offset_ms: float) -> int:
     return int(math.floor(t * 1000.0 / frame_offset_ms + 0.5))
+
+
+def _unquote(value: str) -> str:
+    """A TextGrid string value without its enclosing quotes, ``""`` unescaped."""
+    value = value.strip()
+    if len(value) >= 2 and value[0] == value[-1] == '"':
+        value = value[1:-1].replace('""', '"')
+    return value
 
 
 def parse_textgrid(
@@ -198,6 +216,7 @@ def parse_textgrid(
     frame_offset_ms: float = DEFAULT_FRAME_OFFSET_MS,
 ) -> CharAlignment:
     """Extract a character alignment from one tier of a long-format TextGrid."""
+    _check_frame_offset(frame_offset_ms)  # before any time is converted with it
     lines = text.splitlines()
     in_tier = False
     chars: list[tuple[str, int, int]] = []
@@ -206,7 +225,7 @@ def parse_textgrid(
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("name ="):
-            name = line.split("=", 1)[1].strip().strip('"')
+            name = _unquote(line.split("=", 1)[1])
             if in_tier:
                 break  # next tier begins
             in_tier = name == tier_name
@@ -221,7 +240,7 @@ def parse_textgrid(
         elif line.startswith("xmax ="):
             xmax = float(line.split("=", 1)[1])
         elif line.startswith("text ="):
-            label = line.split("=", 1)[1].strip().strip('"')
+            label = _unquote(line.split("=", 1)[1])
             if xmin is None or xmax is None:
                 raise ParseError("interval text before its times", line=lineno)
             if label:
@@ -239,6 +258,13 @@ def parse_textgrid(
                 )
             xmin = xmax = None
     if not tier_seen:
+        for lineno, raw in enumerate(lines, start=1):
+            # the short format writes a tier's class as a bare string
+            if raw.strip() in ('"IntervalTier"', '"TextTier"'):
+                raise ParseError(
+                    "short-format TextGrid is not supported; save it in long format",
+                    line=lineno,
+                )
         raise ParseError(f"no tier named {tier_name!r} in TextGrid")
     return CharAlignment(utterance_id, tuple(chars), frame_offset_ms)
 

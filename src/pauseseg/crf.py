@@ -86,7 +86,7 @@ class CrfModel:
         self.end = np.where(END_LEGAL, 0.0, NEG_INF) if end is None else end
 
     def emissions(self, sentence: str) -> np.ndarray:
-        return feat.emission_scores(sentence, self)
+        return feat.emission_scores(self.vocab.encode(sentence), self.emit_w)
 
     def copy(self) -> "CrfModel":
         return CrfModel(
@@ -242,9 +242,6 @@ class ConstraintMask:
     def all_allowed(cls, n: int) -> "ConstraintMask":
         return cls(np.ones((n, N), dtype=bool))
 
-    def is_restricting(self) -> bool:
-        return not self.allowed.all()
-
 
 def _allowed_array(mask, n: int) -> np.ndarray | None:
     if mask is None:
@@ -373,15 +370,20 @@ def _viterbi(E, lengths, trans, start, end) -> tuple[list[list[int]], np.ndarray
     return paths, np.max(first, axis=0) > NEG_INF
 
 
-def _emission_batch(model: "CrfModel", sentences, allowed=None):
-    """Padded [B, L, 4] emissions (masked where ``allowed`` is False) and lengths."""
-    lengths = np.array([len(s) for s in sentences])
-    E = np.full((len(sentences), int(lengths.max()), N), NEG_INF)
-    for b, s in enumerate(sentences):
-        e = model.emissions(s)
-        if allowed is not None and allowed[b] is not None:
-            e = np.where(allowed[b], e, NEG_INF)
-        E[b, : len(s)] = e
+def _emission_batch(model: "CrfModel", ids, allowed=None):
+    """Padded [B, L, 4] emissions of encoded sentences, and their lengths.
+
+    Row b is -inf on padding and, when ``allowed[b]`` is given, wherever
+    it is False.
+    """
+    lengths = np.array([len(x) for x in ids])
+    scores = feat.emission_scores(np.concatenate(ids), model.emit_w)
+    E = np.full((len(ids), int(lengths.max()), N), NEG_INF)
+    s = 0
+    for b, n in enumerate(lengths.tolist()):
+        where = True if allowed is None or allowed[b] is None else allowed[b]
+        np.copyto(E[b, :n], scores[s : s + n], where=where)
+        s += n
     return E, lengths
 
 
@@ -445,18 +447,18 @@ def log_partition(sentence: str, model: CrfModel, mask=None) -> float:
     if not sentence:
         raise SentenceTooShort("empty sentence")
     allowed = _allowed_array(mask, len(sentence))
-    E, lengths = _emission_batch(model, [sentence], [allowed])
+    E, lengths = _emission_batch(model, [model.vocab.encode(sentence)], [allowed])
     _, log_z = _forward(_label_major(E), lengths, model.trans, model.start, model.end)
     _require_paths(log_z, "constraint mask")
     return float(log_z[0])
 
 
-def _bigram_batch(sentences, model: CrfModel) -> tuple[np.ndarray, np.ndarray]:
-    """Bigram marginals [B, L-1, 4, 4] and lengths of sentences of 2+ characters."""
-    for s in sentences:
-        if len(s) < 2:
+def _bigram_batch(ids, model: CrfModel) -> tuple[np.ndarray, np.ndarray]:
+    """Bigram marginals [B, L-1, 4, 4] and lengths of encoded sentences of 2+ characters."""
+    for x in ids:
+        if len(x) < 2:
             raise SentenceTooShort("bigram marginals need at least 2 characters")
-    E, lengths = _emission_batch(model, sentences)
+    E, lengths = _emission_batch(model, ids)
     fb = _forward_backward(E, lengths, model.trans, model.start, model.end)
     _require_paths(fb.log_z, "the model")
     return fb.bigram, lengths
@@ -464,7 +466,7 @@ def _bigram_batch(sentences, model: CrfModel) -> tuple[np.ndarray, np.ndarray]:
 
 def bigram_marginals(sentence: str, model: CrfModel) -> np.ndarray:
     """p(l, l' | junction i) as a [n-1, 4, 4] tensor; illegal bigrams are 0."""
-    bigram, _ = _bigram_batch([sentence], model)
+    bigram, _ = _bigram_batch([model.vocab.encode(sentence)], model)
     return bigram[0]
 
 
@@ -475,9 +477,10 @@ def boundary_probabilities(sentence: str, model: CrfModel) -> np.ndarray:
 
 def boundary_probabilities_batch(sentences, model: CrfModel) -> list[np.ndarray]:
     """``boundary_probabilities`` of every sentence, computed in batches."""
-    out: list[np.ndarray] = [None] * len(sentences)  # type: ignore[list-item]
-    for batch in _corpus_batches(sentences):
-        bigram, lengths = _bigram_batch([sentences[k] for k in batch], model)
+    ids = [model.vocab.encode(s) for s in sentences]
+    out: list[np.ndarray] = [None] * len(ids)  # type: ignore[list-item]
+    for batch in _corpus_batches(ids):
+        bigram, lengths = _bigram_batch([ids[k] for k in batch], model)
         mass = _boundary_mass(bigram)
         for k, row, n in zip(batch, mass, lengths):
             out[k] = row[: n - 1]
@@ -491,11 +494,12 @@ def boundary_probability(sentence: str, model: CrfModel, i: int) -> float:
     return float(boundary_probabilities(sentence, model)[i])
 
 
-def _viterbi_strings(sentences, model: CrfModel, allowed) -> list[str]:
-    for s in sentences:
-        if not s:
+def _viterbi_strings(ids, model: CrfModel, allowed=None) -> list[str]:
+    """Tag strings of one batch of encoded sentences."""
+    for x in ids:
+        if not len(x):
             raise SentenceTooShort("empty sentence")
-    E, lengths = _emission_batch(model, sentences, allowed)
+    E, lengths = _emission_batch(model, ids, allowed)
     paths, feasible = _viterbi(E, lengths, model.trans, model.start, model.end)
     if not feasible.all():
         raise NoLegalPath("constraint mask admits no legal tag sequence")
@@ -508,23 +512,27 @@ def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
     Ties are broken toward the lower label id (B<M<E<S) at the earliest
     position where tied paths differ, which makes decoding deterministic.
     """
-    return _viterbi_strings([sentence], model, [_allowed_array(mask, len(sentence))])[0]
+    allowed = _allowed_array(mask, len(sentence))
+    return _viterbi_strings([model.vocab.encode(sentence)], model, [allowed])[0]
+
+
+def _viterbi_corpus(ids, model: CrfModel, allowed=None) -> list[str]:
+    """Tag strings of encoded sentences, decoded in length-sorted batches."""
+    out: list[str] = [""] * len(ids)
+    for batch in _corpus_batches(ids):
+        masks = None if allowed is None else [allowed[k] for k in batch]
+        decoded = _viterbi_strings([ids[k] for k in batch], model, masks)
+        for k, tags in zip(batch, decoded):
+            out[k] = tags
+    return out
 
 
 def viterbi_batch(sentences, model: CrfModel, masks=None) -> list[str]:
     """``viterbi`` of every sentence (under ``masks[k]`` when given), in batches."""
-    allowed = [
-        None if masks is None else _allowed_array(masks[k], len(s))
-        for k, s in enumerate(sentences)
-    ]
-    out: list[str] = [""] * len(sentences)
-    for batch in _corpus_batches(sentences):
-        decoded = _viterbi_strings(
-            [sentences[k] for k in batch], model, [allowed[k] for k in batch]
-        )
-        for k, tags in zip(batch, decoded):
-            out[k] = tags
-    return out
+    allowed = None
+    if masks is not None:
+        allowed = [_allowed_array(masks[k], len(s)) for k, s in enumerate(sentences)]
+    return _viterbi_corpus([model.vocab.encode(s) for s in sentences], model, allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -550,19 +558,19 @@ class Gradient:
         )
 
 
-def _prepare_full(vocab: feat.FeatureVocabulary, sentence: str, tags):
+def _prepare_full(ids: np.ndarray, tags):
     """(feature ids, gold labels, None) after checking the gold sequence."""
     t = tagset.parse_tags(tags)
-    if len(t) != len(sentence):
-        raise LengthMismatch(f"{len(t)} tags for {len(sentence)} characters")
+    if len(t) != len(ids):
+        raise LengthMismatch(f"{len(t)} tags for {len(ids)} characters")
     if not tagset.is_legal(t):
         raise IllegalTagSequence(f"illegal gold sequence {tagset.tags_to_str(t)!r}")
-    return vocab.encode(sentence), np.array(t, dtype=np.intp), None
+    return ids, np.array(t, dtype=np.intp), None
 
 
-def _prepare_partial(vocab: feat.FeatureVocabulary, sentence: str, mask):
+def _prepare_partial(ids: np.ndarray, mask):
     """(feature ids, None, allowed labels) for a constraint-mask example."""
-    return vocab.encode(sentence), None, _allowed_array(mask, len(sentence))
+    return ids, None, _allowed_array(mask, len(ids))
 
 
 def _loss_and_grad(model: CrfModel, items, grad: Gradient) -> float:
@@ -574,23 +582,14 @@ def _loss_and_grad(model: CrfModel, items, grad: Gradient) -> float:
     log Z minus its constrained log Z.
     """
     B = len(items)
-    lengths = np.array([len(ids) for ids, _, _ in items])
-    L = int(lengths.max())
-    ids = np.concatenate([it[0] for it in items])
+    part = np.array([b for b, it in enumerate(items) if it[2] is not None], dtype=np.intp)
+    rows = [it[0] for it in items] + [items[b][0] for b in part]
+    E, lengths = _emission_batch(model, rows, [None] * B + [items[b][2] for b in part])
+    fb = _forward_backward(E, lengths, model.trans, model.start, model.end)
+    lengths = lengths[:B]
+    ids = np.concatenate(rows[:B])
     row = np.repeat(np.arange(B), lengths)
     col = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    E = np.full((B, L, N), NEG_INF)
-    E[row, col] = model.emit_w[ids].sum(axis=1)
-
-    part = np.array([b for b, it in enumerate(items) if it[2] is not None], dtype=np.intp)
-    if len(part):
-        allowed = np.zeros((len(part), L, N), dtype=bool)
-        for k, b in enumerate(part):
-            allowed[k, : lengths[b]] = items[b][2]
-        E = np.concatenate([E, np.where(allowed, E[part], NEG_INF)])
-    fb = _forward_backward(
-        E, np.concatenate([lengths, lengths[part]]), model.trans, model.start, model.end
-    )
     unigram, bigram = fb.unigram[:B], fb.bigram[:B]
     # subtract marginals before scattering: when a mask excludes nothing
     # the difference is exactly zero, so the update is too
@@ -632,7 +631,7 @@ def nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
     emissions, transitions and start/end weights.
     """
     grad = Gradient.zeros(model)
-    items = [_prepare_full(model.vocab, sentence, tags) for sentence, tags in batch]
+    items = [_prepare_full(model.vocab.encode(sentence), tags) for sentence, tags in batch]
     return (_loss_and_grad(model, items, grad) if items else 0.0), grad
 
 
@@ -643,7 +642,7 @@ def partial_nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
     mask allows; the gradient is (full - constrained) expected counts.
     """
     grad = Gradient.zeros(model)
-    items = [_prepare_partial(model.vocab, sentence, mask) for sentence, mask in batch]
+    items = [_prepare_partial(model.vocab.encode(sentence), mask) for sentence, mask in batch]
     return (_loss_and_grad(model, items, grad) if items else 0.0), grad
 
 
@@ -682,12 +681,12 @@ class PartialExample:
         self.mask = mask
 
 
-def _dev_f1(model: CrfModel, dev: list[SegmentedSentence]) -> float:
+def _dev_f1(model: CrfModel, dev: list[SegmentedSentence], dev_ids) -> float:
     from .evaluate import prf  # local import: evaluate does not import crf
 
-    sentences = [s.chars for s in dev]
     preds = [
-        tagset.labels_to_words(tags, s) for tags, s in zip(viterbi_batch(sentences, model), sentences)
+        tagset.labels_to_words(tags, s.chars)
+        for tags, s in zip(_viterbi_corpus(dev_ids, model), dev)
     ]
     return prf(dev, preds).f1
 
@@ -719,18 +718,16 @@ def train(
         raise EmptyDataset("no training sentences")
 
     vocab = feat.FeatureVocabulary()
-    for ex in examples:
-        vocab.add_sentence(ex.sentence)
-    vocab.freeze()
-    model = CrfModel(vocab)
-
     prepared = [
-        _prepare_full(vocab, ex.sentence, ex.tags)
+        _prepare_full(vocab.add_sentence(ex.sentence), ex.tags)
         if isinstance(ex, FullExample)
-        else _prepare_partial(vocab, ex.sentence, ex.mask)
+        else _prepare_partial(vocab.add_sentence(ex.sentence), ex.mask)
         for ex in examples
     ]
+    vocab.freeze()
+    model = CrfModel(vocab)
     lengths = [len(ex.sentence) for ex in examples]
+    dev_ids = [vocab.encode(s.chars) for s in dev] if dev else None
 
     rng = random.Random(config.seed)
     order = list(range(len(examples)))
@@ -761,7 +758,7 @@ def train(
                 f" (learning rate {lr:g})"
             )
         if dev:
-            f1 = _dev_f1(model, dev)
+            f1 = _dev_f1(model, dev, dev_ids)
             if f1 > best_f1:
                 best_f1 = f1
                 best = model.copy()

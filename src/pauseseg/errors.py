@@ -57,7 +57,7 @@ class SentenceMismatch(PausesegError):
 
 
 class InvalidConfig(PausesegError, ValueError):
-    """A training setting has the wrong type or is out of range."""
+    """A setting (training, threshold, frame offset) has the wrong type or is out of range."""
 
 
 class TrainingDiverged(PausesegError):

@@ -70,12 +70,11 @@ class FeatureVocabulary:
     def size(self) -> int:
         return self._next
 
-    def add_sentence(self, sentence: str) -> None:
+    def add_sentence(self, sentence: str) -> np.ndarray:
+        """Insert the sentence's unseen features; returns its ids like ``encode``."""
         if self.frozen:
             raise RuntimeError("vocabulary is frozen")
-        for i in range(len(sentence)):
-            for t, feature in enumerate(extract_features(sentence, i, self.templates)):
-                self.feature_id(feature, t)
+        return self._ids(sentence)
 
     def freeze(self) -> None:
         self.frozen = True
@@ -95,13 +94,16 @@ class FeatureVocabulary:
         """Feature ids as an int array of shape [len(sentence), n_templates]."""
         if not self.frozen:
             raise RuntimeError("freeze the vocabulary before encoding")
-        n = len(sentence)
-        n_templates = len(self.templates)
-        ids = np.empty((n, n_templates), dtype=np.int64)
-        for i in range(n):
-            for t, feature in enumerate(extract_features(sentence, i, self.templates)):
-                ids[i, t] = self.feature_id(feature, t)
-        return ids
+        return self._ids(sentence)
+
+    def _ids(self, sentence: str) -> np.ndarray:
+        # new ids go out in position, then template order: the model file's feature order
+        n, templates = len(sentence), self.templates
+        rows = [
+            [self.feature_id(f, t) for t, f in enumerate(extract_features(sentence, i, templates))]
+            for i in range(n)
+        ]
+        return np.array(rows, dtype=np.int64).reshape(n, len(templates))
 
     def items(self) -> list[tuple[str, int]]:
         """Real (non-UNK) features in id order."""
@@ -129,12 +131,11 @@ class FeatureVocabulary:
         return vocab
 
 
-def emission_scores(sentence: str, model) -> np.ndarray:
-    """Per-position label scores, shape [len(sentence), 4].
+def emission_scores(ids: np.ndarray, emit_w: np.ndarray) -> np.ndarray:
+    """Per-position label scores, shape [len(ids), 4].
 
-    ``model`` needs a frozen ``vocab`` and an ``emit_w`` weight matrix; the
-    score of label l at position i is the sum of the weights of the features
-    active there.
+    ``ids`` are encoded feature ids of shape [n, n_templates]; the score of
+    label l at position i is the sum of the weights of the features active
+    there.
     """
-    ids = model.vocab.encode(sentence)
-    return model.emit_w[ids].sum(axis=1)
+    return emit_w[ids].sum(axis=1)

@@ -241,7 +241,7 @@ def format_partial_line(partial: PartialSentence) -> str:
 
 
 def parse_partial_line(line: str, lineno: int | None = None) -> PartialSentence | None:
-    line = line.rstrip("\n")
+    line = line.rstrip("\r\n")
     if not line.strip():
         return None
     chars: list[str] = []

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from pauseseg import alignment
 from pauseseg.alignment import CharAlignment
-from pauseseg.errors import NonMonotoneFrames, ParseError, SentenceTooShort
+from pauseseg.errors import InvalidConfig, NonMonotoneFrames, ParseError, SentenceTooShort
 
 
 TEXT = "一二三四五六七八九十"
@@ -134,6 +134,21 @@ class TestJsonIO:
         alignment.write_alignments(path, data)
         assert alignment.read_alignments(path) == data
 
+    @pytest.mark.parametrize("offset", ["NaN", "0", "-10", "Infinity"])
+    def test_bad_frame_offset_rejected_naming_the_line(self, offset):
+        good = alignment.alignment_to_json_line(make_alignment([4]))
+        bad = good.replace('"frame_offset_ms": 10.0', f'"frame_offset_ms": {offset}')
+        assert bad != good
+        with pytest.raises(ParseError) as exc:
+            alignment.parse_alignments(good + "\n" + bad + "\n")
+        assert exc.value.line == 2
+        assert "frame offset" in str(exc.value)
+
+    @pytest.mark.parametrize("offset", [float("nan"), 0.0, -10.0, float("inf")])
+    def test_alignment_needs_a_positive_frame_offset(self, offset):
+        with pytest.raises(InvalidConfig):
+            make_alignment([4], frame_offset_ms=offset)
+
     def test_default_frame_offset_applied(self):
         (a,) = alignment.parse_alignments(
             '{"utterance_id": "u", "chars": [{"c": "一", "b": 0, "e": 5}]}'
@@ -199,6 +214,33 @@ class TestTextGrid:
         bad = TEXTGRID.replace('text = "三"', 'text = "三四"')
         with pytest.raises(ParseError):
             alignment.parse_textgrid(bad, "utt1")
+
+    def test_doubled_quote_is_a_quote_character(self):
+        # Praat writes the text '"' as """" ; it is a character, not silence
+        quoted = TEXTGRID.replace('text = "二"', 'text = """"')
+        a = alignment.parse_textgrid(quoted, "utt1")
+        assert a.sentence == '一"三'
+        assert a.chars == (("一", 0, 5), ('"', 28, 33), ("三", 33, 40))
+        assert alignment.pause_durations(a) == [230.0, 0.0]
+
+    def test_quoted_tier_name_is_unescaped(self):
+        named = TEXTGRID.replace('name = "characters"', 'name = "say ""hi"""')
+        assert alignment.parse_textgrid(named, "utt1", tier_name='say "hi"').sentence == "一二三"
+
+    def test_short_format_rejected_as_such(self):
+        short = (
+            'File type = "ooTextFile"\nObject class = "TextGrid"\n\n'
+            '0\n0.4\n<exists>\n1\n"IntervalTier"\n"characters"\n0\n0.4\n2\n'
+            '0\n0.05\n"一"\n0.05\n0.4\n"二"\n'
+        )
+        with pytest.raises(ParseError, match="short-format TextGrid is not supported") as exc:
+            alignment.parse_textgrid(short, "utt1")
+        assert exc.value.line == 8
+
+    @pytest.mark.parametrize("offset", [float("nan"), 0.0, -10.0])
+    def test_bad_frame_offset_rejected_before_conversion(self, offset):
+        with pytest.raises(InvalidConfig):
+            alignment.parse_textgrid(TEXTGRID, "utt1", frame_offset_ms=offset)
 
     def test_read_textgrid_uses_filename_as_id(self, tmp_path):
         path = tmp_path / "utt42.TextGrid"

@@ -18,6 +18,24 @@ GOLD = [
 ]
 
 
+TEXTGRID = (
+    'File type = "ooTextFile"\nObject class = "TextGrid"\n'
+    "item []:\n"
+    "    item [1]:\n"
+    '        class = "IntervalTier"\n'
+    '        name = "characters"\n'
+    "        intervals [1]:\n"
+    "            xmin = 0.0\n            xmax = 0.05\n"
+    '            text = "一"\n'
+    "        intervals [2]:\n"
+    "            xmin = 0.05\n            xmax = 0.28\n"
+    '            text = ""\n'
+    "        intervals [3]:\n"
+    "            xmin = 0.28\n            xmax = 0.33\n"
+    '            text = "二"\n'
+)
+
+
 @pytest.fixture
 def workspace(tmp_path):
     gold = tmp_path / "gold.txt"
@@ -51,6 +69,19 @@ class TestTrainAndSegment:
         assert run("segment", model_path, raw, "-o", out) == 0
         segmented = read_gold_corpus(out)
         assert [s.chars for s in segmented] == ["一二三", "四五六"]
+
+    def test_segment_drops_whitespace_from_raw_lines(self, workspace):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "2")
+        lines = ["一二 三", " 四五\t六 ", "一\u3000二三四", "六一\r", " \t"]
+        raw = tmp / "raw.txt"
+        raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp / "segmented.txt"
+        assert run("segment", model_path, raw, "-o", out) == 0
+        want = ["".join(line.split()) for line in lines if line.strip()]
+        assert want == ["一二三", "四五六", "一二三四", "六一"]
+        assert [s.chars for s in read_gold_corpus(out)] == want
 
     def test_config_file_merges_under_flags(self, workspace):
         tmp, gold = workspace
@@ -158,23 +189,7 @@ class TestMineFilterComplete:
         model_path = tmp / "model.txt"
         run("train", gold, "-o", model_path, "--epochs", "1")
         tg = tmp / "u3.TextGrid"
-        tg.write_text(
-            'File type = "ooTextFile"\nObject class = "TextGrid"\n'
-            "item []:\n"
-            "    item [1]:\n"
-            '        class = "IntervalTier"\n'
-            '        name = "characters"\n'
-            "        intervals [1]:\n"
-            "            xmin = 0.0\n            xmax = 0.05\n"
-            '            text = "一"\n'
-            "        intervals [2]:\n"
-            "            xmin = 0.05\n            xmax = 0.28\n"
-            '            text = ""\n'
-            "        intervals [3]:\n"
-            "            xmin = 0.28\n            xmax = 0.33\n"
-            '            text = "二"\n',
-            encoding="utf-8",
-        )
+        tg.write_text(TEXTGRID, encoding="utf-8")
         scored = tmp / "scored.jsonl"
         assert run("mine", model_path, tg, "-o", scored) == 0
         ((uid, sentence, pauses),) = mining.read_scored_pauses(scored)
@@ -311,6 +326,34 @@ class TestErrorHandling:
         assert "error[TrainingDiverged]" in err
         assert "epoch" in err
         assert not (tmp / "m.txt").exists()
+
+    @pytest.mark.parametrize("offset", ["0", "-10", "nan"])
+    def test_bad_frame_offset_flag_exits_one(self, workspace, capsys, offset):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        tg = tmp / "u1.TextGrid"
+        tg.write_text(TEXTGRID, encoding="utf-8")
+        scored = tmp / "scored.jsonl"
+        argv = ["mine", model_path, tg, "-o", scored, "--frame-offset-ms", offset]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "error[InvalidConfig]" in err
+        assert "frame offset" in err
+        assert not scored.exists()
+
+    def test_bad_frame_offset_in_alignment_file_exits_one(self, workspace, capsys):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        path = tmp / "alignments.jsonl"
+        record = {"utterance_id": "u1", "frame_offset_ms": 0,
+                  "chars": [{"c": "一", "b": 0, "e": 5}, {"c": "二", "b": 9, "e": 12}]}
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert run("mine", model_path, path, "-o", tmp / "scored.jsonl") == 1
+        err = capsys.readouterr().err
+        assert "error[ParseError]" in err
+        assert "line 1" in err
 
     def test_unreadable_model_reports_parse_error(self, workspace, capsys):
         tmp, gold = workspace

@@ -429,6 +429,26 @@ class TestTraining:
         model = crf.train(self.small_corpus(), TrainConfig(epochs=5, seed=0), dev=dev)
         assert crf.viterbi("abc", model) == "BES"
 
+    def test_train_extracts_features_once_per_character(self, monkeypatch):
+        # one extraction per training and per dev character, however many
+        # epochs score the dev set
+        from pauseseg import mining
+        from pauseseg.segments import SegmentedSentence
+        calls = []
+        extract = features.extract_features
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(features, "extract_features", counted)
+        examples = list(self.small_corpus())
+        examples.append(PartialExample("abde", mining.build_constraint_mask("abde", [1])))
+        dev = [SegmentedSentence.from_words(w) for w in (["ab", "c"], ["xy", "ab"])]
+        crf.train(examples, TrainConfig(epochs=3), dev=dev)
+        train_chars = sum(len(ex.sentence) for ex in examples)
+        assert len(calls) == train_chars + sum(len(s.chars) for s in dev)
+
     def test_mixed_full_and_partial_training(self):
         from pauseseg import mining
         examples = list(self.small_corpus())

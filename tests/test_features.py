@@ -72,6 +72,17 @@ def test_vocabulary_growth_and_freeze():
     assert ids.dtype == np.int64
 
 
+def test_add_sentence_returns_the_ids_encode_gives():
+    vocab = FeatureVocabulary()
+    texts = ["abcab", "b", "", "cax"]
+    added = [vocab.add_sentence(text) for text in texts]
+    vocab.freeze()
+    for text, ids in zip(texts, added):
+        assert ids.shape == (len(text), len(features.DEFAULT_TEMPLATES))
+        assert ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, vocab.encode(text))
+
+
 def test_encode_requires_frozen_vocab():
     vocab = FeatureVocabulary()
     vocab.add_sentence("ab")
@@ -107,21 +118,19 @@ def test_emission_scores_sum_feature_weights():
     vocab.add_sentence("ab")
     vocab.freeze()
     model = crf.CrfModel(vocab)
-    E = features.emission_scores("ab", model)
+    E = features.emission_scores(vocab.encode("ab"), model.emit_w)
     assert E.shape == (2, 4)
     assert np.all(E == 0.0)
 
     fid = vocab.feature_id("U0=a", 2)
     assert fid >= len(features.DEFAULT_TEMPLATES)
     model.emit_w[fid, 0] = 1.5
-    E = features.emission_scores("ab", model)
+    E = features.emission_scores(vocab.encode("ab"), model.emit_w)
     assert E[0, 0] == 1.5  # position 0 fires U0=a
     assert E[1, 0] == 0.0
 
 
 def test_emission_scores_are_linear_in_weights():
-    from types import SimpleNamespace
-
     vocab = FeatureVocabulary()
     vocab.add_sentence("abcab")
     vocab.freeze()
@@ -129,19 +138,15 @@ def test_emission_scores_are_linear_in_weights():
     w1 = rng.normal(size=(vocab.size, 4))
     w2 = rng.normal(size=(vocab.size, 4))
     for text in ["abcab", "cba", "xca"]:
-        e1 = features.emission_scores(text, SimpleNamespace(vocab=vocab, emit_w=w1))
-        e2 = features.emission_scores(text, SimpleNamespace(vocab=vocab, emit_w=w2))
-        both = features.emission_scores(
-            text, SimpleNamespace(vocab=vocab, emit_w=w1 + w2)
-        )
+        e1 = features.emission_scores(vocab.encode(text), w1)
+        e2 = features.emission_scores(vocab.encode(text), w2)
+        both = features.emission_scores(vocab.encode(text), w1 + w2)
         np.testing.assert_allclose(both, e1 + e2, rtol=0, atol=1e-12)
 
 
 def test_scores_survive_id_permutation():
     # Renumbering the real features (unknown ids stay put) while permuting
     # the weight rows the same way cannot change any score.
-    from types import SimpleNamespace
-
     vocab = FeatureVocabulary()
     vocab.add_sentence("abcab")
     vocab.freeze()
@@ -160,8 +165,6 @@ def test_scores_survive_id_permutation():
     w_perm = np.empty_like(w)
     w_perm[perm] = w
     for text in ["abcab", "bac", "xya"]:
-        base = features.emission_scores(text, SimpleNamespace(vocab=vocab, emit_w=w))
-        moved = features.emission_scores(
-            text, SimpleNamespace(vocab=shuffled, emit_w=w_perm)
-        )
+        base = features.emission_scores(vocab.encode(text), w)
+        moved = features.emission_scores(shuffled.encode(text), w_perm)
         np.testing.assert_array_equal(base, moved)

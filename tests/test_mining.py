@@ -220,6 +220,9 @@ class TestPartialTextFormat:
         assert line == "a\\||b\\\\c"
         assert mining.parse_partial_line(line) == p
 
+    def test_crlf_line_ending_is_stripped(self):
+        assert mining.parse_partial_line("一|二三\r\n") == PartialSentence("一二三", (0,))
+
     def test_blank_line_is_skipped(self):
         assert mining.parse_partial_line("   \n") is None
 
