@@ -132,8 +132,7 @@ def _cmd_train(args) -> int:
 def _cmd_segment(args) -> int:
     model = crf.CrfModel.load(args.model)
     with open(args.input, encoding="utf-8") as fh:
-        # whitespace is not text to segment: "有人 在倾听" is read as "有人在倾听"
-        sentences = ["".join(line.split()) for line in fh if line.strip()]
+        sentences = [line for line in fh if line.strip()]
     segmented = pipeline.segment_corpus(model, sentences)
     write_gold_corpus(args.output, segmented)
     _write_manifest(

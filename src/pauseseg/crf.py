@@ -134,12 +134,14 @@ class CrfModel:
 
     @classmethod
     def loads(cls, text: str) -> "CrfModel":
-        lines = text.splitlines()
+        # not splitlines(), which also breaks at U+0085 or U+2028 inside a feature
+        lines = text.replace("\r\n", "\n").split("\n")
         if not lines or lines[0] != cls.FORMAT_HEADER:
             raise ParseError("not a pauseseg model file (bad header)", line=1)
         templates: list[tuple[str, tuple[int, ...]]] = []
         items: list[tuple[str, int]] = []
-        vocab_size = None
+        item_lines: list[int] = []
+        vocab_size = vocab_size_line = None
         emit_rows: dict[int, list[float]] = {}
         trans = np.where(TRANS_LEGAL, np.nan, NEG_INF)
         start = np.where(START_LEGAL, np.nan, NEG_INF)
@@ -151,12 +153,13 @@ class CrfModel:
             try:
                 if kind == "template":
                     parts = rest.split()
-                    templates.append((parts[0], tuple(int(x) for x in parts[1:])))
+                    templates.append(feat.check_template(parts[0], [int(x) for x in parts[1:]]))
                 elif kind == "vocab_size":
-                    vocab_size = int(rest)
+                    vocab_size, vocab_size_line = int(rest), lineno
                 elif kind == "feature":
                     fid_str, _, payload = rest.partition(" ")
                     items.append((json.loads(payload), int(fid_str)))
+                    item_lines.append(lineno)
                 elif kind == "emit":
                     parts = rest.split()
                     emit_rows[int(parts[0])] = [float(x) for x in parts[1:]]
@@ -175,7 +178,12 @@ class CrfModel:
                 raise ParseError(f"bad model line: {exc}", line=lineno) from exc
         if vocab_size is None:
             raise ParseError("missing vocab_size record")
-        vocab = feat.FeatureVocabulary.restore(tuple(templates), items, vocab_size)
+        try:
+            vocab = feat.FeatureVocabulary.restore(tuple(templates), items, vocab_size)
+        except feat.BadFeature as exc:
+            raise ParseError(f"bad feature: {exc}", line=item_lines[exc.index]) from exc
+        except ValueError as exc:
+            raise ParseError(f"bad vocabulary: {exc}", line=vocab_size_line) from exc
         emit_w = np.zeros((vocab_size, N))
         for fid, row in emit_rows.items():
             if not 0 <= fid < vocab_size or len(row) != N:
@@ -476,11 +484,11 @@ def boundary_probabilities(sentence: str, model: CrfModel) -> np.ndarray:
 
 
 def boundary_probabilities_batch(sentences, model: CrfModel) -> list[np.ndarray]:
-    """``boundary_probabilities`` of every sentence, computed in batches."""
-    ids = [model.vocab.encode(s) for s in sentences]
-    out: list[np.ndarray] = [None] * len(ids)  # type: ignore[list-item]
-    for batch in _corpus_batches(ids):
-        bigram, lengths = _bigram_batch([ids[k] for k in batch], model)
+    """``boundary_probabilities`` of every sentence, encoded and computed batch by batch."""
+    out: list[np.ndarray] = [None] * len(sentences)  # type: ignore[list-item]
+    for batch in _corpus_batches(sentences):
+        ids = model.vocab.encode_corpus([sentences[k] for k in batch])
+        bigram, lengths = _bigram_batch(ids, model)
         mass = _boundary_mass(bigram)
         for k, row, n in zip(batch, mass, lengths):
             out[k] = row[: n - 1]
@@ -516,12 +524,17 @@ def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
     return _viterbi_strings([model.vocab.encode(sentence)], model, [allowed])[0]
 
 
-def _viterbi_corpus(ids, model: CrfModel, allowed=None) -> list[str]:
-    """Tag strings of encoded sentences, decoded in length-sorted batches."""
-    out: list[str] = [""] * len(ids)
-    for batch in _corpus_batches(ids):
+def _viterbi_corpus(corpus, model: CrfModel, allowed=None, encode=None) -> list[str]:
+    """Tag strings of a corpus decoded in length-sorted batches.
+
+    The corpus holds encoded sentences, or sentences that ``encode`` turns
+    into a batch's ids as that batch is decoded.
+    """
+    out: list[str] = [""] * len(corpus)
+    for batch in _corpus_batches(corpus):
         masks = None if allowed is None else [allowed[k] for k in batch]
-        decoded = _viterbi_strings([ids[k] for k in batch], model, masks)
+        ids = [corpus[k] for k in batch]
+        decoded = _viterbi_strings(ids if encode is None else encode(ids), model, masks)
         for k, tags in zip(batch, decoded):
             out[k] = tags
     return out
@@ -532,7 +545,7 @@ def viterbi_batch(sentences, model: CrfModel, masks=None) -> list[str]:
     allowed = None
     if masks is not None:
         allowed = [_allowed_array(masks[k], len(s)) for k, s in enumerate(sentences)]
-    return _viterbi_corpus([model.vocab.encode(s) for s in sentences], model, allowed)
+    return _viterbi_corpus(sentences, model, allowed, model.vocab.encode_corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +732,15 @@ def train(
 
     vocab = feat.FeatureVocabulary()
     prepared = [
-        _prepare_full(vocab.add_sentence(ex.sentence), ex.tags)
+        _prepare_full(ids, ex.tags)
         if isinstance(ex, FullExample)
-        else _prepare_partial(vocab.add_sentence(ex.sentence), ex.mask)
-        for ex in examples
+        else _prepare_partial(ids, ex.mask)
+        for ex, ids in zip(examples, vocab.add_corpus([ex.sentence for ex in examples]))
     ]
     vocab.freeze()
     model = CrfModel(vocab)
     lengths = [len(ex.sentence) for ex in examples]
-    dev_ids = [vocab.encode(s.chars) for s in dev] if dev else None
+    dev_ids = vocab.encode_corpus([s.chars for s in dev]) if dev else None
 
     rng = random.Random(config.seed)
     order = list(range(len(examples)))

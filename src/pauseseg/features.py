@@ -1,9 +1,16 @@
 """Sparse character n-gram features and per-position emission scores.
 
-Feature strings are ``"<template name>=<chars>"``; for multi-character
-templates the characters are joined with U+001F so that no two distinct
-n-grams can collide. Positions outside the sentence contribute the
-sentinels ``⟨BOS⟩`` / ``⟨EOS⟩``.
+A feature is a template plus the characters at its offsets from the
+current position; positions outside the sentence contribute the sentinels
+``⟨BOS⟩`` / ``⟨EOS⟩``. Inside the package a feature is one int64 key that
+packs the template index and the code points at its (at most two) offsets
+in 21-bit fields, with BOS and EOS as the codes just past the last Unicode
+code point. Keys are computed for whole sentences or corpora at once.
+
+Feature strings, ``"<template name>=<chars>"`` with the characters of a
+multi-character template joined by U+001F, exist only in the model file
+(``FeatureVocabulary.items`` / ``restore``); ``extract_features`` is their
+reference definition.
 """
 
 from __future__ import annotations
@@ -26,6 +33,19 @@ DEFAULT_TEMPLATES: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("B0", (0, 1)),
     ("B+1", (1, 2)),
 )
+
+# Key layout: template index << 42 | first code << 21 | second code. A
+# one-offset template keeps its code in the low field; code points end at
+# 0x10FFFF, so the sentinels fit the 21-bit fields too.
+CODE_BITS = 21
+BOS_CODE = 0x110000
+EOS_CODE = 0x110001
+MAX_OFFSETS = 2
+_CODE_MASK = (1 << CODE_BITS) - 1
+_NO_KEY = np.iinfo(np.int64).max  # above every key: ends the sorted key array
+# add_corpus numbers a corpus in runs of about this many characters, which
+# keeps its temporaries (~450 bytes per character) small
+ADD_CHUNK_CHARS = 2048
 
 
 def extract_features(
@@ -52,62 +72,203 @@ def extract_features(
     return feats
 
 
-class FeatureVocabulary:
-    """Dense string-to-id mapping with one reserved UNK id per template.
+def check_template(name: str, offsets) -> tuple[str, tuple[int, ...]]:
+    """``(name, offsets)`` as a template; ValueError unless its features key into one int."""
+    offsets = tuple(int(o) for o in offsets)
+    if len(offsets) > MAX_OFFSETS:
+        raise ValueError(
+            f"template {name!r} has {len(offsets)} offsets; at most {MAX_OFFSETS} are supported"
+        )
+    if not name or "=" in name:
+        raise ValueError(f"template name {name!r} must be non-empty and hold no '='")
+    return name, offsets
 
-    Ids 0..T-1 are the per-template UNK fallbacks; real features start at T.
-    While unfrozen, lookups insert; once frozen, unseen features map to the
-    UNK id of their template.
+
+class BadFeature(ValueError):
+    """A serialized feature no vocabulary can hold; ``index`` is its place in the list."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+class FeatureVocabulary:
+    """Dense feature-to-id mapping with one reserved UNK id per template.
+
+    Ids 0..T-1 are the per-template UNK fallbacks; real features start at T,
+    numbered in order of first occurrence (sentence, then position, then
+    template). While unfrozen, lookups insert; once frozen, unseen features
+    map to the UNK id of their template.
     """
 
     def __init__(self, templates: tuple[tuple[str, tuple[int, ...]], ...] = DEFAULT_TEMPLATES):
-        self.templates = tuple((name, tuple(offs)) for name, offs in templates)
-        self._index: dict[str, int] = {}
-        self._next = len(self.templates)
+        self.templates = tuple(check_template(name, offs) for name, offs in templates)
+        self._template_index = {name: t for t, (name, _) in enumerate(self.templates)}
+        if len(self._template_index) != len(self.templates):
+            raise ValueError("template names must be distinct")
+        if len(self.templates) >= 1 << CODE_BITS:
+            raise ValueError(f"at most {(1 << CODE_BITS) - 1} templates are supported")
+        T = len(self.templates)
+        # keys = (codes at the distinct offsets) @ _pack + _base
+        self._offsets = np.array(sorted({o for _, offs in self.templates for o in offs}), np.int64)
+        self._pack = np.zeros((len(self._offsets), T), dtype=np.int64)
+        for t, (_, offs) in enumerate(self.templates):
+            for k, off in enumerate(offs):
+                u = np.searchsorted(self._offsets, off)
+                self._pack[u, t] += 1 << CODE_BITS * (len(offs) - 1 - k)
+        self._base = np.arange(T, dtype=np.int64) << 2 * CODE_BITS
+        self._unk = np.arange(T, dtype=np.int64)
+        # the real features' keys in ascending order, then _NO_KEY; their ids alongside
+        self._sorted_keys = np.array([_NO_KEY], dtype=np.int64)
+        self._sorted_ids = np.array([-1], dtype=np.int64)
+        self._next = T
         self.frozen = False
 
     @property
     def size(self) -> int:
         return self._next
 
-    def add_sentence(self, sentence: str) -> np.ndarray:
-        """Insert the sentence's unseen features; returns its ids like ``encode``."""
-        if self.frozen:
-            raise RuntimeError("vocabulary is frozen")
-        return self._ids(sentence)
-
     def freeze(self) -> None:
         self.frozen = True
 
-    def feature_id(self, feature: str, template_index: int) -> int:
-        fid = self._index.get(feature)
-        if fid is not None:
-            return fid
+    # -- keys ---------------------------------------------------------------
+
+    def _keys(self, sentences: list[str]) -> np.ndarray:
+        """Keys [characters, templates] of the sentences' characters, concatenated."""
+        codes = np.frombuffer("".join(sentences).encode("utf-32-le", "surrogatepass"), "<u4")
+        if len(sentences) == 1:
+            n = len(codes)
+            padded = np.empty(n + 2, dtype=np.int64)
+            padded[0], padded[1:-1], padded[-1] = BOS_CODE, codes, EOS_CODE
+            slot, first, last = np.arange(1, n + 1), 0, n + 1
+        else:
+            # each sentence sits between its own BOS and EOS slot
+            lens = np.fromiter(map(len, sentences), np.int64, len(sentences))
+            bos = np.cumsum(lens + 2) - lens - 2
+            padded = np.full(len(codes) + 2 * len(sentences), EOS_CODE, dtype=np.int64)
+            padded[bos] = BOS_CODE
+            slot = np.arange(len(codes)) + np.repeat(2 * np.arange(len(sentences)) + 1, lens)
+            padded[slot] = codes
+            first = np.repeat(bos, lens)[:, None]
+            last = first + np.repeat(lens + 1, lens)[:, None]
+        # the code at every distinct offset, sentinels past the sentence ends
+        window = padded[np.minimum(np.maximum(slot[:, None] + self._offsets, first), last)]
+        return window @ self._pack + self._base
+
+    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of known keys and a mask of the unknown ones, both shaped like ``keys``."""
+        pos = np.searchsorted(self._sorted_keys, keys)
+        return self._sorted_ids[pos], self._sorted_keys[pos] != keys
+
+    def _insert(self, keys: np.ndarray, ids: np.ndarray) -> None:
+        """Add unseen ``keys`` (ascending) with their ``ids``."""
+        pos = np.searchsorted(self._sorted_keys, keys)
+        self._sorted_keys = np.insert(self._sorted_keys, pos, keys)
+        self._sorted_ids = np.insert(self._sorted_ids, pos, ids)
+
+    def _split(self, ids: np.ndarray, sentences: list[str]) -> list[np.ndarray]:
+        ends = np.cumsum([len(s) for s in sentences])
+        return np.split(ids.reshape(-1, len(self.templates)), ends[:-1])
+
+    # -- building -----------------------------------------------------------
+
+    def add_sentence(self, sentence: str) -> np.ndarray:
+        """Insert the sentence's unseen features; returns its ids like ``encode``."""
+        return self.add_corpus([sentence])[0]
+
+    def add_corpus(self, sentences: list[str]) -> list[np.ndarray]:
+        """``add_sentence`` of each sentence in turn, keyed and numbered in runs."""
         if self.frozen:
-            return template_index
-        fid = self._next
-        self._index[feature] = fid
-        self._next += 1
-        return fid
+            raise RuntimeError("vocabulary is frozen")
+        sentences = list(sentences)
+        out: list[np.ndarray] = []
+        start = chars = 0
+        for end, sentence in enumerate(sentences, 1):
+            chars += len(sentence)
+            if chars >= ADD_CHUNK_CHARS or end == len(sentences):
+                out += self._add(sentences[start:end])
+                start, chars = end, 0
+        return out
+
+    def _add(self, sentences: list[str]) -> list[np.ndarray]:
+        keys, first, inverse = np.unique(
+            self._keys(sentences).ravel(), return_index=True, return_inverse=True
+        )
+        ids, unseen = self._lookup(keys)
+        # new ids in order of first occurrence: the model file's feature order
+        new = np.flatnonzero(unseen)
+        ids[new[np.argsort(first[new])]] = np.arange(self._next, self._next + len(new))
+        self._insert(keys[new], ids[new])
+        self._next += len(new)
+        return self._split(ids[inverse], sentences)
+
+    # -- lookup -------------------------------------------------------------
 
     def encode(self, sentence: str) -> np.ndarray:
         """Feature ids as an int array of shape [len(sentence), n_templates]."""
         if not self.frozen:
             raise RuntimeError("freeze the vocabulary before encoding")
-        return self._ids(sentence)
+        ids, unseen = self._lookup(self._keys([sentence]))
+        return np.where(unseen, self._unk, ids)
 
-    def _ids(self, sentence: str) -> np.ndarray:
-        # new ids go out in position, then template order: the model file's feature order
-        n, templates = len(sentence), self.templates
-        rows = [
-            [self.feature_id(f, t) for t, f in enumerate(extract_features(sentence, i, templates))]
-            for i in range(n)
+    def encode_corpus(self, sentences: list[str]) -> list[np.ndarray]:
+        """``encode`` of each sentence, keyed and looked up at once."""
+        if not self.frozen:
+            raise RuntimeError("freeze the vocabulary before encoding")
+        sentences = list(sentences)
+        if not sentences:
+            return []
+        ids, unseen = self._lookup(self._keys(sentences))
+        return self._split(np.where(unseen, self._unk, ids), sentences)
+
+    # -- feature strings ----------------------------------------------------
+
+    def feature_key(self, feature: str) -> int:
+        """The key of a feature string; ValueError if no sentence can produce it."""
+        name, eq, body = feature.partition("=")
+        t = self._template_index.get(name) if eq else None
+        offsets = () if t is None else self.templates[t][1]
+        # the common shapes first: one character, or two at distinct offsets
+        if len(body) == len(offsets) == 1:
+            return t << 2 * CODE_BITS | ord(body)
+        if len(body) == 3 and body[1] == SEP and len(set(offsets)) == 2:
+            return (t << CODE_BITS | ord(body[0])) << CODE_BITS | ord(body[2])
+        codes = None if t is None else _parse_codes(body, offsets)
+        if codes is None or not _can_fire(offsets, codes):
+            raise ValueError(f"feature {feature!r} matches no template")
+        key = 0
+        for code in codes:
+            key = key << CODE_BITS | code
+        return t << 2 * CODE_BITS | key
+
+    def _render(self, key: int) -> str:
+        t = key >> 2 * CODE_BITS
+        name, offsets = self.templates[t]
+        fields = (key >> CODE_BITS & _CODE_MASK, key & _CODE_MASK)
+        parts = [
+            BOS if c == BOS_CODE else EOS if c == EOS_CODE else chr(c)
+            for c in fields[len(fields) - len(offsets) :]
         ]
-        return np.array(rows, dtype=np.int64).reshape(n, len(templates))
+        return name + "=" + SEP.join(parts)
+
+    def feature_id(self, feature: str, template_index: int) -> int:
+        """Id of a feature string; unseen ones are inserted, or map to UNK once frozen."""
+        key = np.array([self.feature_key(feature)], dtype=np.int64)
+        ids, unseen = self._lookup(key)
+        if not unseen[0]:
+            return int(ids[0])
+        if self.frozen:
+            return template_index
+        fid = self._next
+        self._insert(key, np.array([fid]))
+        self._next += 1
+        return fid
 
     def items(self) -> list[tuple[str, int]]:
-        """Real (non-UNK) features in id order."""
-        return sorted(self._index.items(), key=lambda kv: kv[1])
+        """Real (non-UNK) features as strings, in id order."""
+        order = np.argsort(self._sorted_ids[:-1])
+        keys, ids = self._sorted_keys[order].tolist(), self._sorted_ids[order].tolist()
+        return [(self._render(key), fid) for key, fid in zip(keys, ids)]
 
     @classmethod
     def restore(
@@ -116,19 +277,72 @@ class FeatureVocabulary:
         items: list[tuple[str, int]],
         size: int,
     ) -> "FeatureVocabulary":
-        """Rebuild a frozen vocabulary from serialized (feature, id) pairs."""
+        """Rebuild a frozen vocabulary from serialized (feature, id) pairs.
+
+        Raises ``BadFeature`` naming the item for an id out of sequence, a
+        feature that matches no template or one that repeats an earlier one.
+        """
         vocab = cls(templates)
         expected = len(vocab.templates)
-        for feature, fid in items:
+        seen: dict[int, int] = {}
+        for index, (feature, fid) in enumerate(items):
             if fid != expected:
-                raise ValueError(f"non-dense feature id {fid} (expected {expected})")
-            vocab._index[feature] = fid
+                raise BadFeature(f"non-dense feature id {fid} (expected {expected})", index)
+            try:
+                key = vocab.feature_key(feature)
+            except ValueError as exc:
+                raise BadFeature(str(exc), index) from exc
+            if key in seen:
+                raise BadFeature(f"feature {fid} repeats feature {seen[key]}", index)
+            seen[key] = fid
             expected += 1
-        vocab._next = expected
         if expected != size:
             raise ValueError(f"vocabulary size {size} does not match {expected} entries")
+        keys = np.array(list(seen), dtype=np.int64)
+        order = np.argsort(keys)
+        vocab._insert(keys[order], np.array(list(seen.values()), dtype=np.int64)[order])
+        vocab._next = expected
         vocab.freeze()
         return vocab
+
+
+def _parse_codes(body: str, offsets: tuple[int, ...]) -> list[int] | None:
+    """The codes a feature string's characters give at ``offsets``, or None if they do not fit.
+
+    BOS is read only at a negative offset and EOS only at a positive one.
+    """
+    codes = []
+    for k, off in enumerate(offsets):
+        if k:
+            if not body.startswith(SEP):
+                return None
+            body = body[1:]
+        if off < 0 and body.startswith(BOS):
+            codes.append(BOS_CODE)
+            body = body[len(BOS) :]
+        elif off > 0 and body.startswith(EOS):
+            codes.append(EOS_CODE)
+            body = body[len(EOS) :]
+        elif body:
+            codes.append(ord(body[0]))
+            body = body[1:]
+        else:
+            return None
+    return codes if body == "" else None
+
+
+def _can_fire(offsets: tuple[int, ...], codes: list[int]) -> bool:
+    """Whether some position of some sentence sees ``codes`` at ``offsets``.
+
+    Along increasing offsets the codes must run BOS..., characters..., EOS...,
+    and equal offsets must see equal codes.
+    """
+    kind = [0 if c == BOS_CODE else 2 if c == EOS_CODE else 1 for c in codes]
+    pairs = sorted(zip(offsets, kind, codes))
+    return all(
+        (o1 == o2 and c1 == c2) or (o1 < o2 and k1 <= k2)
+        for (o1, k1, c1), (o2, k2, c2) in zip(pairs, pairs[1:])
+    )
 
 
 def emission_scores(ids: np.ndarray, emit_w: np.ndarray) -> np.ndarray:

@@ -96,7 +96,12 @@ def self_train_label(model: crf.CrfModel, sentence: str) -> SegmentedSentence:
 
 
 def segment_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedSentence]:
-    """``self_train_label`` for every sentence, decoded in batches."""
+    """``self_train_label`` for every sentence, decoded in batches.
+
+    Whitespace is not text to segment: it is dropped first, so ``"有人 在倾听"``
+    is read as ``"有人在倾听"``.
+    """
+    sentences = ["".join(s.split()) for s in sentences]
     tags = crf.viterbi_batch(sentences, model)
     return [tagset.labels_to_words(t, s) for t, s in zip(tags, sentences)]
 

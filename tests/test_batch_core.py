@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from pauseseg import crf, mining, tagset
+from pauseseg import crf, features, mining, tagset
 from pauseseg.crf import ConstraintMask
 
 NEG_INF = float("-inf")
@@ -249,3 +249,28 @@ def test_results_do_not_depend_on_batch_composition_or_order(data):
     want_probs = [alone_probs[k] for k in order if len(sentences[k]) > 1]
     assert len(probs) == len(want_probs)
     assert all(np.array_equal(a, b) for a, b in zip(probs, want_probs))
+
+
+def test_corpus_entry_points_encode_one_batch_at_a_time(monkeypatch):
+    rng = np.random.default_rng(17)
+    sentences = [oracle.random_sentence(rng, int(n), ALPHABET) for n in rng.integers(2, 9, 40)]
+    monkeypatch.setattr(crf, "INFERENCE_BATCH_CHARS", 16)
+    batches = [[sentences[k] for k in batch] for batch in crf._corpus_batches(sentences)]
+    assert len(batches) > 5
+    calls = []
+    encode_corpus = features.FeatureVocabulary.encode_corpus
+
+    def recorded(self, corpus):
+        calls.append(list(corpus))
+        return encode_corpus(self, corpus)
+
+    monkeypatch.setattr(features.FeatureVocabulary, "encode_corpus", recorded)
+    model = random_model(17)
+    tags = crf.viterbi_batch(sentences, model)
+    assert calls == batches
+    calls.clear()
+    probs = crf.boundary_probabilities_batch(sentences, model)
+    assert calls == batches
+    assert tags == [crf.viterbi(s, model) for s in sentences]
+    for s, p in zip(sentences, probs):
+        assert np.array_equal(p, crf.boundary_probabilities(s, model))

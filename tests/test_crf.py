@@ -430,24 +430,24 @@ class TestTraining:
         assert crf.viterbi("abc", model) == "BES"
 
     def test_train_extracts_features_once_per_character(self, monkeypatch):
-        # one extraction per training and per dev character, however many
+        # every training and every dev character is keyed once, however many
         # epochs score the dev set
         from pauseseg import mining
         from pauseseg.segments import SegmentedSentence
-        calls = []
-        extract = features.extract_features
+        keyed = []
+        keys = features.FeatureVocabulary._keys
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return extract(*args, **kwargs)
+        def counted(self, sentences):
+            keyed.append(sum(len(s) for s in sentences))
+            return keys(self, sentences)
 
-        monkeypatch.setattr(features, "extract_features", counted)
+        monkeypatch.setattr(features.FeatureVocabulary, "_keys", counted)
         examples = list(self.small_corpus())
         examples.append(PartialExample("abde", mining.build_constraint_mask("abde", [1])))
         dev = [SegmentedSentence.from_words(w) for w in (["ab", "c"], ["xy", "ab"])]
         crf.train(examples, TrainConfig(epochs=3), dev=dev)
         train_chars = sum(len(ex.sentence) for ex in examples)
-        assert len(calls) == train_chars + sum(len(s.chars) for s in dev)
+        assert sum(keyed) == train_chars + sum(len(s.chars) for s in dev)
 
     def test_mixed_full_and_partial_training(self):
         from pauseseg import mining
@@ -481,6 +481,13 @@ class TestSerialization:
         assert m2.dumps() == m.dumps()
         assert crf.viterbi(s, m2) == crf.viterbi(s, m)
 
+    def test_line_separator_characters_round_trip(self, tmp_path):
+        # U+0085, U+2028 and U+2029 stay raw in a JSON string but end a line for splitlines()
+        m = oracle.make_model(np.random.default_rng(107), ["a\x85b\u2028c\u2029d"])
+        path = tmp_path / "model.txt"
+        m.save(path)
+        assert CrfModel.load(path).dumps() == m.dumps()
+
     def test_loaded_model_scores_unseen_text_identically(self, tmp_path):
         rng = np.random.default_rng(103)
         m = oracle.make_model(rng, ["abcd"])
@@ -509,6 +516,30 @@ class TestSerialization:
         m = zero_model("ab")
         text = m.dumps().replace("vocab_size", "vocab_size x")
         with pytest.raises(ParseError):
+            CrfModel.loads(text)
+
+    @staticmethod
+    def edited(prefix, new_line):
+        """A model text whose line starting ``prefix`` is ``new_line``, and that line's number."""
+        lines = zero_model("ab").dumps().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[k] = new_line
+        return "\n".join(lines) + "\n", k + 1
+
+    @pytest.mark.parametrize(
+        "prefix, new_line",
+        [
+            ("feature 9 ", 'feature 9 "nonsense"'),  # matches no template
+            ("feature 9 ", 'feature 9 "U0=⟨BOS⟩"'),  # a character position is never BOS
+            ("feature 10 ", 'feature 10 "U-2=⟨BOS⟩"'),  # repeats feature 9
+            ("feature 9 ", 'feature 90 "U-2=⟨BOS⟩"'),  # id out of sequence
+            ("template B0 ", "template B0 0 1 2"),  # more than two offsets
+        ],
+    )
+    def test_line_that_can_never_fire_is_named(self, prefix, new_line):
+        assert 'feature 9 "U-2=⟨BOS⟩"' in zero_model("ab").dumps().splitlines()
+        text, line = self.edited(prefix, new_line)
+        with pytest.raises(ParseError, match=rf"\(line {line}\)"):
             CrfModel.loads(text)
 
     def test_illegal_entries_reconstructed_as_neg_inf(self):

@@ -1,8 +1,51 @@
+"""Feature templates, the integer-keyed vocabulary and emission scores.
+
+``RefVocabulary`` below is the string-keyed vocabulary the integer keys
+replaced: one ``extract_features`` string per character and template,
+looked up in a dict. The real vocabulary must assign exactly its ids and
+render exactly its strings.
+"""
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pauseseg import features
+from pauseseg import crf, features
 from pauseseg.features import BOS, EOS, SEP, FeatureVocabulary
+
+
+class RefVocabulary:
+    def __init__(self, templates=features.DEFAULT_TEMPLATES):
+        self.templates = templates
+        self.index: dict[str, int] = {}
+        self.size = len(templates)
+        self.frozen = False
+
+    def ids(self, sentence):
+        rows = []
+        for i in range(len(sentence)):
+            row = []
+            for t, f in enumerate(features.extract_features(sentence, i, self.templates)):
+                if f not in self.index and not self.frozen:
+                    self.index[f] = self.size
+                    self.size += 1
+                row.append(self.index.get(f, t))
+            rows.append(row)
+        return np.array(rows, dtype=np.int64).reshape(len(sentence), len(self.templates))
+
+    def items(self):
+        return sorted(self.index.items(), key=lambda kv: kv[1])
+
+
+# characters that stress the keys: the separator, the sentinels' text,
+# astral code points, the last code point and lone surrogates
+LONE_SURROGATES = [chr(0xD800), chr(0xDFFF), chr(0xD83D) + chr(0xDE00)]
+SPECIAL = ["a", "b", SEP, "⟨", "⟩", "=", BOS, EOS, chr(0x1F600), chr(0x10FFFF)]
+
+
+def texts(special):
+    piece = st.one_of(st.sampled_from(special), st.characters())
+    return st.lists(piece, max_size=5).map("".join)
 
 
 def test_default_templates():
@@ -155,11 +198,10 @@ def test_scores_survive_id_permutation():
     perm = np.arange(vocab.size)
     perm[n_unk:] = n_unk + rng.permutation(vocab.size - n_unk)
 
-    shuffled = FeatureVocabulary(vocab.templates)
-    for feature, fid in vocab.items():
-        shuffled._index[feature] = int(perm[fid])
-    shuffled._next = vocab.size
-    shuffled.freeze()
+    moved_items = sorted((int(perm[fid]), feature) for feature, fid in vocab.items())
+    shuffled = FeatureVocabulary.restore(
+        vocab.templates, [(feature, fid) for fid, feature in moved_items], vocab.size
+    )
 
     w = rng.normal(size=(vocab.size, 4))
     w_perm = np.empty_like(w)
@@ -168,3 +210,58 @@ def test_scores_survive_id_permutation():
         base = features.emission_scores(vocab.encode(text), w)
         moved = features.emission_scores(shuffled.encode(text), w_perm)
         np.testing.assert_array_equal(base, moved)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    added=st.lists(texts(SPECIAL + LONE_SURROGATES), min_size=1, max_size=6),
+    probes=st.lists(texts(SPECIAL + LONE_SURROGATES), max_size=4),
+)
+def test_ids_match_the_string_keyed_reference(added, probes):
+    vocab, ref = FeatureVocabulary(), RefVocabulary()
+    want = [ref.ids(text) for text in added]
+    for text, ids in zip(added, want):
+        np.testing.assert_array_equal(vocab.add_sentence(text), ids)
+    assert vocab.size == ref.size
+    assert vocab.items() == ref.items()
+
+    at_once = FeatureVocabulary()
+    for got, ids in zip(at_once.add_corpus(added), want, strict=True):
+        np.testing.assert_array_equal(got, ids)
+    assert at_once.items() == ref.items()
+
+    vocab.freeze()
+    ref.frozen = True
+    for text in added + probes:
+        np.testing.assert_array_equal(vocab.encode(text), ref.ids(text))
+    for text, ids in zip(probes, vocab.encode_corpus(probes)):
+        np.testing.assert_array_equal(ids, ref.ids(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(added=st.lists(texts(SPECIAL), min_size=1, max_size=5), seed=st.integers(0, 2**16))
+def test_model_text_round_trips_byte_identically(added, seed):
+    vocab = FeatureVocabulary()
+    vocab.add_corpus(added)
+    vocab.freeze()
+    rng = np.random.default_rng(seed)
+    model = crf.CrfModel(vocab, rng.normal(size=(vocab.size, 4)))
+    text = model.dumps()
+    loaded = crf.CrfModel.loads(text)
+    assert loaded.dumps() == text
+    for sentence in added:
+        np.testing.assert_array_equal(loaded.vocab.encode(sentence), vocab.encode(sentence))
+
+
+def test_template_with_more_than_two_offsets_is_refused():
+    with pytest.raises(ValueError, match="at most 2"):
+        FeatureVocabulary((("T", (-1, 0, 1)),))
+
+
+def test_feature_strings_that_cannot_fire_have_no_key():
+    vocab = FeatureVocabulary()
+    assert vocab.feature_key(f"B-2={BOS}{SEP}a") >= 0
+    for feature in ["nonsense", "U0=", "U0=ab", f"U0={BOS}", f"U-1={EOS}", "X=a",
+                    f"B-2=a{SEP}{BOS}", f"B+1={EOS}{SEP}a", "B0=ab", f"B0=a{SEP}"]:
+        with pytest.raises(ValueError):
+            vocab.feature_key(feature)

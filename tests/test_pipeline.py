@@ -199,3 +199,9 @@ class TestMinePartials:
         ]
         partials, _ = pipeline.mine_partials(model, alignments, threshold=0.9)
         assert partials[0].boundaries == ()
+
+
+def test_segment_corpus_drops_whitespace():
+    # the all-zero model prefers one word; whitespace is not part of it
+    out = pipeline.segment_corpus(zero_model(), ["一二 三四", " 五\t六　"])
+    assert [s.words for s in out] == [["一二三四"], ["五六"]]
