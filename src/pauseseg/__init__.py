@@ -47,6 +47,7 @@ from .pipeline import (
     run_ctt,
     run_partial_crf,
     segment_corpus,
+    self_train_corpus,
     self_train_label,
     train_baseline,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "score_pauses",
     "score_sequence",
     "segment_corpus",
+    "self_train_corpus",
     "self_train_label",
     "single_char_word_rate",
     "train",

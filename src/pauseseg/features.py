@@ -97,8 +97,9 @@ class FeatureVocabulary:
 
     Ids 0..T-1 are the per-template UNK fallbacks; real features start at T,
     numbered in order of first occurrence (sentence, then position, then
-    template). While unfrozen, lookups insert; once frozen, unseen features
-    map to the UNK id of their template.
+    template). ``add_sentence`` / ``add_corpus`` insert features until the
+    vocabulary is frozen; ``encode`` then maps unseen features to the UNK id
+    of their template.
     """
 
     def __init__(self, templates: tuple[tuple[str, tuple[int, ...]], ...] = DEFAULT_TEMPLATES):
@@ -137,6 +138,8 @@ class FeatureVocabulary:
         """Keys [characters, templates] of the sentences' characters, concatenated."""
         codes = np.frombuffer("".join(sentences).encode("utf-32-le", "surrogatepass"), "<u4")
         if len(sentences) == 1:
+            # half the array operations of the general path, for the
+            # per-sentence encode of every crf.viterbi call
             n = len(codes)
             padded = np.empty(n + 2, dtype=np.int64)
             padded[0], padded[1:-1], padded[-1] = BOS_CODE, codes, EOS_CODE
@@ -162,9 +165,7 @@ class FeatureVocabulary:
 
     def _insert(self, keys: np.ndarray, ids: np.ndarray) -> None:
         """Add unseen ``keys`` (ascending) with their ``ids``."""
-        pos = np.searchsorted(self._sorted_keys, keys)
-        self._sorted_keys = np.insert(self._sorted_keys, pos, keys)
-        self._sorted_ids = np.insert(self._sorted_ids, pos, ids)
+        self._sorted_keys, self._sorted_ids = _merge(self._sorted_keys, self._sorted_ids, keys, ids)
 
     def _split(self, ids: np.ndarray, sentences: list[str]) -> list[np.ndarray]:
         ends = np.cumsum([len(s) for s in sentences])
@@ -177,30 +178,49 @@ class FeatureVocabulary:
         return self.add_corpus([sentence])[0]
 
     def add_corpus(self, sentences: list[str]) -> list[np.ndarray]:
-        """``add_sentence`` of each sentence in turn, keyed and numbered in runs."""
+        """``add_sentence`` of each sentence in turn, keyed and numbered in runs.
+
+        A run's new features form a sorted level; levels holding equally many
+        runs are merged, as in a binary counter, and the levels join the
+        vocabulary at the end. Each feature is so copied O(log runs) times.
+        """
         if self.frozen:
             raise RuntimeError("vocabulary is frozen")
         sentences = list(sentences)
         out: list[np.ndarray] = []
+        levels: list[tuple[int, np.ndarray, np.ndarray]] = []  # (runs, keys, ids)
         start = chars = 0
         for end, sentence in enumerate(sentences, 1):
             chars += len(sentence)
             if chars >= ADD_CHUNK_CHARS or end == len(sentences):
-                out += self._add(sentences[start:end])
+                out += self._add_run(sentences[start:end], levels)
                 start, chars = end, 0
+                while len(levels) > 1 and levels[-2][0] == levels[-1][0]:
+                    (n, keys_a, ids_a), (_, keys_b, ids_b) = levels.pop(-2), levels.pop()
+                    levels.append((2 * n, *_merge(keys_a, ids_a, keys_b, ids_b)))
+        for _, keys, ids in reversed(levels):  # smallest first
+            self._insert(keys, ids)
         return out
 
-    def _add(self, sentences: list[str]) -> list[np.ndarray]:
+    def _add_run(
+        self, sentences: list[str], levels: list[tuple[int, np.ndarray, np.ndarray]]
+    ) -> list[np.ndarray]:
+        """Number one run's features, known ones by the vocabulary or ``levels``."""
         keys, first, inverse = np.unique(
             self._keys(sentences).ravel(), return_index=True, return_inverse=True
         )
         ids, unseen = self._lookup(keys)
-        # new ids in order of first occurrence: the model file's feature order
         new = np.flatnonzero(unseen)
-        ids[new[np.argsort(first[new])]] = np.arange(self._next, self._next + len(new))
-        self._insert(keys[new], ids[new])
-        self._next += len(new)
-        return self._split(ids[inverse], sentences)
+        for _, level_keys, level_ids in levels:
+            found, missing = _search(level_keys, level_ids, keys[new])
+            ids[new[~missing]] = found[~missing]
+            new = new[missing]
+        if len(new):
+            # new ids in order of first occurrence: the model file's feature order
+            ids[new[np.argsort(first[new])]] = np.arange(self._next, self._next + len(new))
+            self._next += len(new)
+            levels.append((1, keys[new], ids[new]))
+        return self._split(ids[inverse.ravel()], sentences)
 
     # -- lookup -------------------------------------------------------------
 
@@ -228,11 +248,6 @@ class FeatureVocabulary:
         name, eq, body = feature.partition("=")
         t = self._template_index.get(name) if eq else None
         offsets = () if t is None else self.templates[t][1]
-        # the common shapes first: one character, or two at distinct offsets
-        if len(body) == len(offsets) == 1:
-            return t << 2 * CODE_BITS | ord(body)
-        if len(body) == 3 and body[1] == SEP and len(set(offsets)) == 2:
-            return (t << CODE_BITS | ord(body[0])) << CODE_BITS | ord(body[2])
         codes = None if t is None else _parse_codes(body, offsets)
         if codes is None or not _can_fire(offsets, codes):
             raise ValueError(f"feature {feature!r} matches no template")
@@ -252,17 +267,12 @@ class FeatureVocabulary:
         return name + "=" + SEP.join(parts)
 
     def feature_id(self, feature: str, template_index: int) -> int:
-        """Id of a feature string; unseen ones are inserted, or map to UNK once frozen."""
-        key = np.array([self.feature_key(feature)], dtype=np.int64)
-        ids, unseen = self._lookup(key)
-        if not unseen[0]:
-            return int(ids[0])
-        if self.frozen:
-            return template_index
-        fid = self._next
-        self._insert(key, np.array([fid]))
-        self._next += 1
-        return fid
+        """Id of a feature string, or ``template_index`` (its UNK id) if it is unseen.
+
+        ValueError if no sentence can produce the feature.
+        """
+        ids, unseen = self._lookup(np.array([self.feature_key(feature)], dtype=np.int64))
+        return template_index if unseen[0] else int(ids[0])
 
     def items(self) -> list[tuple[str, int]]:
         """Real (non-UNK) features as strings, in id order."""
@@ -304,6 +314,22 @@ class FeatureVocabulary:
         vocab._next = expected
         vocab.freeze()
         return vocab
+
+
+def _search(
+    sorted_keys: np.ndarray, sorted_ids: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_lookup`` in a non-empty sorted key array that has no ``_NO_KEY`` end."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_ids[pos], sorted_keys[pos] != keys
+
+
+def _merge(
+    keys_a: np.ndarray, ids_a: np.ndarray, keys_b: np.ndarray, ids_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two sorted key arrays with no key in common, and their ids, as one."""
+    pos = np.searchsorted(keys_a, keys_b)
+    return np.insert(keys_a, pos, keys_b), np.insert(ids_a, pos, ids_b)
 
 
 def _parse_codes(body: str, offsets: tuple[int, ...]) -> list[int] | None:

@@ -95,15 +95,20 @@ def self_train_label(model: crf.CrfModel, sentence: str) -> SegmentedSentence:
     return tagset.labels_to_words(crf.viterbi(sentence, model), sentence)
 
 
-def segment_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedSentence]:
-    """``self_train_label`` for every sentence, decoded in batches.
-
-    Whitespace is not text to segment: it is dropped first, so ``"有人 在倾听"``
-    is read as ``"有人在倾听"``.
-    """
-    sentences = ["".join(s.split()) for s in sentences]
+def self_train_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedSentence]:
+    """``self_train_label`` for every sentence, decoded in batches."""
     tags = crf.viterbi_batch(sentences, model)
     return [tagset.labels_to_words(t, s) for t, s in zip(tags, sentences)]
+
+
+def segment_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedSentence]:
+    """Segment raw text lines: ``self_train_corpus`` without their whitespace.
+
+    Whitespace is not text to segment: it is dropped first, so ``"有人 在倾听"``
+    is read as ``"有人在倾听"``. Partial annotations keep their spaces as
+    characters, so self-training decodes them with ``self_train_corpus``.
+    """
+    return self_train_corpus(model, ["".join(s.split()) for s in sentences])
 
 
 def complete_annotation(
@@ -154,7 +159,7 @@ def run_ctt(
     if baseline is None:
         baseline = train_baseline(source, config, dev=dev)
     if self_training:
-        completed = segment_corpus(baseline, [p.chars for p in target])
+        completed = self_train_corpus(baseline, [p.chars for p in target])
     else:
         completed = complete_corpus(baseline, [p for p in target if p.boundaries])
     skipped = len(target) - len(completed)

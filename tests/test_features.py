@@ -238,6 +238,42 @@ def test_ids_match_the_string_keyed_reference(added, probes):
         np.testing.assert_array_equal(ids, ref.ids(text))
 
 
+@pytest.mark.parametrize("run_chars", [1, 7, features.ADD_CHUNK_CHARS])
+def test_add_corpus_in_runs_numbers_like_the_reference(monkeypatch, run_chars):
+    # a key first seen in a late run, or again after the vocabulary already
+    # holds it, keeps the id of its first occurrence
+    monkeypatch.setattr(features, "ADD_CHUNK_CHARS", run_chars)
+    rng = np.random.default_rng(5)
+    alphabet = list("abcde\U0001F600" + SEP + BOS)
+    corpus = ["".join(rng.choice(alphabet, size=rng.integers(0, 9))) for _ in range(300)]
+    vocab, ref = FeatureVocabulary(), RefVocabulary()
+    for sentences in (corpus[:40], corpus[40:]):
+        for got, text in zip(vocab.add_corpus(sentences), sentences, strict=True):
+            np.testing.assert_array_equal(got, ref.ids(text))
+    assert vocab.size == ref.size
+    assert vocab.items() == ref.items()
+
+
+def test_add_corpus_copies_each_feature_log_runs_times(monkeypatch):
+    # merging every run into the whole vocabulary would copy it once per run
+    copied = []
+    merge = features._merge
+
+    def recorded(keys_a, ids_a, keys_b, ids_b):
+        copied.append(len(keys_a) + len(keys_b))
+        return merge(keys_a, ids_a, keys_b, ids_b)
+
+    monkeypatch.setattr(features, "_merge", recorded)
+    monkeypatch.setattr(features, "ADD_CHUNK_CHARS", 64)
+    rng = np.random.default_rng(6)
+    alphabet = [chr(0x4E00 + k) for k in range(3000)]
+    corpus = ["".join(rng.choice(alphabet, size=20)) for _ in range(1000)]
+    vocab = FeatureVocabulary()
+    vocab.add_corpus(corpus)
+    runs = len(corpus) * 20 // 64
+    assert sum(copied) <= vocab.size * (np.log2(runs) + 2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(added=st.lists(texts(SPECIAL), min_size=1, max_size=5), seed=st.integers(0, 2**16))
 def test_model_text_round_trips_byte_identically(added, seed):
@@ -256,6 +292,17 @@ def test_model_text_round_trips_byte_identically(added, seed):
 def test_template_with_more_than_two_offsets_is_refused():
     with pytest.raises(ValueError, match="at most 2"):
         FeatureVocabulary((("T", (-1, 0, 1)),))
+
+
+def test_feature_id_only_looks_up():
+    vocab = FeatureVocabulary()
+    vocab.add_sentence("ab")
+    size = vocab.size
+    assert vocab.feature_id("U0=z", 2) == 2  # unseen: the template's UNK id
+    assert vocab.feature_id("U0=a", 2) >= len(vocab.templates)
+    assert vocab.size == size
+    with pytest.raises(ValueError):
+        vocab.feature_id("U0=ab", 2)
 
 
 def test_feature_strings_that_cannot_fire_have_no_key():

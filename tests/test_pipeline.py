@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pauseseg import crf, features, pipeline
+from pauseseg import crf, features, mining, pipeline
 from pauseseg.alignment import CharAlignment
 from pauseseg.crf import TrainConfig
 from pauseseg.errors import EmptyDataset
@@ -145,6 +145,15 @@ class TestRunCtt:
         # self-training decodes freely, so the completion need not be
         free = pipeline.segment_corpus(result.baseline, ["一二三四五六"])[0]
         assert result.completed[0] == free
+
+    def test_self_training_keeps_spaces_of_partial_text(self):
+        # a space read from a partial file is a character in every recipe
+        cfg = TrainConfig(epochs=2, seed=0, batch_chars=10)
+        target = [mining.parse_partial_line("一 二|三")]
+        result = pipeline.run_ctt(TINY_GOLD, target, cfg, self_training=True)
+        assert result.completed[0].chars == "一 二三"
+        completed = pipeline.run_ctt(TINY_GOLD, target, cfg).completed
+        assert completed[0].chars == "一 二三"
 
     def test_no_usable_target_raises(self):
         cfg = TrainConfig(epochs=1, seed=0)
