@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, NonMonotoneFrames, ParseError, SentenceTooShort
+from .segments import split_lines
 
 DEFAULT_FRAME_OFFSET_MS = 10.0
 DEFAULT_MIN_PAUSE_MS = 10.0
@@ -133,7 +134,7 @@ def parse_alignments(text: str) -> list[CharAlignment]:
             raise ParseError(f"bad alignment JSON: {exc.msg}", line=exc.lineno) from exc
         return [_alignment_from_obj(obj) for obj in data]
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -217,7 +218,7 @@ def parse_textgrid(
 ) -> CharAlignment:
     """Extract a character alignment from one tier of a long-format TextGrid."""
     _check_frame_offset(frame_offset_ms)  # before any time is converted with it
-    lines = text.splitlines()
+    lines = split_lines(text)
     in_tier = False
     chars: list[tuple[str, int, int]] = []
     xmin = xmax = None

@@ -29,7 +29,7 @@ from .errors import (
     SentenceTooShort,
     TrainingDiverged,
 )
-from .segments import SegmentedSentence
+from .segments import SegmentedSentence, split_lines
 
 NEG_INF = float("-inf")
 N = tagset.N_LABELS
@@ -134,8 +134,7 @@ class CrfModel:
 
     @classmethod
     def loads(cls, text: str) -> "CrfModel":
-        # not splitlines(), which also breaks at U+0085 or U+2028 inside a feature
-        lines = text.replace("\r\n", "\n").split("\n")
+        lines = split_lines(text)
         if not lines or lines[0] != cls.FORMAT_HEADER:
             raise ParseError("not a pauseseg model file (bad header)", line=1)
         templates: list[tuple[str, tuple[int, ...]]] = []
@@ -571,14 +570,58 @@ class Gradient:
         )
 
 
+@dataclass
+class _Counts:
+    """Expected minus observed counts of a batch, emissions kept per position.
+
+    Row c of ``coef`` counts once for every feature in row c of ``ids``; the
+    transition, start and end counts are dense.
+    """
+
+    ids: np.ndarray  # [C, n_templates] feature ids
+    coef: np.ndarray  # [C, 4]
+    trans: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    def scatter(self, emit: np.ndarray, factor: float = 1.0) -> None:
+        """Add ``factor`` times the emission counts into the rows of ``emit`` they touch."""
+        flat = self.ids.ravel()
+        per_row = self.ids.shape[1]
+        for label in range(N):
+            np.add.at(emit[:, label], flat, np.repeat(factor * self.coef[:, label], per_row))
+
+
+def _gradient(model: CrfModel, counts: _Counts) -> Gradient:
+    emit = np.zeros_like(model.emit_w)
+    counts.scatter(emit)
+    return Gradient(emit, counts.trans, counts.start, counts.end)
+
+
+# ASCII code -> label id, -1 where the character is not a label
+_LABEL_OF_CODE = np.full(128, -1, dtype=np.intp)
+_LABEL_OF_CODE[[ord(c) for c in tagset.LABEL_CHARS]] = np.arange(N)
+
+
 def _prepare_full(ids: np.ndarray, tags):
     """(feature ids, gold labels, None) after checking the gold sequence."""
-    t = tagset.parse_tags(tags)
-    if len(t) != len(ids):
-        raise LengthMismatch(f"{len(t)} tags for {len(ids)} characters")
-    if not tagset.is_legal(t):
-        raise IllegalTagSequence(f"illegal gold sequence {tagset.tags_to_str(t)!r}")
-    return ids, np.array(t, dtype=np.intp), None
+    if isinstance(tags, str):
+        # a non-ASCII character becomes "?", which is no label either
+        gold = _LABEL_OF_CODE[np.frombuffer(tags.encode("ascii", "replace"), dtype=np.uint8)]
+        if (gold < 0).any():
+            raise IllegalTagSequence(f"unknown label character in {tags!r}")
+    else:
+        gold = np.array(tagset.parse_tags(tags), dtype=np.intp)
+    if len(gold) != len(ids):
+        raise LengthMismatch(f"{len(gold)} tags for {len(ids)} characters")
+    if not (
+        len(gold)
+        and START_LEGAL[gold[0]]
+        and END_LEGAL[gold[-1]]
+        and TRANS_LEGAL[gold[:-1], gold[1:]].all()
+    ):
+        raise IllegalTagSequence(f"illegal gold sequence {tagset.tags_to_str(gold)!r}")
+    return ids, gold, None
 
 
 def _prepare_partial(ids: np.ndarray, mask):
@@ -586,10 +629,11 @@ def _prepare_partial(ids: np.ndarray, mask):
     return ids, None, _allowed_array(mask, len(ids))
 
 
-def _loss_and_grad(model: CrfModel, items, grad: Gradient) -> float:
-    """Summed loss of prepared examples; adds expected minus observed counts to ``grad``.
+def _loss_and_grad(model: CrfModel, items, emit_scale: float = 1.0) -> tuple[float, _Counts]:
+    """Summed loss of prepared examples, and their expected minus observed counts.
 
-    One forward-backward covers the batch: the unconstrained pass of every
+    The emission weights are ``emit_scale * model.emit_w``. One
+    forward-backward covers the batch: the unconstrained pass of every
     example, then the constrained pass of each partial example. A full
     example contributes log Z minus its gold path score, a partial one
     log Z minus its constrained log Z.
@@ -598,6 +642,7 @@ def _loss_and_grad(model: CrfModel, items, grad: Gradient) -> float:
     part = np.array([b for b, it in enumerate(items) if it[2] is not None], dtype=np.intp)
     rows = [it[0] for it in items] + [items[b][0] for b in part]
     E, lengths = _emission_batch(model, rows, [None] * B + [items[b][2] for b in part])
+    E *= emit_scale
     fb = _forward_backward(E, lengths, model.trans, model.start, model.end)
     lengths = lengths[:B]
     ids = np.concatenate(rows[:B])
@@ -628,13 +673,20 @@ def _loss_and_grad(model: CrfModel, items, grad: Gradient) -> float:
         unigram[frow, fcol, gold] -= 1.0
         bigram[frow[step], fcol[step] - 1, prev, cur] -= 1.0
 
-    coef = unigram[row, col]  # [C, 4]: expected minus observed label counts
-    for label in range(N):
-        np.add.at(grad.emit[:, label], ids.ravel(), np.repeat(coef[:, label], ids.shape[1]))
-    grad.trans += bigram.sum(axis=(0, 1))
-    grad.start += unigram[:, 0].sum(axis=0)
-    grad.end += unigram[np.arange(B), lengths - 1].sum(axis=0)
-    return loss
+    return loss, _Counts(
+        ids,
+        unigram[row, col],
+        bigram.sum(axis=(0, 1)),
+        unigram[:, 0].sum(axis=0),
+        unigram[np.arange(B), lengths - 1].sum(axis=0),
+    )
+
+
+def _batch_loss_and_grad(model: CrfModel, items) -> tuple[float, Gradient]:
+    if not items:
+        return 0.0, Gradient.zeros(model)
+    loss, counts = _loss_and_grad(model, items)
+    return loss, _gradient(model, counts)
 
 
 def nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
@@ -643,9 +695,8 @@ def nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
     The gradient is expected feature counts minus gold counts, covering
     emissions, transitions and start/end weights.
     """
-    grad = Gradient.zeros(model)
     items = [_prepare_full(model.vocab.encode(sentence), tags) for sentence, tags in batch]
-    return (_loss_and_grad(model, items, grad) if items else 0.0), grad
+    return _batch_loss_and_grad(model, items)
 
 
 def partial_nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
@@ -654,9 +705,8 @@ def partial_nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
     Minimizing it pushes probability mass onto the sequences a constraint
     mask allows; the gradient is (full - constrained) expected counts.
     """
-    grad = Gradient.zeros(model)
     items = [_prepare_partial(model.vocab.encode(sentence), mask) for sentence, mask in batch]
-    return (_loss_and_grad(model, items, grad) if items else 0.0), grad
+    return _batch_loss_and_grad(model, items)
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +775,16 @@ def train(
     with the best dev F1 when ``dev`` is given, otherwise the final epoch.
     Deterministic for a fixed seed. Raises ``TrainingDiverged`` when an
     epoch leaves a weight infinite or NaN.
+
+    The L2 decay of the emission weights is lazy: within an epoch they are
+    ``scale * model.emit_w``, each update multiplies ``scale`` by
+    ``1 - learning_rate * l2`` and writes only the rows of the features in
+    the batch, so an update costs the batch's size, not the vocabulary's.
+    The scale is folded into the weights at the end of every epoch, and
+    whenever it falls to 1e-100 or below. This is the dense update
+    ``w - learning_rate * (g / B + l2 * w)`` with the operations in another
+    order, so weights differ from a dense update's in their low-order bits;
+    reruns with one seed stay bitwise identical.
     """
     examples = list(examples)
     if not examples:
@@ -747,24 +807,32 @@ def train(
     best: CrfModel | None = None
     best_f1 = -1.0
     lr = config.learning_rate
+    decay = 1.0 - lr * config.l2
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
+        scale = 1.0
         # a diverging run overflows before the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for batch in _batches(order, lengths, config.batch_chars):
-                grad = Gradient.zeros(model)
-                _loss_and_grad(model, [prepared[idx] for idx in batch], grad)
-                scale = 1.0 / len(batch)
-                model.emit_w -= lr * (scale * grad.emit + config.l2 * model.emit_w)
+                _, counts = _loss_and_grad(model, [prepared[idx] for idx in batch], scale)
+                inv_b = 1.0 / len(batch)
+                scale *= decay
+                # fold the scale in before it underflows, or once decay <= 0 has
+                # taken it to 0 or below
+                if not scale > 1e-100:
+                    model.emit_w *= scale
+                    scale = 1.0
+                counts.scatter(model.emit_w, -lr * inv_b / scale)
                 model.trans[TRANS_LEGAL] -= lr * (
-                    scale * grad.trans[TRANS_LEGAL] + config.l2 * model.trans[TRANS_LEGAL]
+                    inv_b * counts.trans[TRANS_LEGAL] + config.l2 * model.trans[TRANS_LEGAL]
                 )
                 model.start[START_LEGAL] -= lr * (
-                    scale * grad.start[START_LEGAL] + config.l2 * model.start[START_LEGAL]
+                    inv_b * counts.start[START_LEGAL] + config.l2 * model.start[START_LEGAL]
                 )
                 model.end[END_LEGAL] -= lr * (
-                    scale * grad.end[END_LEGAL] + config.l2 * model.end[END_LEGAL]
+                    inv_b * counts.end[END_LEGAL] + config.l2 * model.end[END_LEGAL]
                 )
+            model.emit_w *= scale
         if not _finite(model):
             raise TrainingDiverged(
                 f"weights became infinite or NaN in epoch {epoch} of {config.epochs}"

@@ -48,6 +48,15 @@ class SegmentedSentence:
         return {end - 1 for _, end in self.spans[:-1]}
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines of a file's text, ended by LF or CRLF.
+
+    Not ``str.splitlines()``, which also breaks at a lone CR, U+000B,
+    U+000C, U+001C-U+001E, U+0085, U+2028 and U+2029 inside a line.
+    """
+    return text.replace("\r\n", "\n").split("\n")
+
+
 def parse_gold_line(line: str) -> SegmentedSentence | None:
     """One sentence per line, words separated by whitespace. None for blank lines."""
     words = line.split()
@@ -62,7 +71,7 @@ def format_gold_line(seg: SegmentedSentence) -> str:
 
 def parse_gold_corpus(text: str) -> list[SegmentedSentence]:
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         try:
             seg = parse_gold_line(line)
         except ValueError as exc:

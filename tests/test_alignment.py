@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pauseseg import alignment
 from pauseseg.alignment import CharAlignment
@@ -248,6 +248,69 @@ class TestTextGrid:
         a = alignment.read_textgrid(path)
         assert a.utterance_id == "utt42"
         assert a.sentence == "一二三"
+
+
+# characters that str.splitlines() breaks a line at, besides LF and CR
+LINE_BREAKERS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def textgrid_of(a: CharAlignment) -> str:
+    """A long-format TextGrid of ``a`` in one "characters" tier, silences as empty text."""
+    step = a.frame_offset_ms / 1000.0
+    intervals, t = [], 0
+    for ch, b, e in a.chars:
+        if b > t:
+            intervals.append((t, b, ""))
+        intervals.append((b, e, ch))
+        t = e
+    lines = [
+        'File type = "ooTextFile"', 'Object class = "TextGrid"', "",
+        "xmin = 0", f"xmax = {t * step!r}", "tiers? <exists>", "size = 1", "item []:",
+        "    item [1]:", '        class = "IntervalTier"', '        name = "characters"',
+        "        xmin = 0", f"        xmax = {t * step!r}",
+        f"        intervals: size = {len(intervals)}",
+    ]
+    for k, (b, e, text) in enumerate(intervals, start=1):
+        lines += [
+            f"        intervals [{k}]:",
+            f"            xmin = {b * step!r}",
+            f"            xmax = {e * step!r}",
+            '            text = "' + text.replace('"', '""') + '"',
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def line_breaker_alignment() -> CharAlignment:
+    text = "一" + LINE_BREAKERS + '"二'
+    return CharAlignment("u\u2028v", tuple((c, 10 * k, 10 * k + 5) for k, c in enumerate(text)))
+
+
+class TestRoundTrip:
+    """Alignments written by the package, or by Praat, read back unchanged."""
+
+    def test_json_lines_keep_line_breaking_characters(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        data = [line_breaker_alignment(), make_alignment([3, 0, 7])]
+        alignment.write_alignments(path, data)
+        assert alignment.read_alignments(path) == data
+
+    def test_json_lines_accept_crlf(self):
+        data = [line_breaker_alignment(), make_alignment([3, 0, 7])]
+        text = "".join(alignment.alignment_to_json_line(a) + "\r\n" for a in data)
+        assert alignment.parse_alignments(text) == data
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8))
+    def test_json_lines_round_trip_any_characters(self, chars):
+        a = CharAlignment("utt", tuple((c, 3 * k, 3 * k + 2) for k, c in enumerate(chars)))
+        assert alignment.parse_alignments(alignment.alignment_to_json_line(a) + "\n") == [a]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_textgrid_keeps_line_breaking_characters(self, tmp_path, newline):
+        a = line_breaker_alignment()
+        path = tmp_path / "u\u2028v.TextGrid"
+        path.write_bytes(textgrid_of(a).replace("\n", newline).encode("utf-8"))
+        assert alignment.read_textgrid(path) == a
 
 
 class TestParseAlignment:

@@ -1,7 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from pauseseg import crf, features, tagset
@@ -370,6 +372,26 @@ class TestGradients:
         with pytest.raises(IllegalTagSequence):
             crf.nll_loss_and_grad([("ab", "BB")], m)
 
+    @settings(max_examples=200, deadline=None)
+    @given(tags=st.text("BMESX\u00e9", max_size=6), n=st.integers(0, 6))
+    def test_gold_check_matches_tagset(self, tags, n):
+        # the reference: parse, then length, then legality, one tag at a time
+        ids = np.zeros((n, 1), dtype=np.intp)
+        try:
+            t = tagset.parse_tags(tags)
+            if len(t) != n:
+                raise LengthMismatch(f"{len(t)} tags for {n} characters")
+            if not tagset.is_legal(t):
+                raise IllegalTagSequence(f"illegal gold sequence {tagset.tags_to_str(t)!r}")
+        except (LengthMismatch, IllegalTagSequence) as exc:
+            with pytest.raises(type(exc)) as got:
+                crf._prepare_full(ids, tags)
+            assert str(got.value) == str(exc)
+        else:
+            _, gold, _ = crf._prepare_full(ids, tags)
+            assert gold.tolist() == list(t)
+            assert crf._prepare_full(ids, list(t))[1].tolist() == list(t)
+
     def test_gradient_zero_on_illegal_entries(self):
         rng = np.random.default_rng(97)
         s = oracle.random_sentence(rng, 5)
@@ -464,6 +486,107 @@ class TestTraining:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+
+def random_examples(seed, n, partial_every=0):
+    """n gold sentences over a small alphabet; every partial_every-th one as a mask."""
+    from pauseseg import mining
+    from pauseseg.segments import SegmentedSentence
+    rng = random.Random(seed)
+    words = ["".join(rng.choice("abcdefghij") for _ in range(rng.randint(1, 3)))
+             for _ in range(40)]
+    out = []
+    for k in range(n):
+        seg = SegmentedSentence.from_words([rng.choice(words) for _ in range(rng.randint(1, 6))])
+        if partial_every and k % partial_every == 0 and len(seg.chars) > 1:
+            kept = sorted(rng.sample(sorted(seg.boundary_junctions()),
+                                     len(seg.boundary_junctions()) // 2))
+            out.append(PartialExample(seg.chars, mining.build_constraint_mask(seg.chars, kept)))
+        else:
+            out.append(crf.FullExample(seg.chars, tagset.words_to_labels(seg)))
+    return out
+
+
+def dense_train(examples, config):
+    """``crf.train`` without dev, updating every weight per batch: the reference."""
+    vocab = features.FeatureVocabulary()
+    prepared = [
+        crf._prepare_full(ids, ex.tags)
+        if isinstance(ex, crf.FullExample)
+        else crf._prepare_partial(ids, ex.mask)
+        for ex, ids in zip(examples, vocab.add_corpus([ex.sentence for ex in examples]))
+    ]
+    vocab.freeze()
+    model = CrfModel(vocab)
+    lengths = [len(ex.sentence) for ex in examples]
+    rng = random.Random(config.seed)
+    order = list(range(len(examples)))
+    lr, l2 = config.learning_rate, config.l2
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for batch in crf._batches(order, lengths, config.batch_chars):
+            _, counts = crf._loss_and_grad(model, [prepared[k] for k in batch])
+            g = crf._gradient(model, counts)
+            B = len(batch)
+            model.emit_w -= lr * (g.emit / B + l2 * model.emit_w)
+            for w, gw, legal in ((model.trans, g.trans, crf.TRANS_LEGAL),
+                                 (model.start, g.start, crf.START_LEGAL),
+                                 (model.end, g.end, crf.END_LEGAL)):
+                w[legal] -= lr * (gw[legal] / B + l2 * w[legal])
+    return model
+
+
+def assert_models_close(got, want, rtol, atol):
+    np.testing.assert_array_equal(got.vocab.items(), want.vocab.items())
+    for name in ("emit_w", "trans", "start", "end"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=rtol, atol=atol)
+
+
+class TestLazyUpdate:
+    """``train`` decays the emission weights through a scale, not row by row."""
+
+    def test_one_step_equals_the_dense_update(self):
+        examples = random_examples(3, 12, partial_every=3)
+        assert any(isinstance(ex, PartialExample) for ex in examples)
+        cfg = TrainConfig(epochs=1, learning_rate=0.3, l2=0.05, batch_chars=10**6)
+        model = crf.train(examples, cfg)
+        # one batch from zero weights: w - lr (g / B + l2 w) with w = 0
+        zero = CrfModel(model.vocab)
+        _, g_full = crf.nll_loss_and_grad(
+            [(ex.sentence, ex.tags) for ex in examples if isinstance(ex, crf.FullExample)], zero)
+        _, g_part = crf.partial_nll_loss_and_grad(
+            [(ex.sentence, ex.mask) for ex in examples if isinstance(ex, PartialExample)], zero)
+        B, lr = len(examples), cfg.learning_rate
+        want = dense_train(examples, cfg)
+        np.testing.assert_allclose(want.emit_w, -lr * (g_full.emit + g_part.emit) / B,
+                                   rtol=1e-12, atol=1e-17)
+        assert_models_close(model, want, rtol=1e-12, atol=1e-17)
+
+    def test_steps_with_decay_match_the_dense_update(self):
+        examples = random_examples(4, 60, partial_every=4)
+        cfg = TrainConfig(epochs=3, learning_rate=0.2, l2=0.1, batch_chars=20, seed=2)
+        assert_models_close(crf.train(examples, cfg), dense_train(examples, cfg),
+                            rtol=1e-10, atol=1e-15)
+
+    def test_scale_folds_before_it_underflows(self):
+        # lr * l2 = 0.9 divides the scale by 10 every batch: with one
+        # sentence per batch it would underflow to 0 within an epoch
+        examples = random_examples(5, 420, partial_every=7)
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, l2=1.8, batch_chars=1, seed=1)
+        assert (1 - cfg.learning_rate * cfg.l2) ** len(examples) == 0.0
+        model = crf.train(examples, cfg)
+        assert np.isfinite(model.emit_w).all()
+        assert np.abs(model.emit_w).max() > 0.01
+        assert_models_close(model, dense_train(examples, cfg), rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("l2", [2.0, 3.0])
+    def test_decay_of_zero_or_below_matches_the_dense_update(self, l2):
+        # lr * l2 >= 1: the scale reaches 0 or turns negative after one batch
+        examples = random_examples(6, 30)
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, l2=l2, batch_chars=10, seed=4)
+        model = crf.train(examples, cfg)
+        assert np.abs(model.emit_w).max() > 0.01
+        assert_models_close(model, dense_train(examples, cfg), rtol=1e-10, atol=1e-15)
 
 
 class TestSerialization:
