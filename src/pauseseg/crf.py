@@ -10,7 +10,8 @@ function, marginals and both losses, and a single Viterbi serves
 
 from __future__ import annotations
 
-import json
+import base64
+import math
 import random
 from dataclasses import dataclass
 
@@ -98,104 +99,96 @@ class CrfModel:
         )
 
     # -- persistence --------------------------------------------------------
-    # A line-based text format: header, templates, vocabulary, then every
-    # finite weight as a 17-significant-digit decimal (which round-trips
-    # float64 bitwise). Illegal entries are omitted and rebuilt as -inf.
+    # A short text header (format line, templates, vocabulary size), then one
+    # line per array holding the base64 of its raw little-endian bytes, which
+    # round-trip every float bitwise. Base64 keeps the file text, read and
+    # written as UTF-8 like every other file of the package.
 
-    FORMAT_HEADER = "pauseseg model format 1"
+    FORMAT_HEADER = "pauseseg model format 2"
+    # (record, dtype) in file order after the vocab_size line
+    _RECORDS = (("keys", "<i8"), ("emit", "<f8"), ("trans", "<f8"), ("start", "<f8"), ("end", "<f8"))
+    _LEGAL = {"trans": TRANS_LEGAL, "start": START_LEGAL, "end": END_LEGAL}
 
     def dumps(self) -> str:
-        for arr in (self.emit_w, self.trans, self.start, self.end):
+        weights = {"emit": self.emit_w, "trans": self.trans, "start": self.start, "end": self.end}
+        for name, arr in weights.items():
             if np.isnan(arr).any():
                 raise ValueError("model contains NaN weights")
+            if name in self._LEGAL and (arr[~self._LEGAL[name]] != NEG_INF).any():
+                raise ValueError(f"illegal {name} entries must be -inf")
         lines = [self.FORMAT_HEADER]
         for name, offsets in self.templates:
             lines.append("template " + name + " " + " ".join(str(o) for o in offsets))
         lines.append(f"vocab_size {self.vocab.size}")
-        for feature, fid in self.vocab.items():
-            lines.append(f"feature {fid} " + json.dumps(feature, ensure_ascii=False))
-        for fid in range(self.vocab.size):
-            ws = " ".join(f"{w:.17g}" for w in self.emit_w[fid])
-            lines.append(f"emit {fid} {ws}")
-        for p in range(N):
-            for q in range(N):
-                if TRANS_LEGAL[p, q]:
-                    lines.append(
-                        f"trans {tagset.LABEL_CHARS[p]} {tagset.LABEL_CHARS[q]} "
-                        f"{self.trans[p, q]:.17g}"
-                    )
-        for l in range(N):
-            if START_LEGAL[l]:
-                lines.append(f"start {tagset.LABEL_CHARS[l]} {self.start[l]:.17g}")
-        for l in range(N):
-            if END_LEGAL[l]:
-                lines.append(f"end {tagset.LABEL_CHARS[l]} {self.end[l]:.17g}")
+        arrays = {"keys": self.vocab.keys(), **weights}
+        for name, dtype in self._RECORDS:
+            raw = np.ascontiguousarray(arrays[name], dtype=dtype).tobytes()
+            lines.append(name + " " + base64.b64encode(raw).decode("ascii"))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def loads(cls, text: str) -> "CrfModel":
         lines = split_lines(text)
-        if not lines or lines[0] != cls.FORMAT_HEADER:
+        if lines[0] == "pauseseg model format 1":
+            raise ParseError("model format 1 is no longer read; retrain the model", line=1)
+        if lines[0] != cls.FORMAT_HEADER:
             raise ParseError("not a pauseseg model file (bad header)", line=1)
+        records = [line.partition(" ")[::2] for line in lines]  # (kind, payload)
+        records += [("", "")] * (len(cls._RECORDS) + 1)  # a missing record reads as blank
         templates: list[tuple[str, tuple[int, ...]]] = []
-        items: list[tuple[str, int]] = []
-        item_lines: list[int] = []
-        vocab_size = vocab_size_line = None
-        emit_rows: dict[int, list[float]] = {}
-        trans = np.where(TRANS_LEGAL, np.nan, NEG_INF)
-        start = np.where(START_LEGAL, np.nan, NEG_INF)
-        end = np.where(END_LEGAL, np.nan, NEG_INF)
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            kind, _, rest = line.partition(" ")
+        k = 1  # the index of the next line
+        while records[k][0] == "template":
             try:
-                if kind == "template":
-                    parts = rest.split()
-                    templates.append(feat.check_template(parts[0], [int(x) for x in parts[1:]]))
-                elif kind == "vocab_size":
-                    vocab_size, vocab_size_line = int(rest), lineno
-                elif kind == "feature":
-                    fid_str, _, payload = rest.partition(" ")
-                    items.append((json.loads(payload), int(fid_str)))
-                    item_lines.append(lineno)
-                elif kind == "emit":
-                    parts = rest.split()
-                    emit_rows[int(parts[0])] = [float(x) for x in parts[1:]]
-                elif kind == "trans":
-                    p, q, w = rest.split()
-                    trans[tagset.LABEL_CHARS.index(p), tagset.LABEL_CHARS.index(q)] = float(w)
-                elif kind == "start":
-                    l, w = rest.split()
-                    start[tagset.LABEL_CHARS.index(l)] = float(w)
-                elif kind == "end":
-                    l, w = rest.split()
-                    end[tagset.LABEL_CHARS.index(l)] = float(w)
-                else:
-                    raise ValueError(f"unknown record {kind!r}")
-            except (ValueError, IndexError, json.JSONDecodeError) as exc:
-                raise ParseError(f"bad model line: {exc}", line=lineno) from exc
-        if vocab_size is None:
-            raise ParseError("missing vocab_size record")
+                name, *offsets = records[k][1].split()
+                templates.append(feat.check_template(name, [int(x) for x in offsets]))
+                if name in dict(templates[:-1]):
+                    raise ValueError(f"template {name!r} repeats")
+            except ValueError as exc:
+                raise ParseError(f"bad template: {exc}", line=k + 1) from exc
+            k += 1
+
+        def payload(name: str) -> str:
+            kind, rest = records[k]
+            if kind != name:
+                raise ParseError(f"expected the {name} record", line=k + 1)
+            return rest
+
         try:
-            vocab = feat.FeatureVocabulary.restore(tuple(templates), items, vocab_size)
-        except feat.BadFeature as exc:
-            raise ParseError(f"bad feature: {exc}", line=item_lines[exc.index]) from exc
+            size = int(payload("vocab_size"))
+            if size < 1:
+                raise ValueError(f"vocabulary size {size} is below 1")
         except ValueError as exc:
-            raise ParseError(f"bad vocabulary: {exc}", line=vocab_size_line) from exc
-        emit_w = np.zeros((vocab_size, N))
-        for fid, row in emit_rows.items():
-            if not 0 <= fid < vocab_size or len(row) != N:
-                raise ParseError(f"bad emission row for feature {fid}")
-            emit_w[fid] = row
-        if len(emit_rows) != vocab_size:
-            raise ParseError(
-                f"expected {vocab_size} emission rows, found {len(emit_rows)}"
-            )
-        for arr in (trans, start, end):
-            if np.isnan(arr).any():
-                raise ParseError("missing transition/start/end weights")
-        return cls(vocab, emit_w, trans, start, end)
+            raise ParseError(f"bad vocab_size: {exc}", line=k + 1) from exc
+        k += 1
+        shapes = {"keys": (size - 1,), "emit": (size, N), "trans": (N, N), "start": (N,), "end": (N,)}
+        arrays: dict[str, np.ndarray] = {}
+        for name, dtype in cls._RECORDS:
+            try:
+                raw = base64.b64decode(payload(name), validate=True)
+            except ValueError as exc:
+                raise ParseError(f"bad {name} record: {exc}", line=k + 1) from exc
+            shape = shapes[name]
+            if len(raw) != 8 * math.prod(shape):
+                raise ParseError(
+                    f"{name} record holds {len(raw)} bytes, expected {8 * math.prod(shape)}",
+                    line=k + 1,
+                )
+            arr = np.frombuffer(raw, dtype).reshape(shape).astype(dtype[1:])  # native, writable
+            if name == "keys":
+                try:
+                    vocab = feat.FeatureVocabulary.from_keys(tuple(templates), arr)
+                except ValueError as exc:
+                    raise ParseError(f"bad key: {exc}", line=k + 1) from exc
+            elif np.isnan(arr).any():
+                raise ParseError(f"{name} record holds a NaN weight", line=k + 1)
+            elif name in cls._LEGAL and (arr[~cls._LEGAL[name]] != NEG_INF).any():
+                raise ParseError(f"illegal {name} entries must be -inf", line=k + 1)
+            arrays[name] = arr
+            k += 1
+        extra = next((j for j in range(k, len(lines)) if lines[j].strip()), None)
+        if extra is not None:
+            raise ParseError("unexpected line after the end record", line=extra + 1)
+        return cls(vocab, arrays["emit"], arrays["trans"], arrays["start"], arrays["end"])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -56,6 +56,10 @@ class SentenceMismatch(PausesegError):
     """Two corpora that must share the same sentences do not."""
 
 
+class WhitespaceInWord(PausesegError, ValueError):
+    """A word holds whitespace, which the space-separated gold format cannot write."""
+
+
 class InvalidConfig(PausesegError, ValueError):
     """A setting (training, threshold, frame offset) has the wrong type or is out of range."""
 

@@ -8,9 +8,9 @@ in 21-bit fields, with BOS and EOS as the codes just past the last Unicode
 code point. Keys are computed for whole sentences or corpora at once.
 
 Feature strings, ``"<template name>=<chars>"`` with the characters of a
-multi-character template joined by U+001F, exist only in the model file
-(``FeatureVocabulary.items`` / ``restore``); ``extract_features`` is their
-reference definition.
+multi-character template joined by U+001F, are only read, by
+``FeatureVocabulary.feature_key``; ``extract_features`` is their reference
+definition.
 """
 
 from __future__ import annotations
@@ -84,22 +84,14 @@ def check_template(name: str, offsets) -> tuple[str, tuple[int, ...]]:
     return name, offsets
 
 
-class BadFeature(ValueError):
-    """A serialized feature no vocabulary can hold; ``index`` is its place in the list."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
 class FeatureVocabulary:
-    """Dense feature-to-id mapping with one reserved UNK id per template.
+    """Dense feature-to-id mapping; id 0 is shared by every unseen feature.
 
-    Ids 0..T-1 are the per-template UNK fallbacks; real features start at T,
-    numbered in order of first occurrence (sentence, then position, then
-    template). ``add_sentence`` / ``add_corpus`` insert features until the
-    vocabulary is frozen; ``encode`` then maps unseen features to the UNK id
-    of their template.
+    Real features start at id 1, numbered in order of first occurrence
+    (sentence, then position, then template). ``add_sentence`` /
+    ``add_corpus`` insert features until the vocabulary is frozen;
+    ``encode`` then maps unseen features to id 0, whose weights training
+    never changes from 0.
     """
 
     def __init__(self, templates: tuple[tuple[str, tuple[int, ...]], ...] = DEFAULT_TEMPLATES):
@@ -118,11 +110,18 @@ class FeatureVocabulary:
                 u = np.searchsorted(self._offsets, off)
                 self._pack[u, t] += 1 << CODE_BITS * (len(offs) - 1 - k)
         self._base = np.arange(T, dtype=np.int64) << 2 * CODE_BITS
-        self._unk = np.arange(T, dtype=np.int64)
+        # per template, the offset each code field (high, low) is read at and
+        # whether the template uses that field; row T stands in for keys that
+        # name no template
+        self._field_used = np.zeros((T + 1, 2), dtype=bool)
+        self._field_offset = np.zeros((T + 1, 2), dtype=np.int64)
+        for t, (_, offs) in enumerate(self.templates):
+            self._field_used[t, 2 - len(offs) :] = True
+            self._field_offset[t, 2 - len(offs) :] = offs
         # the real features' keys in ascending order, then _NO_KEY; their ids alongside
         self._sorted_keys = np.array([_NO_KEY], dtype=np.int64)
         self._sorted_ids = np.array([-1], dtype=np.int64)
-        self._next = T
+        self._next = 1
         self.frozen = False
 
     @property
@@ -157,6 +156,29 @@ class FeatureVocabulary:
         # the code at every distinct offset, sentinels past the sentence ends
         window = padded[np.minimum(np.maximum(slot[:, None] + self._offsets, first), last)]
         return window @ self._pack + self._base
+
+    def _fireable(self, keys: np.ndarray) -> np.ndarray:
+        """Which of ``keys`` some position of some sentence produces.
+
+        A key names a template and fits its fields: the fields the template
+        does not use are 0, BOS is read only at a negative offset and EOS
+        only at a positive one, and along increasing offsets the codes run
+        BOS..., characters..., EOS..., with equal codes at equal offsets.
+        """
+        T = len(self.templates)
+        t = keys >> 2 * CODE_BITS
+        ok = (keys >= 0) & (t < T)
+        t = np.where(ok, t, T)
+        codes = np.stack([keys >> CODE_BITS & _CODE_MASK, keys & _CODE_MASK], axis=1)
+        used, offset = self._field_used[t], self._field_offset[t]
+        kind = np.where(codes == BOS_CODE, 0, np.where(codes == EOS_CODE, 2, 1))
+        fits = (codes <= EOS_CODE) & ((kind != 0) | (offset < 0)) & ((kind != 2) | (offset > 0))
+        ok &= np.where(used, fits, codes == 0).all(axis=1)
+        step = offset[:, 1] - offset[:, 0]
+        ordered = np.where(
+            step == 0, codes[:, 0] == codes[:, 1], np.sign(step) * (kind[:, 1] - kind[:, 0]) >= 0
+        )
+        return ok & (ordered | ~used[:, 0])
 
     def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of known keys and a mask of the unknown ones, both shaped like ``keys``."""
@@ -229,7 +251,7 @@ class FeatureVocabulary:
         if not self.frozen:
             raise RuntimeError("freeze the vocabulary before encoding")
         ids, unseen = self._lookup(self._keys([sentence]))
-        return np.where(unseen, self._unk, ids)
+        return np.where(unseen, 0, ids)
 
     def encode_corpus(self, sentences: list[str]) -> list[np.ndarray]:
         """``encode`` of each sentence, keyed and looked up at once."""
@@ -239,79 +261,63 @@ class FeatureVocabulary:
         if not sentences:
             return []
         ids, unseen = self._lookup(self._keys(sentences))
-        return self._split(np.where(unseen, self._unk, ids), sentences)
+        return self._split(np.where(unseen, 0, ids), sentences)
 
-    # -- feature strings ----------------------------------------------------
+    # -- feature strings and keys --------------------------------------------
 
     def feature_key(self, feature: str) -> int:
         """The key of a feature string; ValueError if no sentence can produce it."""
         name, eq, body = feature.partition("=")
         t = self._template_index.get(name) if eq else None
-        offsets = () if t is None else self.templates[t][1]
-        codes = None if t is None else _parse_codes(body, offsets)
-        if codes is None or not _can_fire(offsets, codes):
+        codes = None if t is None else _parse_codes(body, self.templates[t][1])
+        key = -1
+        if codes is not None:
+            key = 0
+            for code in codes:
+                key = key << CODE_BITS | code
+            key |= t << 2 * CODE_BITS
+        if not self._fireable(np.array([key], dtype=np.int64))[0]:
             raise ValueError(f"feature {feature!r} matches no template")
-        key = 0
-        for code in codes:
-            key = key << CODE_BITS | code
-        return t << 2 * CODE_BITS | key
+        return key
 
-    def _render(self, key: int) -> str:
-        t = key >> 2 * CODE_BITS
-        name, offsets = self.templates[t]
-        fields = (key >> CODE_BITS & _CODE_MASK, key & _CODE_MASK)
-        parts = [
-            BOS if c == BOS_CODE else EOS if c == EOS_CODE else chr(c)
-            for c in fields[len(fields) - len(offsets) :]
-        ]
-        return name + "=" + SEP.join(parts)
-
-    def feature_id(self, feature: str, template_index: int) -> int:
-        """Id of a feature string, or ``template_index`` (its UNK id) if it is unseen.
+    def feature_id(self, feature: str) -> int:
+        """Id of a feature string, or 0 (the id every unseen feature shares) if it is unseen.
 
         ValueError if no sentence can produce the feature.
         """
         ids, unseen = self._lookup(np.array([self.feature_key(feature)], dtype=np.int64))
-        return template_index if unseen[0] else int(ids[0])
+        return 0 if unseen[0] else int(ids[0])
 
-    def items(self) -> list[tuple[str, int]]:
-        """Real (non-UNK) features as strings, in id order."""
-        order = np.argsort(self._sorted_ids[:-1])
-        keys, ids = self._sorted_keys[order].tolist(), self._sorted_ids[order].tolist()
-        return [(self._render(key), fid) for key, fid in zip(keys, ids)]
+    def keys(self) -> np.ndarray:
+        """The real features' keys in id order: the key of feature id ``k`` is at ``k - 1``."""
+        out = np.empty(self._next - 1, dtype=np.int64)
+        out[self._sorted_ids[:-1] - 1] = self._sorted_keys[:-1]
+        return out
 
     @classmethod
-    def restore(
-        cls,
-        templates: tuple[tuple[str, tuple[int, ...]], ...],
-        items: list[tuple[str, int]],
-        size: int,
+    def from_keys(
+        cls, templates: tuple[tuple[str, tuple[int, ...]], ...], keys: np.ndarray
     ) -> "FeatureVocabulary":
-        """Rebuild a frozen vocabulary from serialized (feature, id) pairs.
+        """A frozen vocabulary whose features 1, 2, ... have ``keys``, in that order.
 
-        Raises ``BadFeature`` naming the item for an id out of sequence, a
-        feature that matches no template or one that repeats an earlier one.
+        ValueError naming the first feature whose key no sentence can
+        produce, or a feature that repeats an earlier one.
         """
         vocab = cls(templates)
-        expected = len(vocab.templates)
-        seen: dict[int, int] = {}
-        for index, (feature, fid) in enumerate(items):
-            if fid != expected:
-                raise BadFeature(f"non-dense feature id {fid} (expected {expected})", index)
-            try:
-                key = vocab.feature_key(feature)
-            except ValueError as exc:
-                raise BadFeature(str(exc), index) from exc
-            if key in seen:
-                raise BadFeature(f"feature {fid} repeats feature {seen[key]}", index)
-            seen[key] = fid
-            expected += 1
-        if expected != size:
-            raise ValueError(f"vocabulary size {size} does not match {expected} entries")
-        keys = np.array(list(seen), dtype=np.int64)
-        order = np.argsort(keys)
-        vocab._insert(keys[order], np.array(list(seen.values()), dtype=np.int64)[order])
-        vocab._next = expected
+        keys = np.asarray(keys, dtype=np.int64)
+        bad = np.flatnonzero(~vocab._fireable(keys))
+        if len(bad):
+            raise ValueError(f"feature {bad[0] + 1} (key {keys[bad[0]]}) matches no template")
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+        if len(repeats):
+            # a stable sort puts equal keys in id order
+            k = repeats[np.argmin(order[repeats + 1])]
+            raise ValueError(f"feature {order[k + 1] + 1} repeats feature {order[k] + 1}")
+        vocab._sorted_keys = np.append(sorted_keys, _NO_KEY)
+        vocab._sorted_ids = np.append(order + 1, -1)
+        vocab._next = len(keys) + 1
         vocab.freeze()
         return vocab
 
@@ -355,20 +361,6 @@ def _parse_codes(body: str, offsets: tuple[int, ...]) -> list[int] | None:
         else:
             return None
     return codes if body == "" else None
-
-
-def _can_fire(offsets: tuple[int, ...], codes: list[int]) -> bool:
-    """Whether some position of some sentence sees ``codes`` at ``offsets``.
-
-    Along increasing offsets the codes must run BOS..., characters..., EOS...,
-    and equal offsets must see equal codes.
-    """
-    kind = [0 if c == BOS_CODE else 2 if c == EOS_CODE else 1 for c in codes]
-    pairs = sorted(zip(offsets, kind, codes))
-    return all(
-        (o1 == o2 and c1 == c2) or (o1 < o2 and k1 <= k2)
-        for (o1, k1, c1), (o2, k2, c2) in zip(pairs, pairs[1:])
-    )
 
 
 def emission_scores(ids: np.ndarray, emit_w: np.ndarray) -> np.ndarray:

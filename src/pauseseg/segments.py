@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, WhitespaceInWord
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,13 @@ def parse_gold_line(line: str) -> SegmentedSentence | None:
 
 
 def format_gold_line(seg: SegmentedSentence) -> str:
-    return " ".join(seg.words)
+    """The sentence's words joined by spaces; ``WhitespaceInWord`` if one would not read back."""
+    words = seg.words
+    line = " ".join(words)
+    if line.split() != words:
+        word = next(w for w in words if w.split() != [w])
+        raise WhitespaceInWord(f"word {word!r} holds whitespace, which the gold format cannot hold")
+    return line
 
 
 def parse_gold_corpus(text: str) -> list[SegmentedSentence]:
@@ -91,5 +97,6 @@ def read_gold_corpus(path) -> list[SegmentedSentence]:
 
 
 def write_gold_corpus(path, sentences: Iterable[SegmentedSentence]) -> None:
+    text = format_gold_corpus(sentences)  # before the file exists: it may refuse a word
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_gold_corpus(sentences))
+        fh.write(text)

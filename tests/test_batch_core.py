@@ -81,7 +81,8 @@ def ref_loss_and_grad(model, sentence, tags=None, allowed=None):
         t = tagset.parse_tags(tags)
         scatter(uni, bi, 1.0)
         for i, tag in enumerate(t):
-            grad.emit[ids[i], tag] -= 1.0
+            # a row can name the unseen-feature id 0 more than once
+            np.add.at(grad.emit[:, tag], ids[i], -1.0)
         for a, b in zip(t, t[1:]):
             grad.trans[a, b] -= 1.0
         grad.start[t[0]] -= 1.0

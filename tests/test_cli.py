@@ -355,6 +355,19 @@ class TestErrorHandling:
         assert "error[ParseError]" in err
         assert "line 1" in err
 
+    def test_completed_word_holding_whitespace_exits_one(self, workspace, capsys):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        partial = tmp / "partial.txt"
+        partial.write_text("一\u3000二|三\n", encoding="utf-8")
+        out = tmp / "completed.txt"
+        assert run("complete", model_path, partial, "-o", out) == 1
+        err = capsys.readouterr().err
+        assert "error[WhitespaceInWord]" in err
+        assert "\\u3000" in err
+        assert not out.exists()
+
     def test_unreadable_model_reports_parse_error(self, workspace, capsys):
         tmp, gold = workspace
         bad = tmp / "bad_model.txt"

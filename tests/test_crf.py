@@ -1,3 +1,4 @@
+import base64
 import math
 import random
 
@@ -20,6 +21,7 @@ from pauseseg.errors import (
 )
 
 NEG_INF = float("-inf")
+CODE_BITS = features.CODE_BITS
 
 
 def zero_model(text="abcdef"):
@@ -537,7 +539,7 @@ def dense_train(examples, config):
 
 
 def assert_models_close(got, want, rtol, atol):
-    np.testing.assert_array_equal(got.vocab.items(), want.vocab.items())
+    np.testing.assert_array_equal(got.vocab.keys(), want.vocab.keys())
     for name in ("emit_w", "trans", "start", "end"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=rtol, atol=atol)
 
@@ -589,6 +591,52 @@ class TestLazyUpdate:
         assert_models_close(model, dense_train(examples, cfg), rtol=1e-10, atol=1e-15)
 
 
+class PerTemplateUnseenIds(features.FeatureVocabulary):
+    """The former numbering: ids 0..T-1 are each template's unseen id, real features follow."""
+
+    def __init__(self, templates=features.DEFAULT_TEMPLATES):
+        super().__init__(templates)
+        self._next = len(self.templates)
+
+    def encode_corpus(self, sentences):
+        ids, unseen = self._lookup(self._keys(sentences))
+        return self._split(np.where(unseen, np.arange(len(self.templates)), ids), sentences)
+
+    def encode(self, sentence):
+        return self.encode_corpus([sentence])[0]
+
+
+@pytest.mark.parametrize("l2", [0.01, 2.0])  # 2.0: decay below 0, so the scale turns negative
+def test_unseen_rows_never_train(monkeypatch, l2):
+    # one shared unseen id in place of one per template changes no trained weight
+    from pauseseg.segments import SegmentedSentence
+
+    examples = random_examples(8, 40, partial_every=4)
+    dev = [SegmentedSentence.from_words(w) for w in (["ab", "xyz"], ["k", "ab", "c"], ["q"])]
+    cfg = TrainConfig(epochs=4, learning_rate=0.2, l2=l2, batch_chars=30, seed=3)
+    got = crf.train(examples, cfg, dev=dev)
+    monkeypatch.setattr(features, "FeatureVocabulary", PerTemplateUnseenIds)
+    want = crf.train(examples, cfg, dev=dev)
+    T = len(features.DEFAULT_TEMPLATES)
+    assert want.vocab.size == got.vocab.size + T - 1
+    assert not want.emit_w[:T].any() and not got.emit_w[0].any()
+    assert got.emit_w[1:].tobytes() == want.emit_w[T:].tobytes()
+    for name in ("trans", "start", "end"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert crf.viterbi_batch([s.chars for s in dev], got) == crf.viterbi_batch(
+        [s.chars for s in dev], want)
+
+
+def with_first_key(key):
+    """An edit of a keys array that makes ``key`` the key of feature 1."""
+
+    def edit(keys):
+        keys[0] = key
+        return keys
+
+    return edit
+
+
 class TestSerialization:
     def test_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(101)
@@ -605,7 +653,7 @@ class TestSerialization:
         assert crf.viterbi(s, m2) == crf.viterbi(s, m)
 
     def test_line_separator_characters_round_trip(self, tmp_path):
-        # U+0085, U+2028 and U+2029 stay raw in a JSON string but end a line for splitlines()
+        # U+0085, U+2028 and U+2029 end a line for splitlines(), not for the model reader
         m = oracle.make_model(np.random.default_rng(107), ["a\x85b\u2028c\u2029d"])
         path = tmp_path / "model.txt"
         m.save(path)
@@ -615,19 +663,16 @@ class TestSerialization:
         rng = np.random.default_rng(103)
         m = oracle.make_model(rng, ["abcd"])
         m2 = CrfModel.loads(m.dumps())
-        # "xyz" hits unknown-feature ids; both models must agree
+        # "xyz" hits the unseen-feature id 0; both models must agree
         assert crf.log_partition("xyz", m2) == crf.log_partition("xyz", m)
 
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
             CrfModel.loads("something else\n")
 
-    def test_truncated_file_rejected(self):
-        m = zero_model("ab")
-        text = m.dumps()
-        lines = [l for l in text.splitlines() if not l.startswith("emit 0 ")]
-        with pytest.raises(ParseError):
-            CrfModel.loads("\n".join(lines))
+    def test_format_1_is_refused_at_line_1(self):
+        with pytest.raises(ParseError, match=r"format 1 is no longer read.*\(line 1\)"):
+            CrfModel.loads("pauseseg model format 1\ntemplate U0 0\nvocab_size 1\nemit 0 0 0 0 0\n")
 
     def test_nan_weights_refused_on_save(self):
         m = zero_model("ab")
@@ -635,35 +680,103 @@ class TestSerialization:
         with pytest.raises(ValueError):
             m.dumps()
 
-    def test_garbled_line_reports_location(self):
+    def test_illegal_entry_that_is_not_neg_inf_refused_on_save(self):
         m = zero_model("ab")
-        text = m.dumps().replace("vocab_size", "vocab_size x")
-        with pytest.raises(ParseError):
-            CrfModel.loads(text)
+        m.trans[0, 0] = 0.0  # B -> B
+        with pytest.raises(ValueError, match="illegal trans"):
+            m.dumps()
+
+    def test_save_twice_gives_identical_bytes(self, tmp_path):
+        m = oracle.make_model(np.random.default_rng(109), ["abcab", "xyz"])
+        m.save(tmp_path / "a.model")
+        m.save(tmp_path / "b.model")
+        assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+    def test_round_trip_at_ten_thousand_features_is_bitwise(self):
+        rng = np.random.default_rng(113)
+        alphabet = [chr(0x4E00 + k) for k in range(400)] + [chr(0x1F600), chr(0x10FFFF), "\x1f"]
+        corpus = ["".join(rng.choice(alphabet, size=rng.integers(1, 30))) for _ in range(200)]
+        vocab = features.FeatureVocabulary()
+        vocab.add_corpus(corpus)
+        vocab.freeze()
+        assert vocab.size > 10_000
+        emit_w = rng.normal(size=(vocab.size, 4)) * 10.0 ** rng.integers(-300, 300, (vocab.size, 4))
+        emit_w[1, :] = [0.0, -0.0, np.inf, 5e-324]
+        m = CrfModel(vocab, emit_w)
+        text = m.dumps()
+        m2 = CrfModel.loads(text)
+        np.testing.assert_array_equal(m2.vocab.keys(), vocab.keys())
+        for name in ("emit_w", "trans", "start", "end"):
+            assert getattr(m2, name).tobytes() == getattr(m, name).tobytes()
+        assert m2.dumps() == text
+        for sentence in corpus[:20] + ["\u4e00\u4e01xyz"]:
+            np.testing.assert_array_equal(m2.vocab.encode(sentence), vocab.encode(sentence))
 
     @staticmethod
     def edited(prefix, new_line):
-        """A model text whose line starting ``prefix`` is ``new_line``, and that line's number."""
-        lines = zero_model("ab").dumps().splitlines()
+        """zero_model("ab")'s text with its line starting ``prefix`` replaced, and its number.
+
+        ``new_line`` None deletes the line. It may be a function of the
+        record's array; it then returns the array to write in its place.
+        """
+        m = zero_model("ab")
+        lines = m.dumps().splitlines()
         k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
-        lines[k] = new_line
+        kind = prefix.split(" ")[0]
+        if callable(new_line):
+            dtype = dict(CrfModel._RECORDS)[kind]
+            arrays = {"keys": m.vocab.keys(), "emit": m.emit_w, "trans": m.trans,
+                      "start": m.start, "end": m.end}
+            arr = new_line(np.array(arrays[kind], dtype=dtype))
+            new_line = kind + " " + base64.b64encode(arr.tobytes()).decode("ascii")
+        if new_line is None:
+            del lines[k]
+        else:
+            lines[k] = new_line
         return "\n".join(lines) + "\n", k + 1
 
-    @pytest.mark.parametrize(
-        "prefix, new_line",
-        [
-            ("feature 9 ", 'feature 9 "nonsense"'),  # matches no template
-            ("feature 9 ", 'feature 9 "U0=⟨BOS⟩"'),  # a character position is never BOS
-            ("feature 10 ", 'feature 10 "U-2=⟨BOS⟩"'),  # repeats feature 9
-            ("feature 9 ", 'feature 90 "U-2=⟨BOS⟩"'),  # id out of sequence
-            ("template B0 ", "template B0 0 1 2"),  # more than two offsets
-        ],
-    )
-    def test_line_that_can_never_fire_is_named(self, prefix, new_line):
-        assert 'feature 9 "U-2=⟨BOS⟩"' in zero_model("ab").dumps().splitlines()
-        text, line = self.edited(prefix, new_line)
+    def test_truncated_file_rejected(self):
+        text, line = self.edited("emit ", lambda emit: emit)
+        cut = text.index("\nemit ") + 40  # inside the emit record
         with pytest.raises(ParseError, match=rf"\(line {line}\)"):
+            CrfModel.loads(text[:cut])
+
+    def test_garbled_line_reports_location(self):
+        text, line = self.edited("vocab_size ", "vocab_size x")
+        with pytest.raises(ParseError, match=rf"vocab_size.*\(line {line}\)"):
             CrfModel.loads(text)
+
+    @pytest.mark.parametrize(
+        "prefix, new_line, message",
+        [
+            # template index 9 of 9
+            ("keys ", with_first_key(9 << 2 * CODE_BITS), "feature 1 .*matches no template"),
+            # "U0=⟨BOS⟩": a character position is never BOS
+            ("keys ", with_first_key(2 << 2 * CODE_BITS | features.BOS_CODE),
+             "feature 1 .*matches no template"),
+            ("keys ", lambda keys: np.append(keys[:-1], keys[0]), "repeats feature 1"),
+            ("template B0 ", "template B0 0 1 2", "at most 2"),
+            ("template U-1 ", "template U-2 -1", "repeats"),
+            ("trans ", None, "expected the trans record"),
+            ("emit ", lambda emit: emit[:-1], "emit record holds"),
+            ("keys ", "keys AAAA!AAAAAAAAAA=", "bad keys record"),
+            ("end ", "end AAAAAAAAAAA\u00e9", "bad end record"),
+            ("trans ", lambda trans: np.where(trans == NEG_INF, 0.0, trans), "illegal trans"),
+            ("emit ", lambda emit: np.where(emit == 0.0, np.nan, emit), "NaN"),
+        ],
+        ids=["no-template", "bos-at-offset-0", "repeated-key", "three-offsets",
+             "repeated-template", "missing-record", "wrong-length", "not-base64",
+             "not-ascii", "illegal-transition-not-neg-inf", "nan-weight"],
+    )
+    def test_bad_record_is_named(self, prefix, new_line, message):
+        text, line = self.edited(prefix, new_line)
+        with pytest.raises(ParseError, match=rf"{message}.*\(line {line}\)"):
+            CrfModel.loads(text)
+
+    def test_line_after_the_end_record_is_named(self):
+        text = zero_model("ab").dumps()
+        with pytest.raises(ParseError, match=rf"\(line {len(text.splitlines()) + 1}\)"):
+            CrfModel.loads(text + "emit AAAA\n")
 
     def test_illegal_entries_reconstructed_as_neg_inf(self):
         m = zero_model("ab")

@@ -2,9 +2,11 @@
 
 ``RefVocabulary`` below is the string-keyed vocabulary the integer keys
 replaced: one ``extract_features`` string per character and template,
-looked up in a dict. The real vocabulary must assign exactly its ids and
-render exactly its strings.
+looked up in a dict. The real vocabulary must assign exactly its ids, and
+its keys must be the ``feature_key`` of exactly its strings.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ class RefVocabulary:
     def __init__(self, templates=features.DEFAULT_TEMPLATES):
         self.templates = templates
         self.index: dict[str, int] = {}
-        self.size = len(templates)
+        self.size = 1  # id 0: every unseen feature
         self.frozen = False
 
     def ids(self, sentence):
@@ -29,12 +31,14 @@ class RefVocabulary:
                 if f not in self.index and not self.frozen:
                     self.index[f] = self.size
                     self.size += 1
-                row.append(self.index.get(f, t))
+                row.append(self.index.get(f, 0))
             rows.append(row)
         return np.array(rows, dtype=np.int64).reshape(len(sentence), len(self.templates))
 
-    def items(self):
-        return sorted(self.index.items(), key=lambda kv: kv[1])
+    def keys(self, vocab):
+        """The keys ``vocab`` gives the features, in id order."""
+        features_in_id_order = sorted(self.index, key=self.index.get)
+        return np.array([vocab.feature_key(f) for f in features_in_id_order], dtype=np.int64)
 
 
 # characters that stress the keys: the separator, the sentinels' text,
@@ -86,19 +90,18 @@ def test_separator_prevents_feature_collisions():
     assert f1 != f2
 
 
-def test_unknown_ids_are_reserved_per_template():
+def test_unseen_features_share_id_0():
     vocab = FeatureVocabulary()
-    assert vocab.size == len(features.DEFAULT_TEMPLATES)
+    assert vocab.size == 1
     vocab.add_sentence("ab")
     vocab.freeze()
+    seen = {f for i in range(2) for f in features.extract_features("ab", i)}
     ids = vocab.encode("xy")  # nothing shared with "ab" except sentinels
-    n_templates = len(features.DEFAULT_TEMPLATES)
     for pos in range(2):
-        for t in range(n_templates):
-            fid = ids[pos, t]
-            feat = features.extract_features("xy", pos)[t]
-            if vocab.feature_id(feat, t) == t:
-                assert fid == t  # the template's unknown id
+        for t, feat in enumerate(features.extract_features("xy", pos)):
+            assert ids[pos, t] == vocab.feature_id(feat)
+            assert (ids[pos, t] == 0) == (feat not in seen)
+    assert (ids == 0).sum() > len(vocab.templates)  # one id for unseen features of every template
 
 
 def test_vocabulary_growth_and_freeze():
@@ -133,25 +136,28 @@ def test_encode_requires_frozen_vocab():
         vocab.encode("ab")
 
 
-def test_restore_round_trip():
+def test_from_keys_round_trip():
     vocab = FeatureVocabulary()
     vocab.add_sentence("abc")
     vocab.freeze()
-    restored = FeatureVocabulary.restore(
-        vocab.templates, list(vocab.items()), vocab.size
-    )
+    restored = FeatureVocabulary.from_keys(vocab.templates, vocab.keys())
+    assert restored.frozen
     assert restored.size == vocab.size
+    np.testing.assert_array_equal(restored.keys(), vocab.keys())
     assert np.array_equal(restored.encode("abc"), vocab.encode("abc"))
     assert np.array_equal(restored.encode("xyz"), vocab.encode("xyz"))
 
 
-def test_restore_rejects_sparse_ids():
+def test_from_keys_names_the_first_key_it_cannot_hold():
     vocab = FeatureVocabulary()
     vocab.add_sentence("ab")
-    vocab.freeze()
-    items = list(vocab.items())[:-1]  # drop one feature
-    with pytest.raises(ValueError):
-        FeatureVocabulary.restore(vocab.templates, items, vocab.size)
+    keys = vocab.keys()
+    with pytest.raises(ValueError, match="feature 5 repeats feature 2"):
+        FeatureVocabulary.from_keys(vocab.templates, np.insert(keys, 4, keys[1]))
+    bad = keys.copy()
+    bad[[2, 6]] = -1
+    with pytest.raises(ValueError, match=r"feature 3 \(key -1\) matches no template"):
+        FeatureVocabulary.from_keys(vocab.templates, bad)
 
 
 def test_emission_scores_sum_feature_weights():
@@ -165,8 +171,8 @@ def test_emission_scores_sum_feature_weights():
     assert E.shape == (2, 4)
     assert np.all(E == 0.0)
 
-    fid = vocab.feature_id("U0=a", 2)
-    assert fid >= len(features.DEFAULT_TEMPLATES)
+    fid = vocab.feature_id("U0=a")
+    assert fid >= 1
     model.emit_w[fid, 0] = 1.5
     E = features.emission_scores(vocab.encode("ab"), model.emit_w)
     assert E[0, 0] == 1.5  # position 0 fires U0=a
@@ -188,20 +194,18 @@ def test_emission_scores_are_linear_in_weights():
 
 
 def test_scores_survive_id_permutation():
-    # Renumbering the real features (unknown ids stay put) while permuting
-    # the weight rows the same way cannot change any score.
+    # Renumbering the real features (the unseen id 0 stays put) while
+    # permuting the weight rows the same way cannot change any score.
     vocab = FeatureVocabulary()
     vocab.add_sentence("abcab")
     vocab.freeze()
-    n_unk = len(vocab.templates)
     rng = np.random.default_rng(9)
     perm = np.arange(vocab.size)
-    perm[n_unk:] = n_unk + rng.permutation(vocab.size - n_unk)
+    perm[1:] = 1 + rng.permutation(vocab.size - 1)
 
-    moved_items = sorted((int(perm[fid]), feature) for feature, fid in vocab.items())
-    shuffled = FeatureVocabulary.restore(
-        vocab.templates, [(feature, fid) for fid, feature in moved_items], vocab.size
-    )
+    moved_keys = np.empty_like(vocab.keys())
+    moved_keys[perm[1:] - 1] = vocab.keys()
+    shuffled = FeatureVocabulary.from_keys(vocab.templates, moved_keys)
 
     w = rng.normal(size=(vocab.size, 4))
     w_perm = np.empty_like(w)
@@ -223,12 +227,12 @@ def test_ids_match_the_string_keyed_reference(added, probes):
     for text, ids in zip(added, want):
         np.testing.assert_array_equal(vocab.add_sentence(text), ids)
     assert vocab.size == ref.size
-    assert vocab.items() == ref.items()
+    np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
 
     at_once = FeatureVocabulary()
     for got, ids in zip(at_once.add_corpus(added), want, strict=True):
         np.testing.assert_array_equal(got, ids)
-    assert at_once.items() == ref.items()
+    np.testing.assert_array_equal(at_once.keys(), ref.keys(vocab))
 
     vocab.freeze()
     ref.frozen = True
@@ -251,7 +255,7 @@ def test_add_corpus_in_runs_numbers_like_the_reference(monkeypatch, run_chars):
         for got, text in zip(vocab.add_corpus(sentences), sentences, strict=True):
             np.testing.assert_array_equal(got, ref.ids(text))
     assert vocab.size == ref.size
-    assert vocab.items() == ref.items()
+    np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
 
 
 def test_add_corpus_copies_each_feature_log_runs_times(monkeypatch):
@@ -298,11 +302,11 @@ def test_feature_id_only_looks_up():
     vocab = FeatureVocabulary()
     vocab.add_sentence("ab")
     size = vocab.size
-    assert vocab.feature_id("U0=z", 2) == 2  # unseen: the template's UNK id
-    assert vocab.feature_id("U0=a", 2) >= len(vocab.templates)
+    assert vocab.feature_id("U0=z") == 0  # unseen
+    assert vocab.feature_id("U0=a") >= 1
     assert vocab.size == size
     with pytest.raises(ValueError):
-        vocab.feature_id("U0=ab", 2)
+        vocab.feature_id("U0=ab")
 
 
 def test_feature_strings_that_cannot_fire_have_no_key():
@@ -312,3 +316,49 @@ def test_feature_strings_that_cannot_fire_have_no_key():
                     f"B-2=a{SEP}{BOS}", f"B+1={EOS}{SEP}a", "B0=ab", f"B0=a{SEP}"]:
         with pytest.raises(ValueError):
             vocab.feature_key(feature)
+
+
+def test_key_check_accepts_exactly_the_keys_some_sentence_fires():
+    # every template shape: one and two offsets, either order, equal offsets, none
+    templates = features.DEFAULT_TEMPLATES + (
+        ("R", (1, -1)), ("E", (0, 0)), ("F", (-1, -1)), ("L", (2, 0)), ("Z", ()),
+    )
+    vocab = FeatureVocabulary(templates)
+    fired = {
+        f
+        for n in range(1, 6)
+        for sentence in map("".join, itertools.product("ab", repeat=n))
+        for i in range(n)
+        for f in features.extract_features(sentence, i, templates)
+    }
+    names = {BOS: features.BOS_CODE, EOS: features.EOS_CODE, "a": ord("a"), "b": ord("b")}
+    keys, strings = [], []
+    for t, (name, offsets) in enumerate(templates):
+        for parts in itertools.product(names, repeat=len(offsets)):
+            key = 0  # a one-offset template keeps its code in the low field
+            for part in parts:
+                key = key << features.CODE_BITS | names[part]
+            keys.append(t << 2 * features.CODE_BITS | key)
+            strings.append(name + "=" + SEP.join(parts))
+    accepted = vocab._fireable(np.array(keys, dtype=np.int64))
+    assert accepted.sum() > 0 and not accepted.all()
+    for key, string, ok in zip(keys, strings, accepted):
+        assert ok == (string in fired), string
+        if ok:
+            assert vocab.feature_key(string) == key
+        else:
+            with pytest.raises(ValueError):
+                vocab.feature_key(string)
+
+    high = 1 << features.CODE_BITS
+    junk = [
+        -1,
+        -(1 << 62),
+        len(templates) << 2 * features.CODE_BITS,  # no such template
+        np.iinfo(np.int64).max,
+        2 << 2 * features.CODE_BITS | high | ord("a"),  # "U0" with a nonzero high field
+        2 << 2 * features.CODE_BITS | features.EOS_CODE + 1,  # a code past EOS
+        7 << 2 * features.CODE_BITS | (features.EOS_CODE + 1) * high | ord("a"),
+        (len(templates) - 1) << 2 * features.CODE_BITS | 1,  # "Z" holds no code
+    ]
+    assert not vocab._fireable(np.array(junk, dtype=np.int64)).any()

@@ -183,8 +183,7 @@ class TestRunPartialCrf:
         model = pipeline.run_partial_crf(TINY_GOLD, target, cfg)
         assert np.isfinite(model.emit_w).all()
         # target characters entered the vocabulary
-        fid = model.vocab.feature_id("U0=六", 2)
-        assert fid >= len(features.DEFAULT_TEMPLATES)
+        assert model.vocab.feature_id("U0=六") >= 1
 
 
 class TestMinePartials:

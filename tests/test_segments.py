@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +73,19 @@ class TestGoldFormat:
         for breaker in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
             corpus = segments.parse_gold_corpus(f"一{breaker}二 三\r\n四\r\n")
             assert [s.chars for s in corpus] == ["一二三", "四"]
+
+    @pytest.mark.parametrize("space", ["\x1c", "\u3000", " "])
+    def test_word_holding_whitespace_is_refused(self, space, tmp_path):
+        # the reader would split the word, so the writer must not write it
+        for bad, words in [("a" + space + "b", ["a" + space + "b", "c"]),
+                           (space, ["a", space]),
+                           ("a" + space, ["c", "a" + space])]:
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                segments.format_gold_corpus([SegmentedSentence.from_words(words)])
+        path = tmp_path / "corpus.txt"
+        with pytest.raises(ValueError):
+            segments.write_gold_corpus(path, [SegmentedSentence.from_words(["a" + space + "b"])])
+        assert not path.exists()
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(
