@@ -4,8 +4,9 @@ All dynamic programming runs in log space on float64 arrays, over padded
 batches of sentences. Hard constraints are uniform: illegal transitions,
 illegal start/end labels and constraint-mask exclusions are -inf score
 entries, so a single forward / backward pair serves the partition
-function, marginals and both losses, and a single Viterbi serves
-(constrained) decoding.
+function, marginals and both losses, and a single Viterbi recursion
+serves (constrained) decoding: over batches for corpora, and on Python
+floats for one sentence.
 """
 
 from __future__ import annotations
@@ -255,14 +256,15 @@ def _allowed_array(mask, n: int) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 # Batched inference core
 #
-# One forward, one backward and one Viterbi recursion serve every caller.
-# They take a batch of sentences padded to ``[B, L, 4]``: row b holds the
-# emissions of a sentence of ``lengths[b]`` characters followed by -inf
-# padding, and constraint-mask exclusions are -inf entries as well. The
-# recursions run on a ``[L, 4, B]`` copy, so that each step is a few
-# vectorised operations over contiguous per-label rows of the batch. No
-# row's arithmetic depends on the other rows, so a sentence gets bitwise
-# the same result alone (B = 1) or in any batch.
+# One forward, one backward and one Viterbi recursion serve every caller
+# (``viterbi`` runs the same Viterbi on Python floats for one sentence,
+# see ``_viterbi_one``). They take a batch of sentences padded to
+# ``[B, L, 4]``: row b holds the emissions of a sentence of ``lengths[b]``
+# characters followed by -inf padding, and constraint-mask exclusions are
+# -inf entries as well. The recursions run on a ``[L, 4, B]`` copy, so
+# that each step is a few vectorised operations over contiguous per-label
+# rows of the batch. No row's arithmetic depends on the other rows, so a
+# sentence gets bitwise the same result alone (B = 1) or in any batch.
 #
 # alpha[i, l, b]: log-sum over prefixes ending at i with label l, including
 # the start weight and emissions up to i. beta[i, l, b]: log-sum over
@@ -494,16 +496,67 @@ def boundary_probability(sentence: str, model: CrfModel, i: int) -> float:
     return float(boundary_probabilities(sentence, model)[i])
 
 
-def _viterbi_strings(ids, model: CrfModel, allowed=None) -> list[str]:
-    """Tag strings of one batch of encoded sentences."""
-    for x in ids:
+def _decoded(sentences, decode) -> list[str]:
+    """Tag strings of the paths ``decode()`` finds for ``sentences``.
+
+    The errors of every Viterbi decode: an empty sentence raises
+    SentenceTooShort before ``decode`` runs, and ``decode()`` returns
+    None when a sentence has no legal path.
+    """
+    for x in sentences:
         if not len(x):
             raise SentenceTooShort("empty sentence")
-    E, lengths = _emission_batch(model, ids, allowed)
-    paths, feasible = _viterbi(E, lengths, model.trans, model.start, model.end)
-    if not feasible.all():
+    paths = decode()
+    if paths is None:
         raise NoLegalPath("constraint mask admits no legal tag sequence")
     return [tagset.tags_to_str(path) for path in paths]
+
+
+def _viterbi_strings(ids, model: CrfModel, allowed=None) -> list[str]:
+    """Tag strings of one batch of encoded sentences."""
+
+    def decode():
+        E, lengths = _emission_batch(model, ids, allowed)
+        paths, feasible = _viterbi(E, lengths, model.trans, model.start, model.end)
+        return paths if feasible.all() else None
+
+    return _decoded(ids, decode)
+
+
+def _viterbi_one(E: list, trans: list, start: list, end: list) -> list[int] | None:
+    """``_viterbi`` of one sentence on Python floats; None when it has no legal path.
+
+    ``E`` is the sentence's [n][4] emission rows (-inf where a mask
+    excludes a label), the weights are nested lists. The additions,
+    maxima and first-maximum tie-breaks are those of ``_viterbi``, in the
+    same order, so the path is the same; it only skips the numpy
+    dispatch that dominates a batch of one.
+    """
+    delta = [e + x for e, x in zip(E[-1], end)]
+    back = []  # back[k][p]: the best label after p, for positions n-1 down to 1
+    for row in reversed(E[:-1]):
+        scores = []
+        best_next = []
+        for e, tp in zip(row, trans):
+            best, arg = tp[0] + delta[0], 0
+            for q in (1, 2, 3):  # every q, legal or not, as ``_viterbi`` does
+                s = tp[q] + delta[q]
+                if s > best:
+                    best, arg = s, q
+            scores.append(e + best)
+            best_next.append(arg)
+        delta = scores
+        back.append(best_next)
+    first = [s + d for s, d in zip(start, delta)]
+    best = max(first)
+    if best == NEG_INF:
+        return None
+    t = first.index(best)
+    path = [t]
+    for best_next in reversed(back):
+        t = best_next[t]
+        path.append(t)
+    return path
 
 
 def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
@@ -511,9 +564,21 @@ def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
 
     Ties are broken toward the lower label id (B<M<E<S) at the earliest
     position where tied paths differ, which makes decoding deterministic.
+    One sentence is decoded on Python floats (``_viterbi_one``); corpora
+    go through ``viterbi_batch`` and the batched core, with the same
+    result for each sentence.
     """
     allowed = _allowed_array(mask, len(sentence))
-    return _viterbi_strings([model.vocab.encode(sentence)], model, [allowed])[0]
+
+    def decode():
+        E = model.emissions(sentence)
+        if allowed is not None:
+            E[~allowed] = NEG_INF
+        weights = model.trans.tolist(), model.start.tolist(), model.end.tolist()
+        path = _viterbi_one(E.tolist(), *weights)
+        return None if path is None else [path]
+
+    return _decoded([sentence], decode)[0]
 
 
 def _viterbi_corpus(corpus, model: CrfModel, allowed=None, encode=None) -> list[str]:

@@ -71,6 +71,13 @@ _TABLE = TransitionTable(
 )
 
 
+# The table as sets of label ids, for checking a parsed sequence in Python.
+_LEGAL_PAIRS = frozenset(zip(*(ids.tolist() for ids in np.nonzero(_TABLE.legal))))
+_LEGAL_FIRST = frozenset(np.flatnonzero(_TABLE.legal_start).tolist())
+_LEGAL_LAST = frozenset(np.flatnonzero(_TABLE.legal_end).tolist())
+_WORD_FINAL = frozenset((int(Label.E), int(Label.S)))
+
+
 def legal_transitions() -> TransitionTable:
     """The constant BMES legality table."""
     return _TABLE
@@ -103,14 +110,18 @@ def tags_to_str(tags: Sequence[int]) -> str:
     return "".join(LABEL_CHARS[t] for t in tags)
 
 
+def _is_legal(t: tuple[int, ...]) -> bool:
+    return (
+        bool(t)
+        and t[0] in _LEGAL_FIRST
+        and t[-1] in _LEGAL_LAST
+        and all(pair in _LEGAL_PAIRS for pair in zip(t, t[1:]))
+    )
+
+
 def is_legal(tags: str | Sequence[int]) -> bool:
     """A sequence is legal iff start, end and every adjacent bigram are legal."""
-    t = parse_tags(tags)
-    if not t:
-        return False
-    if not _TABLE.legal_start[t[0]] or not _TABLE.legal_end[t[-1]]:
-        return False
-    return all(_TABLE.legal[a, b] for a, b in zip(t, t[1:]))
+    return _is_legal(parse_tags(tags))
 
 
 def words_to_labels(seg: SegmentedSentence) -> str:
@@ -127,12 +138,12 @@ def labels_to_words(tags: str | Sequence[int], sentence: str) -> SegmentedSenten
     t = parse_tags(tags)
     if len(t) != len(sentence):
         raise LengthMismatch(f"{len(t)} tags for {len(sentence)} characters")
-    if not is_legal(t):
+    if not _is_legal(t):
         raise IllegalTagSequence(f"illegal tag sequence {tags_to_str(t)!r}")
     spans = []
     start = 0
     for i, tag in enumerate(t):
-        if tag in (Label.E, Label.S):
+        if tag in _WORD_FINAL:
             spans.append((start, i + 1))
             start = i + 1
     return SegmentedSentence(sentence, tuple(spans))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from pauseseg import crf, features, mining, tagset
 from pauseseg.crf import ConstraintMask
+from pauseseg.errors import LengthMismatch, NoLegalPath, SentenceTooShort
 
 NEG_INF = float("-inf")
 N = tagset.N_LABELS
@@ -176,9 +177,66 @@ def test_viterbi_ties_on_the_all_zero_model():
     assert [ref_viterbi(np.repeat(zero, len(s), 0), model.trans, model.start, model.end)
             for s in sentences] == want
     assert crf.viterbi_batch(sentences, model) == want
+    assert [crf.viterbi(s, model) for s in sentences] == want
     # a boundary after character 0 forces S or E there and B or S next
     masks = [mining.build_constraint_mask(s, [0] if len(s) > 1 else []) for s in sentences]
     assert crf.viterbi_batch(sentences, model, masks) == ["SBME", "S", "SS", "SBE", "SBMMME"]
+    assert [crf.viterbi(s, model, m) for s, m in zip(sentences, masks)] == [
+        "SBME", "S", "SS", "SBE", "SBMMME"]
+
+
+# dyadic weights in {-0.25, 0, 0.25}: exact score ties are frequent
+GRID_MODELS = [random_model(seed, grid=0.25) for seed in (19, 23)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_sentence_viterbi_equals_the_batched_core(data):
+    model = data.draw(st.sampled_from(GRID_MODELS))
+    sentence = data.draw(st.text(alphabet=ALPHABET, min_size=1, max_size=9))
+    Em = model.emissions(sentence)
+    mask = None
+    if data.draw(st.booleans()):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mask = oracle.random_mask(rng, len(sentence))
+        Em = np.where(mask, Em, NEG_INF)
+        if data.draw(st.booleans()):
+            mask = ConstraintMask(mask)
+    want = ref_viterbi(Em, model.trans, model.start, model.end)
+    assert crf.viterbi(sentence, model, mask) == want
+    assert crf.viterbi_batch([sentence], model, [mask]) == [want]
+
+
+def test_one_sentence_viterbi_scans_illegal_transitions_like_the_core():
+    # finite illegal entries, larger than the legal ones: the best paths use them
+    model = random_model(29, grid=0.25)
+    model.trans = np.where(crf.TRANS_LEGAL, model.trans, 0.5)
+    model.start = np.where(crf.START_LEGAL, model.start, 0.25)
+    model.end = np.where(crf.END_LEGAL, model.end, 0.25)
+    rng = np.random.default_rng(29)
+    sentences = [oracle.random_sentence(rng, n, ALPHABET) for n in (1, 2, 3, 4, 7, 12)]
+    want = [ref_viterbi(model.emissions(s), model.trans, model.start, model.end)
+            for s in sentences]
+    assert not all(tagset.is_legal(t) for t in want)
+    assert [crf.viterbi(s, model) for s in sentences] == want
+    assert crf.viterbi_batch(sentences, model) == want
+
+
+def test_one_sentence_viterbi_raises_as_the_batched_core_does():
+    model = random_model(31)
+    blocked = np.ones((3, N), dtype=bool)
+    blocked[0] = [False, True, False, False]  # a raw mask: no sentence starts with M
+    cases = [
+        ("abc", blocked, NoLegalPath),
+        ("", None, SentenceTooShort),
+        ("abc", ConstraintMask.all_allowed(2), LengthMismatch),
+        ("abc", np.ones((4, N), dtype=bool), LengthMismatch),
+    ]
+    for sentence, mask, error in cases:
+        with pytest.raises(error):
+            crf.viterbi(sentence, model, mask)
+        with pytest.raises(error):
+            crf.viterbi_batch([sentence], model, [mask])
 
 
 def test_batch_gradient_is_the_sum_of_per_sentence_gradients():

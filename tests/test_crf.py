@@ -659,6 +659,13 @@ class TestSerialization:
         m.save(path)
         assert CrfModel.load(path).dumps() == m.dumps()
 
+    def test_crlf_file_reads_the_same(self):
+        text = oracle.make_model(np.random.default_rng(109), ["abcab", "xyz"]).dumps()
+        assert CrfModel.loads(text.replace("\n", "\r\n")).dumps() == text
+        bad, line = self.edited("end ", "end AAAAAAAAAAA\u00e9")
+        with pytest.raises(ParseError, match=rf"bad end record.*\(line {line}\)"):
+            CrfModel.loads(bad.replace("\n", "\r\n"))
+
     def test_loaded_model_scores_unseen_text_identically(self, tmp_path):
         rng = np.random.default_rng(103)
         m = oracle.make_model(rng, ["abcd"])
@@ -761,12 +768,16 @@ class TestSerialization:
             ("emit ", lambda emit: emit[:-1], "emit record holds"),
             ("keys ", "keys AAAA!AAAAAAAAAA=", "bad keys record"),
             ("end ", "end AAAAAAAAAAA\u00e9", "bad end record"),
+            # a lenient decoder would skip the "!" and read the right bytes
+            ("end ", "end !" + base64.b64encode(
+                np.array([NEG_INF, NEG_INF, 0.0, 0.0], "<f8").tobytes()).decode("ascii"),
+             "bad end record"),
             ("trans ", lambda trans: np.where(trans == NEG_INF, 0.0, trans), "illegal trans"),
             ("emit ", lambda emit: np.where(emit == 0.0, np.nan, emit), "NaN"),
         ],
         ids=["no-template", "bos-at-offset-0", "repeated-key", "three-offsets",
              "repeated-template", "missing-record", "wrong-length", "not-base64",
-             "not-ascii", "illegal-transition-not-neg-inf", "nan-weight"],
+             "not-ascii", "junk-in-base64", "illegal-transition-not-neg-inf", "nan-weight"],
     )
     def test_bad_record_is_named(self, prefix, new_line, message):
         text, line = self.edited(prefix, new_line)

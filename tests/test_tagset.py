@@ -99,6 +99,51 @@ def test_labels_to_words_rejects_illegal_and_mismatched():
         tagset.labels_to_words("BE", "abc")
 
 
+def numpy_is_legal(tags):
+    """``is_legal`` as it was, indexing the numpy table once per bigram."""
+    t = tagset.parse_tags(tags)
+    table = tagset.legal_transitions()
+    if not t:
+        return False
+    if not table.legal_start[t[0]] or not table.legal_end[t[-1]]:
+        return False
+    return all(table.legal[a, b] for a, b in zip(t, t[1:]))
+
+
+def two_pass_labels_to_words(tags, sentence):
+    """``labels_to_words`` as it was, parsing the tags again in ``is_legal``."""
+    t = tagset.parse_tags(tags)
+    if len(t) != len(sentence):
+        raise LengthMismatch(f"{len(t)} tags for {len(sentence)} characters")
+    if not numpy_is_legal(t):
+        raise IllegalTagSequence(f"illegal tag sequence {tagset.tags_to_str(t)!r}")
+    spans = []
+    start = 0
+    for i, tag in enumerate(t):
+        if tag in (Label.E, Label.S):
+            spans.append((start, i + 1))
+            start = i + 1
+    return SegmentedSentence(sentence, tuple(spans))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (IllegalTagSequence, LengthMismatch) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.text(alphabet="BMESX", max_size=6) | st.lists(st.integers(-1, 4), max_size=6),
+    st.sampled_from([0, 0, -1, 1]),
+)
+def test_labels_to_words_matches_the_two_pass_reference(tags, misfit):
+    sentence = "abcdefg"[: max(0, len(tags) + misfit)]
+    assert outcome(tagset.labels_to_words, tags, sentence) == outcome(
+        two_pass_labels_to_words, tags, sentence)
+    assert outcome(tagset.is_legal, tags) == outcome(numpy_is_legal, tags)
+
+
 @given(
     st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=8)
 )
