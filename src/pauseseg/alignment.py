@@ -179,7 +179,7 @@ def alignment_to_json_line(alignment: CharAlignment) -> str:
 
 
 def read_alignments(path) -> list[CharAlignment]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return parse_alignments(fh.read())
 
 
@@ -277,7 +277,7 @@ def read_textgrid(
 ) -> CharAlignment:
     import os
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     utterance_id = os.path.splitext(os.path.basename(str(path)))[0]
     return parse_textgrid(text, utterance_id, tier_name, frame_offset_ms)

@@ -197,7 +197,7 @@ class CrfModel:
 
     @classmethod
     def load(cls, path) -> "CrfModel":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return cls.loads(fh.read())
 
 

@@ -43,8 +43,8 @@ EOS_CODE = 0x110001
 MAX_OFFSETS = 2
 _CODE_MASK = (1 << CODE_BITS) - 1
 _NO_KEY = np.iinfo(np.int64).max  # above every key: ends the sorted key array
-# add_corpus numbers a corpus in runs of about this many characters, which
-# keeps its temporaries (~450 bytes per character) small
+# add_corpus keys a corpus in runs of about this many characters, which keeps
+# the keying's temporaries small; the numbering then takes the corpus at once
 ADD_CHUNK_CHARS = 2048
 
 
@@ -200,49 +200,50 @@ class FeatureVocabulary:
         return self.add_corpus([sentence])[0]
 
     def add_corpus(self, sentences: list[str]) -> list[np.ndarray]:
-        """``add_sentence`` of each sentence in turn, keyed and numbered in runs.
+        """``add_sentence`` of each sentence in turn, with one sort per template.
 
-        A run's new features form a sorted level; levels holding equally many
-        runs are merged, as in a binary counter, and the levels join the
-        vocabulary at the end. Each feature is so copied O(log runs) times.
+        The corpus is keyed (in runs) into one [characters, templates] array.
+        The template index is a key's top field, so each column's distinct
+        keys, concatenated, are all distinct keys in ascending order: they are
+        looked up once, and the unseen ones join the vocabulary in one merge.
         """
         if self.frozen:
             raise RuntimeError("vocabulary is frozen")
         sentences = list(sentences)
-        out: list[np.ndarray] = []
-        levels: list[tuple[int, np.ndarray, np.ndarray]] = []  # (runs, keys, ids)
-        start = chars = 0
+        if not sentences:
+            return []
+        T = len(self.templates)
+        out = np.empty((sum(map(len, sentences)), T), dtype=np.int64)
+        row = start = chars = 0
         for end, sentence in enumerate(sentences, 1):
             chars += len(sentence)
             if chars >= ADD_CHUNK_CHARS or end == len(sentences):
-                out += self._add_run(sentences[start:end], levels)
+                out[row : row + chars] = self._keys(sentences[start:end])
+                row += chars
                 start, chars = end, 0
-                while len(levels) > 1 and levels[-2][0] == levels[-1][0]:
-                    (n, keys_a, ids_a), (_, keys_b, ids_b) = levels.pop(-2), levels.pop()
-                    levels.append((2 * n, *_merge(keys_a, ids_a, keys_b, ids_b)))
-        for _, keys, ids in reversed(levels):  # smallest first
-            self._insert(keys, ids)
-        return out
-
-    def _add_run(
-        self, sentences: list[str], levels: list[tuple[int, np.ndarray, np.ndarray]]
-    ) -> list[np.ndarray]:
-        """Number one run's features, known ones by the vocabulary or ``levels``."""
-        keys, first, inverse = np.unique(
-            self._keys(sentences).ravel(), return_index=True, return_inverse=True
-        )
+        # each column becomes indices into all templates' distinct keys
+        keys, first = [], []
+        offset = 0
+        for t in range(T):
+            distinct, rows, inverse = np.unique(out[:, t], return_index=True, return_inverse=True)
+            out[:, t] = inverse.ravel() + offset
+            offset += len(distinct)
+            keys.append(distinct)
+            first.append(rows * T + t)  # flat position of the first occurrence
+        keys, first = np.concatenate(keys), np.concatenate(first)
         ids, unseen = self._lookup(keys)
-        new = np.flatnonzero(unseen)
-        for _, level_keys, level_ids in levels:
-            found, missing = _search(level_keys, level_ids, keys[new])
-            ids[new[~missing]] = found[~missing]
-            new = new[missing]
-        if len(new):
-            # new ids in order of first occurrence: the model file's feature order
-            ids[new[np.argsort(first[new])]] = np.arange(self._next, self._next + len(new))
-            self._next += len(new)
-            levels.append((1, keys[new], ids[new]))
-        return self._split(ids[inverse.ravel()], sentences)
+        # new ids in order of first occurrence, the model file's feature order;
+        # known keys sort last
+        n_new = int(np.count_nonzero(unseen))
+        first[~unseen] = _NO_KEY
+        ids[np.argsort(first)[:n_new]] = np.arange(self._next, self._next + n_new)
+        self._next += n_new
+        del first  # the merge sets the memory peak: free what it does not use
+        keys = keys[unseen]
+        self._insert(keys, ids[unseen])
+        for t in range(T):  # a column at a time: a whole-corpus temporary raised peak RSS
+            out[:, t] = ids[out[:, t]]
+        return self._split(out, sentences)
 
     # -- lookup -------------------------------------------------------------
 
@@ -254,14 +255,17 @@ class FeatureVocabulary:
         return np.where(unseen, 0, ids)
 
     def encode_corpus(self, sentences: list[str]) -> list[np.ndarray]:
-        """``encode`` of each sentence, keyed and looked up at once."""
+        """``encode`` of each sentence, keyed at once and looked up by its distinct keys."""
         if not self.frozen:
             raise RuntimeError("freeze the vocabulary before encoding")
         sentences = list(sentences)
         if not sentences:
             return []
-        ids, unseen = self._lookup(self._keys(sentences))
-        return self._split(np.where(unseen, 0, ids), sentences)
+        # ravel first: np.unique's inverse takes the input's shape in some numpy versions
+        keys, inverse = np.unique(self._keys(sentences).ravel(), return_inverse=True)
+        ids, unseen = self._lookup(keys)
+        ids[unseen] = 0
+        return self._split(ids[inverse.ravel()], sentences)
 
     # -- feature strings and keys --------------------------------------------
 
@@ -322,20 +326,18 @@ class FeatureVocabulary:
         return vocab
 
 
-def _search(
-    sorted_keys: np.ndarray, sorted_ids: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_lookup`` in a non-empty sorted key array that has no ``_NO_KEY`` end."""
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_ids[pos], sorted_keys[pos] != keys
-
-
 def _merge(
     keys_a: np.ndarray, ids_a: np.ndarray, keys_b: np.ndarray, ids_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two sorted key arrays with no key in common, and their ids, as one."""
-    pos = np.searchsorted(keys_a, keys_b)
-    return np.insert(keys_a, pos, keys_b), np.insert(ids_a, pos, ids_b)
+    n = len(keys_a) + len(keys_b)
+    at_b = np.searchsorted(keys_a, keys_b) + np.arange(len(keys_b))  # b's output positions
+    from_a = np.ones(n, dtype=bool)
+    from_a[at_b] = False
+    keys, ids = np.empty(n, dtype=keys_a.dtype), np.empty(n, dtype=ids_a.dtype)
+    keys[from_a], keys[at_b] = keys_a, keys_b
+    ids[from_a], ids[at_b] = ids_a, ids_b
+    return keys, ids
 
 
 def _parse_codes(body: str, offsets: tuple[int, ...]) -> list[int] | None:

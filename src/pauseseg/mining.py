@@ -17,8 +17,8 @@ import numpy as np
 
 from . import crf, tagset
 from .alignment import Pause
-from .errors import IndexOutOfRange, LengthMismatch, ParseError, UnscoredPause
-from .segments import SegmentedSentence
+from .errors import IndexOutOfRange, LengthMismatch, ParseError, PausesegError, UnscoredPause
+from .segments import SegmentedSentence, split_lines
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -228,6 +228,7 @@ def format_stats_report(stats: PauseStats) -> str:
 
 
 def format_partial_line(partial: PartialSentence) -> str:
+    """The sentence as one partial line; ``PausesegError`` if the line would not read back."""
     bounds = set(partial.boundaries)
     out = []
     for i, ch in enumerate(partial.chars):
@@ -237,7 +238,16 @@ def format_partial_line(partial: PartialSentence) -> str:
             out.append(ch)
         if i in bounds:
             out.append("|")
-    return "".join(out)
+    line = "".join(out)
+    if "\n" in line:
+        problem = "holds a line feed"
+    elif line.endswith("\r"):
+        problem = "ends with a carriage return"  # read as part of a CRLF line end
+    elif not line.strip():
+        problem = "is only whitespace"  # read as a blank line
+    else:
+        return line
+    raise PausesegError(f"sentence {partial.chars!r} {problem}, which a partial line cannot hold")
 
 
 def parse_partial_line(line: str, lineno: int | None = None) -> PartialSentence | None:
@@ -269,19 +279,20 @@ def parse_partial_line(line: str, lineno: int | None = None) -> PartialSentence 
 
 
 def read_partial_corpus(path) -> list[PartialSentence]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = split_lines(fh.read())
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parsed = parse_partial_line(line, lineno)
-            if parsed is not None:
-                out.append(parsed)
+    for lineno, line in enumerate(lines, start=1):
+        parsed = parse_partial_line(line, lineno)
+        if parsed is not None:
+            out.append(parsed)
     return out
 
 
 def write_partial_corpus(path, partials) -> None:
+    text = "".join(format_partial_line(p) + "\n" for p in partials)  # may refuse a sentence
     with open(path, "w", encoding="utf-8") as fh:
-        for p in partials:
-            fh.write(format_partial_line(p) + "\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +343,17 @@ def _pause_from_json(obj, sentence: str, lineno: int) -> Pause:
 
 
 def read_scored_pauses(path) -> list[tuple[str, str, list[Pause]]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = split_lines(fh.read())
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                sentence = str(obj["sentence"])
-                pauses = [_pause_from_json(p, sentence, lineno) for p in obj["pauses"]]
-                out.append((str(obj["utterance_id"]), sentence, pauses))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad scored-pause record: {exc}", line=lineno) from exc
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            sentence = str(obj["sentence"])
+            pauses = [_pause_from_json(p, sentence, lineno) for p in obj["pauses"]]
+            out.append((str(obj["utterance_id"]), sentence, pauses))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad scored-pause record: {exc}", line=lineno) from exc
     return out

@@ -52,7 +52,8 @@ def split_lines(text: str) -> list[str]:
     """Lines of a file's text, ended by LF or CRLF.
 
     Not ``str.splitlines()``, which also breaks at a lone CR, U+000B,
-    U+000C, U+001C-U+001E, U+0085, U+2028 and U+2029 inside a line.
+    U+000C, U+001C-U+001E, U+0085, U+2028 and U+2029 inside a line. Files
+    are read with ``newline=""`` so that ``open`` leaves a lone CR in place.
     """
     return text.replace("\r\n", "\n").split("\n")
 
@@ -92,7 +93,7 @@ def format_gold_corpus(sentences: Iterable[SegmentedSentence]) -> str:
 
 
 def read_gold_corpus(path) -> list[SegmentedSentence]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return parse_gold_corpus(fh.read())
 
 

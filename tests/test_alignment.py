@@ -134,6 +134,16 @@ class TestJsonIO:
         alignment.write_alignments(path, data)
         assert alignment.read_alignments(path) == data
 
+    def test_file_reader_keeps_a_lone_cr_in_its_line(self, tmp_path):
+        # a lone CR is JSON whitespace inside a record, not a line end
+        path = tmp_path / "alignments.jsonl"
+        data = [make_alignment([23]), make_alignment([11, 2])]
+        lines = [alignment.alignment_to_json_line(a) for a in data]
+        for text in (lines[0].replace(", ", ",\r") + "\n" + lines[1] + "\n",
+                     "\r\n".join(lines) + "\r\n"):
+            path.write_bytes(text.encode("utf-8"))
+            assert alignment.read_alignments(path) == alignment.parse_alignments(text) == data
+
     @pytest.mark.parametrize("offset", ["NaN", "0", "-10", "Infinity"])
     def test_bad_frame_offset_rejected_naming_the_line(self, offset):
         good = alignment.alignment_to_json_line(make_alignment([4]))
@@ -226,6 +236,20 @@ class TestTextGrid:
     def test_quoted_tier_name_is_unescaped(self):
         named = TEXTGRID.replace('name = "characters"', 'name = "say ""hi"""')
         assert alignment.parse_textgrid(named, "utt1", tier_name='say "hi"').sentence == "一二三"
+
+    def test_file_reader_keeps_a_lone_cr_in_its_line(self, tmp_path):
+        path = tmp_path / "utt1.TextGrid"
+        # a CR that open() took for a line end would move the error's line number
+        bad = TEXTGRID.replace('text = "ignored"', 'text = "ign\rored"')
+        bad = bad.replace('text = "三"', 'text = "三四"')
+        path.write_bytes(bad.encode("utf-8"))
+        with pytest.raises(ParseError) as want:
+            alignment.parse_textgrid(bad, "utt1")
+        with pytest.raises(ParseError) as got:
+            alignment.read_textgrid(path)
+        assert want.value.line is not None and str(got.value) == str(want.value)
+        path.write_bytes(TEXTGRID.replace("\n", "\r\n").encode("utf-8"))
+        assert alignment.read_textgrid(path) == alignment.parse_textgrid(TEXTGRID, "utt1")
 
     def test_short_format_rejected_as_such(self):
         short = (

@@ -416,6 +416,17 @@ class TestErrorHandling:
         assert "error[InvalidConfig]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_filter_of_a_sentence_a_partial_line_cannot_hold_exits_one(self, workspace, capsys):
+        tmp, _ = workspace
+        scored = tmp / "scored.jsonl"
+        mining.write_scored_pauses(scored, [("u1", "一二三", [alignment.Pause(0, 230.0, 0.97)]),
+                                            ("u2", "四五\r", [])])
+        out = tmp / "partial.txt"
+        assert run("filter", scored, "-o", out) == 1
+        err = capsys.readouterr().err
+        assert "error[PausesegError]" in err and repr("四五\r") in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["ctt", "--threshold", "0.5"],
         ["selftrain", "--threshold", "0.5"],

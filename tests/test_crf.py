@@ -666,6 +666,20 @@ class TestSerialization:
         with pytest.raises(ParseError, match=rf"bad end record.*\(line {line}\)"):
             CrfModel.loads(bad.replace("\n", "\r\n"))
 
+    def test_file_reader_keeps_a_lone_cr_in_its_line(self, tmp_path):
+        # loads ends lines at LF and CRLF only, and so must load, which open() reads
+        text = oracle.make_model(np.random.default_rng(109), ["abcab", "xyz"]).dumps()
+        path = tmp_path / "model.txt"
+        for variant in (text.replace("\n", "\r", 1), text.replace("\nvocab_size", "\rvocab_size")):
+            path.write_bytes(variant.encode("utf-8"))
+            with pytest.raises(ParseError) as want:
+                CrfModel.loads(variant)
+            with pytest.raises(ParseError) as got:
+                CrfModel.load(path)
+            assert str(got.value) == str(want.value)
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        assert CrfModel.load(path).dumps() == text
+
     def test_loaded_model_scores_unseen_text_identically(self, tmp_path):
         rng = np.random.default_rng(103)
         m = oracle.make_model(rng, ["abcd"])

@@ -278,6 +278,61 @@ def test_add_corpus_copies_each_feature_log_runs_times(monkeypatch):
     assert sum(copied) <= vocab.size * (np.log2(runs) + 2)
 
 
+def test_add_corpus_of_nothing_and_of_empty_sentences():
+    vocab = FeatureVocabulary()
+    assert vocab.add_corpus([]) == []
+    assert vocab.size == 1
+    ref = RefVocabulary()
+    corpus = ["", "ab", "", "ba", ""]
+    got = vocab.add_corpus(corpus)
+    assert [ids.shape for ids in got] == [(len(s), len(vocab.templates)) for s in corpus]
+    for ids, text in zip(got, corpus, strict=True):
+        np.testing.assert_array_equal(ids, ref.ids(text))
+    assert vocab.size == ref.size
+    assert [ids.shape for ids in FeatureVocabulary().add_corpus([""])] == [(0, len(vocab.templates))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.sets(st.integers(-(2**62), 2**62)),
+    in_a=st.lists(st.booleans(), max_size=64),
+    seed=st.integers(0, 2**16),
+)
+def test_merge_is_a_sorted_concatenation(keys, in_a, seed):
+    # disjoint sorted halves, either of which may be empty
+    keys = np.array(sorted(keys), dtype=np.int64)
+    side = np.resize(np.array(in_a + [True], dtype=bool), len(keys))
+    ids = np.random.default_rng(seed).permutation(len(keys)).astype(np.int64)
+    full = np.ones(len(keys), dtype=bool)
+    for a, b in ((side, ~side), (~side, side), (full, ~full), (~full, full)):
+        got_keys, got_ids = features._merge(keys[a], ids[a], keys[b], ids[b])
+        assert got_keys.dtype == got_ids.dtype == np.int64
+        np.testing.assert_array_equal(got_keys, keys)
+        np.testing.assert_array_equal(got_ids, ids)
+
+
+def test_encode_corpus_matches_encode():
+    vocab = FeatureVocabulary()
+    vocab.add_corpus(["abcab", "ba", "c"])
+    vocab.freeze()
+    unigrams = FeatureVocabulary((("U0", (0,)),))  # no sentinel features, which every text fires
+    unigrams.add_corpus(["ab"])
+    unigrams.freeze()
+    assert vocab.encode_corpus([]) == []
+    for v, batch in (
+        (vocab, ["abab", "abab", "b", "aaaa", "", "cab"]),  # keys repeated in and across sentences
+        (vocab, ["", ""]),
+        (vocab, ["a" + chr(0x1F600) + "x", "ax", "xyz"]),
+        (unigrams, ["xyz", "zyx", "q"]),  # only unseen keys
+    ):
+        got = v.encode_corpus(batch)
+        assert len(got) == len(batch)
+        for ids, text in zip(got, batch):
+            assert ids.dtype == np.int64
+            np.testing.assert_array_equal(ids, v.encode(text))
+    assert not np.concatenate(unigrams.encode_corpus(["xyz", "zyx", "q"])).any()
+
+
 @settings(max_examples=100, deadline=None)
 @given(added=st.lists(texts(SPECIAL), min_size=1, max_size=5), seed=st.integers(0, 2**16))
 def test_model_text_round_trips_byte_identically(added, seed):

@@ -1,12 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from pauseseg import crf, features, mining, tagset
 from pauseseg.alignment import Pause
-from pauseseg.errors import IndexOutOfRange, ParseError, UnscoredPause
+from pauseseg.errors import IndexOutOfRange, ParseError, PausesegError, UnscoredPause
 from pauseseg.mining import PartialSentence
 from pauseseg.segments import SegmentedSentence
 
@@ -245,6 +247,46 @@ class TestPartialTextFormat:
         assert mining.read_partial_corpus(path) == data
 
 
+    def test_carriage_return_inside_a_sentence_round_trips(self, tmp_path):
+        path = tmp_path / "partial.txt"
+        data = [PartialSentence("a\rbc", ()), PartialSentence("a\rbc", (1,)),
+                PartialSentence("\r\x85\u2028", (0,)), PartialSentence(" a ", ())]
+        mining.write_partial_corpus(path, data)
+        assert mining.read_partial_corpus(path) == data
+
+    @pytest.mark.parametrize("chars", ["ab\r", "a\nb", " ", "\u3000\x85", "\r"])
+    def test_sentence_that_cannot_read_back_is_refused(self, tmp_path, chars):
+        with pytest.raises(PausesegError, match=re.escape(repr(chars))):
+            mining.format_partial_line(PartialSentence(chars, ()))
+        path = tmp_path / "partial.txt"
+        with pytest.raises(PausesegError):
+            mining.write_partial_corpus(path, [PartialSentence("一二", ()), PartialSentence(chars, ())])
+        assert not path.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.data(),
+        st.text(
+            st.one_of(
+                st.sampled_from(["|", "\\", "\r", "\n", " ", "\x85", "\u2028", "\U0001F600"]),
+                st.characters(blacklist_categories=("Cs",)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_partial_sentences_round_trip_or_are_refused(self, tmp_path_factory, data, chars):
+        marks = data.draw(st.lists(st.booleans(), min_size=len(chars) - 1, max_size=len(chars) - 1))
+        partial = PartialSentence(chars, tuple(i for i, mark in enumerate(marks) if mark))
+        path = tmp_path_factory.getbasetemp() / "partial-round-trip.txt"
+        try:
+            mining.write_partial_corpus(path, [partial])
+        except PausesegError as exc:
+            assert repr(chars) in str(exc)
+            return
+        assert mining.read_partial_corpus(path) == [partial]
+
+
 class TestScoredPauseIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scored.jsonl"
@@ -253,6 +295,15 @@ class TestScoredPauseIO:
             ("u2", "四五", []),
         ]
         mining.write_scored_pauses(path, records)
+        assert mining.read_scored_pauses(path) == records
+
+    def test_lone_cr_is_not_a_line_end(self, tmp_path):
+        # JSON whitespace inside a record; CRLF ends a line
+        path = tmp_path / "scored.jsonl"
+        records = [("u1", "一二三", [Pause(0, 230.0, 0.97)]), ("u2", "四五", [])]
+        mining.write_scored_pauses(path, records)
+        first, second, _ = path.read_text(encoding="utf-8").split("\n")
+        path.write_bytes((first.replace(", ", ",\r") + "\r\n" + second + "\n").encode("utf-8"))
         assert mining.read_scored_pauses(path) == records
 
     def test_bad_record_reports_line(self, tmp_path):

@@ -74,6 +74,14 @@ class TestGoldFormat:
             corpus = segments.parse_gold_corpus(f"一{breaker}二 三\r\n四\r\n")
             assert [s.chars for s in corpus] == ["一二三", "四"]
 
+    def test_file_reader_keeps_a_lone_cr_in_its_line(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        for text, sentences in (("a b\rc d\n", 1), ("a b\r\nc d\r\n", 2), ("一 二\r\r\n三\r", 2)):
+            path.write_bytes(text.encode("utf-8"))
+            got = segments.read_gold_corpus(path)
+            assert got == segments.parse_gold_corpus(text)
+            assert len(got) == sentences
+
     @pytest.mark.parametrize("space", ["\x1c", "\u3000", " "])
     def test_word_holding_whitespace_is_refused(self, space, tmp_path):
         # the reader would split the word, so the writer must not write it
