@@ -48,7 +48,6 @@ from .pipeline import (
     run_partial_crf,
     segment_corpus,
     self_train_corpus,
-    self_train_label,
     train_baseline,
 )
 from .segments import SegmentedSentence, read_gold_corpus, write_gold_corpus
@@ -94,7 +93,6 @@ __all__ = [
     "score_sequence",
     "segment_corpus",
     "self_train_corpus",
-    "self_train_label",
     "single_char_word_rate",
     "train",
     "train_baseline",

@@ -110,13 +110,25 @@ def detect_pauses(
 # Files may hold one object, a JSON array of objects, or one object per line.
 
 
+def _char_from_obj(obj) -> tuple[str, int, int]:
+    ch, b, e = obj["c"], obj["b"], obj["e"]
+    if type(ch) is not str or len(ch) != 1:
+        raise ValueError(f"character {ch!r} is not a one-character string")
+    if type(b) is not int or type(e) is not int:
+        raise ValueError(f"frames {b!r}, {e!r} of {ch!r} are not integers")
+    return ch, b, e
+
+
 def _alignment_from_obj(obj, line: int | None = None) -> CharAlignment:
     try:
-        chars = tuple((c["c"], int(c["b"]), int(c["e"])) for c in obj["chars"])
+        chars = tuple(_char_from_obj(c) for c in obj["chars"])
+        frame_offset_ms = obj.get("frame_offset_ms", DEFAULT_FRAME_OFFSET_MS)
+        if type(frame_offset_ms) not in (int, float):
+            raise ValueError(f"frame_offset_ms {frame_offset_ms!r} is not a number")
         return CharAlignment(
             utterance_id=str(obj["utterance_id"]),
             chars=chars,
-            frame_offset_ms=float(obj.get("frame_offset_ms", DEFAULT_FRAME_OFFSET_MS)),
+            frame_offset_ms=float(frame_offset_ms),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad alignment record: {exc}", line=line) from exc

@@ -16,7 +16,7 @@ import sys
 
 from . import alignment, crf, evaluate, mining, pipeline
 from .errors import InvalidConfig, PausesegError
-from .segments import read_gold_corpus, write_gold_corpus
+from .segments import read_gold_corpus, split_lines, write_gold_corpus
 
 # Every setting a config file may hold; each command reads only those it uses.
 DEFAULTS = {
@@ -131,8 +131,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_segment(args) -> int:
     model = crf.CrfModel.load(args.model)
-    with open(args.input, encoding="utf-8") as fh:
-        sentences = [line for line in fh if line.strip()]
+    with open(args.input, encoding="utf-8", newline="") as fh:
+        sentences = [line for line in split_lines(fh.read()) if line.strip()]
     segmented = pipeline.segment_corpus(model, sentences)
     write_gold_corpus(args.output, segmented)
     _write_manifest(
@@ -164,13 +164,10 @@ def _cmd_mine(args) -> int:
 def _cmd_filter(args) -> int:
     threshold = _settings(args)["threshold"]
     records = mining.read_scored_pauses(args.scored)
-    partials = []
-    kept = total = 0
-    for _, sentence, pauses in records:
-        surviving = mining.filter_pauses(pauses, threshold)
-        kept += len(surviving)
-        total += len(pauses)
-        partials.append(mining.pauses_to_partial(sentence, surviving))
+    pause_lists = [pauses for _, _, pauses in records]
+    sentences = [sentence for _, sentence, _ in records]
+    partials, kept = mining.filter_to_partials(sentences, pause_lists, threshold)
+    total = sum(len(pauses) for pauses in pause_lists)
     mining.write_partial_corpus(args.output, partials)
     _write_manifest(
         args.output, args, {"threshold": threshold},
@@ -253,11 +250,11 @@ def _cmd_stats(args) -> int:
 def _cmd_disagree(args) -> int:
     pred_a = read_gold_corpus(args.pred_a)
     pred_b = read_gold_corpus(args.pred_b)
-    rows = evaluate.build_review_rows(pred_a, pred_b, seed=args.seed or 0)
+    rows = evaluate.build_review_rows(pred_a, pred_b, seed=args.seed)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(evaluate.format_review_tsv(rows))
     _write_manifest(
-        args.output, args, {"seed": args.seed or 0},
+        args.output, args, {"seed": args.seed},
         inputs=[args.pred_a, args.pred_b], outputs=[args.output],
     )
     print(f"wrote {len(rows)} disagreement rows to {args.output}")
@@ -355,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred_a")
     p.add_argument("pred_b")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_disagree)
 
     return parser

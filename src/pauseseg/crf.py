@@ -239,10 +239,6 @@ class ConstraintMask:
             reach = _SUCCESSORS[reach] & bits
         return bool(reach & _END_BITS)
 
-    @classmethod
-    def all_allowed(cls, n: int) -> "ConstraintMask":
-        return cls(np.ones((n, N), dtype=bool))
-
 
 def _allowed_array(mask, n: int) -> np.ndarray | None:
     if mask is None:
@@ -496,33 +492,6 @@ def boundary_probability(sentence: str, model: CrfModel, i: int) -> float:
     return float(boundary_probabilities(sentence, model)[i])
 
 
-def _decoded(sentences, decode) -> list[str]:
-    """Tag strings of the paths ``decode()`` finds for ``sentences``.
-
-    The errors of every Viterbi decode: an empty sentence raises
-    SentenceTooShort before ``decode`` runs, and ``decode()`` returns
-    None when a sentence has no legal path.
-    """
-    for x in sentences:
-        if not len(x):
-            raise SentenceTooShort("empty sentence")
-    paths = decode()
-    if paths is None:
-        raise NoLegalPath("constraint mask admits no legal tag sequence")
-    return [tagset.tags_to_str(path) for path in paths]
-
-
-def _viterbi_strings(ids, model: CrfModel, allowed=None) -> list[str]:
-    """Tag strings of one batch of encoded sentences."""
-
-    def decode():
-        E, lengths = _emission_batch(model, ids, allowed)
-        paths, feasible = _viterbi(E, lengths, model.trans, model.start, model.end)
-        return paths if feasible.all() else None
-
-    return _decoded(ids, decode)
-
-
 def _viterbi_one(E: list, trans: list, start: list, end: list) -> list[int] | None:
     """``_viterbi`` of one sentence on Python floats; None when it has no legal path.
 
@@ -569,16 +538,15 @@ def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
     result for each sentence.
     """
     allowed = _allowed_array(mask, len(sentence))
-
-    def decode():
-        E = model.emissions(sentence)
-        if allowed is not None:
-            E[~allowed] = NEG_INF
-        weights = model.trans.tolist(), model.start.tolist(), model.end.tolist()
-        path = _viterbi_one(E.tolist(), *weights)
-        return None if path is None else [path]
-
-    return _decoded([sentence], decode)[0]
+    if not sentence:
+        raise SentenceTooShort("empty sentence")
+    E = model.emissions(sentence)
+    if allowed is not None:
+        E[~allowed] = NEG_INF
+    path = _viterbi_one(E.tolist(), model.trans.tolist(), model.start.tolist(), model.end.tolist())
+    if path is None:
+        raise NoLegalPath("constraint mask admits no legal tag sequence")
+    return tagset.tags_to_str(path)
 
 
 def _viterbi_corpus(corpus, model: CrfModel, allowed=None, encode=None) -> list[str]:
@@ -587,13 +555,19 @@ def _viterbi_corpus(corpus, model: CrfModel, allowed=None, encode=None) -> list[
     The corpus holds encoded sentences, or sentences that ``encode`` turns
     into a batch's ids as that batch is decoded.
     """
+    for x in corpus:
+        if not len(x):
+            raise SentenceTooShort("empty sentence")
     out: list[str] = [""] * len(corpus)
     for batch in _corpus_batches(corpus):
         masks = None if allowed is None else [allowed[k] for k in batch]
         ids = [corpus[k] for k in batch]
-        decoded = _viterbi_strings(ids if encode is None else encode(ids), model, masks)
-        for k, tags in zip(batch, decoded):
-            out[k] = tags
+        E, lengths = _emission_batch(model, ids if encode is None else encode(ids), masks)
+        paths, feasible = _viterbi(E, lengths, model.trans, model.start, model.end)
+        if not feasible.all():
+            raise NoLegalPath("constraint mask admits no legal tag sequence")
+        for k, path in zip(batch, paths):
+            out[k] = tagset.tags_to_str(path)
     return out
 
 
@@ -881,15 +855,12 @@ def train(
                     model.emit_w *= scale
                     scale = 1.0
                 counts.scatter(model.emit_w, -lr * inv_b / scale)
-                model.trans[TRANS_LEGAL] -= lr * (
-                    inv_b * counts.trans[TRANS_LEGAL] + config.l2 * model.trans[TRANS_LEGAL]
-                )
-                model.start[START_LEGAL] -= lr * (
-                    inv_b * counts.start[START_LEGAL] + config.l2 * model.start[START_LEGAL]
-                )
-                model.end[END_LEGAL] -= lr * (
-                    inv_b * counts.end[END_LEGAL] + config.l2 * model.end[END_LEGAL]
-                )
+                for w, legal, g in (
+                    (model.trans, TRANS_LEGAL, counts.trans),
+                    (model.start, START_LEGAL, counts.start),
+                    (model.end, END_LEGAL, counts.end),
+                ):
+                    w[legal] -= lr * (inv_b * g[legal] + config.l2 * w[legal])
             model.emit_w *= scale
         if not _finite(model):
             raise TrainingDiverged(

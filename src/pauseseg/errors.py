@@ -28,16 +28,12 @@ class IndexOutOfRange(PausesegError, IndexError):
 class ParseError(PausesegError):
     """An input document could not be parsed.
 
-    Carries an optional 1-based line number (and column offset when known).
+    Carries an optional 1-based line number.
     """
 
-    def __init__(self, message: str, line: int | None = None, offset: int | None = None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", offset {offset}" if offset is not None else "") + ")"
-        super().__init__(message + loc)
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.offset = offset
 
 
 class NonMonotoneFrames(PausesegError):

@@ -52,11 +52,6 @@ def single_char_word_rate(pred: list[SegmentedSentence]) -> float:
     return singles / total if total else 0.0
 
 
-def corpus_stats(sentences: list[SegmentedSentence]) -> tuple[int, int]:
-    """(sentence count, word count)."""
-    return len(sentences), sum(len(s.spans) for s in sentences)
-
-
 # ---------------------------------------------------------------------------
 # Disagreement review sheets
 

@@ -55,33 +55,31 @@ class PartialSentence:
 
 
 def score_pauses(model: crf.CrfModel, sentence: str, pauses: list[Pause]) -> list[Pause]:
-    """Attach the model's boundary probability to each pause."""
-    if not pauses:
-        return []
-    return _with_probabilities(sentence, pauses, crf.boundary_probabilities(sentence, model))
+    """Attach the model's boundary probability to each pause (a batch of one)."""
+    return score_pause_lists(model, [sentence], [pauses])[0]
 
 
 def score_pause_lists(
     model: crf.CrfModel, sentences: list[str], pause_lists: list[list[Pause]]
 ) -> list[list[Pause]]:
-    """``score_pauses`` for every sentence, scoring the corpus in batches."""
+    """Attach the model's boundary probability to each pause of every sentence.
+
+    The corpus is scored in batches; a sentence gets bitwise the same
+    probabilities alone or in any batch. A pause outside its sentence
+    raises ``IndexOutOfRange``.
+    """
     todo = [k for k, pauses in enumerate(pause_lists) if pauses]
     probs = crf.boundary_probabilities_batch([sentences[k] for k in todo], model)
     out: list[list[Pause]] = [[] for _ in pause_lists]
-    for k, p in zip(todo, probs):
-        out[k] = _with_probabilities(sentences[k], pause_lists[k], p)
-    return out
-
-
-def _with_probabilities(sentence: str, pauses: list[Pause], probs: np.ndarray) -> list[Pause]:
-    out = []
-    for p in pauses:
-        if not 0 <= p.junction < len(sentence) - 1:
-            raise IndexOutOfRange(
-                f"pause junction {p.junction} outside sentence of length {len(sentence)}"
-            )
-        prob = min(1.0, max(0.0, float(probs[p.junction])))
-        out.append(Pause(p.junction, p.duration_ms, prob))
+    for k, row in zip(todo, probs):
+        n = len(sentences[k])
+        for pause in pause_lists[k]:
+            if not 0 <= pause.junction < n - 1:
+                raise IndexOutOfRange(
+                    f"pause junction {pause.junction} outside sentence of length {n}"
+                )
+            prob = min(1.0, max(0.0, float(row[pause.junction])))
+            out[k].append(Pause(pause.junction, pause.duration_ms, prob))
     return out
 
 
@@ -95,6 +93,20 @@ def filter_pauses(pauses: list[Pause], threshold: float) -> list[Pause]:
 
 def pauses_to_partial(sentence: str, pauses: list[Pause]) -> PartialSentence:
     return PartialSentence(sentence, tuple(p.junction for p in pauses))
+
+
+def filter_to_partials(
+    sentences: list[str], pause_lists: list[list[Pause]], threshold: float
+) -> tuple[list[PartialSentence], int]:
+    """A partial sentence per sentence, marking its pauses that ``filter_pauses``
+    keeps at ``threshold``, and the number of pauses kept in all."""
+    partials = []
+    kept = 0
+    for sentence, pauses in zip(sentences, pause_lists):
+        surviving = filter_pauses(pauses, threshold)
+        kept += len(surviving)
+        partials.append(pauses_to_partial(sentence, surviving))
+    return partials, kept
 
 
 def build_constraint_mask(sentence: str, boundaries) -> crf.ConstraintMask:

@@ -68,7 +68,6 @@ def strip_punctuation_partial(partials: list[PartialSentence]) -> list[PartialSe
         for b in p.boundaries:
             if keep[b] and keep[b + 1]:
                 bounds.append(new_index[b])
-        bounds = [b for b in bounds if 0 <= b < len(chars) - 1]
         out.append(PartialSentence(chars, tuple(bounds)))
     return out
 
@@ -90,13 +89,8 @@ def train_baseline(
     return crf.train(gold_examples(source), config, dev=dev)
 
 
-def self_train_label(model: crf.CrfModel, sentence: str) -> SegmentedSentence:
-    """Segment one raw sentence with the model's unconstrained decode."""
-    return tagset.labels_to_words(crf.viterbi(sentence, model), sentence)
-
-
 def self_train_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedSentence]:
-    """``self_train_label`` for every sentence, decoded in batches."""
+    """Segment raw sentences with the model's unconstrained decode, in batches."""
     tags = crf.viterbi_batch(sentences, model)
     return [tagset.labels_to_words(t, s) for t, s in zip(tags, sentences)]
 
@@ -221,8 +215,6 @@ def mine_partials(
     """
     alignments = list(alignments)
     scored_lists = score_alignments(model, alignments, min_pause_ms)
-    partials = [
-        mining.pauses_to_partial(a.sentence, mining.filter_pauses(scored, threshold))
-        for a, scored in zip(alignments, scored_lists)
-    ]
+    sentences = [a.sentence for a in alignments]
+    partials, _ = mining.filter_to_partials(sentences, scored_lists, threshold)
     return partials, scored_lists

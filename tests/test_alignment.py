@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,6 +166,29 @@ class TestJsonIO:
             '{"utterance_id": "u", "chars": [{"c": "一", "b": 0, "e": 5}]}'
         )
         assert a.frame_offset_ms == 10.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("b", "1.7"), ("b", '"0"'), ("e", "true"), ("c", '["一"]'),
+        ("frame_offset_ms", '"10"'), ("frame_offset_ms", "true"),
+    ])
+    def test_mistyped_field_rejected_naming_the_line(self, field, value):
+        record = {"utterance_id": "u", "chars": [{"c": "一", "b": 0, "e": 5}],
+                  "frame_offset_ms": 10.0}
+        good = json.dumps(record, ensure_ascii=False)
+        if field == "frame_offset_ms":
+            record[field] = json.loads(value)
+        else:
+            record["chars"][0][field] = json.loads(value)
+        bad = json.dumps(record, ensure_ascii=False)
+        with pytest.raises(ParseError) as exc:
+            alignment.parse_alignments(good + "\n" + bad + "\n")
+        assert exc.value.line == 2
+
+    def test_integer_frame_offset_reads_as_float(self):
+        (a,) = alignment.parse_alignments(
+            '{"utterance_id": "u", "chars": [{"c": "一", "b": 0, "e": 5}], "frame_offset_ms": 20}'
+        )
+        assert a.frame_offset_ms == 20.0 and type(a.frame_offset_ms) is float
 
 
 TEXTGRID = """File type = "ooTextFile"

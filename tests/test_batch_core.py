@@ -229,7 +229,7 @@ def test_one_sentence_viterbi_raises_as_the_batched_core_does():
     cases = [
         ("abc", blocked, NoLegalPath),
         ("", None, SentenceTooShort),
-        ("abc", ConstraintMask.all_allowed(2), LengthMismatch),
+        ("abc", ConstraintMask(np.ones((2, N), dtype=bool)), LengthMismatch),
         ("abc", np.ones((4, N), dtype=bool), LengthMismatch),
     ]
     for sentence, mask, error in cases:

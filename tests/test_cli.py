@@ -83,6 +83,16 @@ class TestTrainAndSegment:
         assert want == ["一二三", "四五六", "一二三四", "六一"]
         assert [s.chars for s in read_gold_corpus(out)] == want
 
+    def test_segment_keeps_a_lone_cr_inside_its_sentence(self, workspace):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "2")
+        raw = tmp / "raw.txt"
+        raw.write_bytes("一二\r三四\n五六\r\n".encode("utf-8"))
+        out = tmp / "segmented.txt"
+        assert run("segment", model_path, raw, "-o", out) == 0
+        assert [s.chars for s in read_gold_corpus(out)] == ["一二三四", "五六"]
+
     def test_config_file_merges_under_flags(self, workspace):
         tmp, gold = workspace
         cfg = tmp / "config.json"
@@ -301,6 +311,18 @@ class TestReporting:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "sentence_id\toutput_1\toutput_2"
         assert len(lines) == 2
+
+    def test_disagree_seed_defaults_to_zero(self, workspace):
+        tmp, gold = workspace
+        a, b = tmp / "a.txt", tmp / "b.txt"
+        write_gold_corpus(a, [seg("一二", "三"), seg("四五", "六")])
+        write_gold_corpus(b, [seg("一", "二三"), seg("四", "五六")])
+        default, zero = tmp / "default.tsv", tmp / "zero.tsv"
+        assert run("disagree", a, b, "-o", default) == 0
+        assert run("disagree", a, b, "-o", zero, "--seed", "0") == 0
+        assert default.read_text(encoding="utf-8") == zero.read_text(encoding="utf-8")
+        manifest = json.loads((tmp / "default.tsv.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"] == {"seed": 0}
 
 
 class TestErrorHandling:

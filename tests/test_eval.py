@@ -113,11 +113,6 @@ class TestSingleCharRate:
         assert evaluate.single_char_word_rate([]) == 0.0
 
 
-class TestCorpusStats:
-    def test_counts(self):
-        assert evaluate.corpus_stats([seg("一二", "三"), seg("四")]) == (2, 3)
-
-
 class TestDisagreements:
     def test_selects_only_differing_sentences(self):
         a = [seg("一二", "三"), seg("四五")]

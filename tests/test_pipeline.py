@@ -91,8 +91,10 @@ class TestCompletion:
 
 
 class TestSelfTrainLabel:
+    """One sentence self-trained alone: a batch of one through ``self_train_corpus``."""
+
     def test_zero_model_prefers_one_word(self):
-        out = pipeline.self_train_label(zero_model(), "一二")
+        (out,) = pipeline.self_train_corpus(zero_model(), ["一二"])
         assert out.words == ["一二"]
 
     def test_equals_completion_without_boundaries(self):
@@ -104,7 +106,7 @@ class TestSelfTrainLabel:
             s = oracle.random_sentence(rng, n, alphabet="abcd")
             model = oracle.make_model(rng, [s])
             free = pipeline.complete_annotation(model, PartialSentence(s, ()))
-            assert pipeline.self_train_label(model, s) == free
+            assert pipeline.self_train_corpus(model, [s])[0] == free
 
     def test_repeated_calls_agree(self):
         import oracle
@@ -112,9 +114,9 @@ class TestSelfTrainLabel:
         rng = np.random.default_rng(37)
         s = oracle.random_sentence(rng, 6)
         model = oracle.make_model(rng, [s], grid=0.25)
-        first = pipeline.self_train_label(model, s)
+        first = pipeline.self_train_corpus(model, [s])[0]
         assert all(
-            pipeline.self_train_label(model, s) == first for _ in range(5)
+            pipeline.self_train_corpus(model, [s])[0] == first for _ in range(5)
         )
 
 
