@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, NonMonotoneFrames, ParseError, SentenceTooShort
-from .segments import split_lines
+from .segments import check_utf8, read_text, split_lines, write_text
 
 DEFAULT_FRAME_OFFSET_MS = 10.0
 DEFAULT_MIN_PAUSE_MS = 10.0
@@ -29,10 +29,10 @@ def _check_frame_offset(frame_offset_ms: float) -> None:
 class CharAlignment:
     """One utterance: characters with begin/end frame indices.
 
-    ``chars`` is a tuple of (character, begin_frame, end_frame). Frames are
-    non-negative integers at ``frame_offset_ms`` (finite, > 0) per frame;
-    ends may touch or overlap the next begin (pause 0), but begins must not
-    decrease.
+    ``chars`` is a non-empty tuple of (character, begin_frame, end_frame).
+    Frames are non-negative integers at ``frame_offset_ms`` (finite, > 0)
+    per frame; ends may touch or overlap the next begin (pause 0), but
+    begins must not decrease.
     """
 
     utterance_id: str
@@ -41,6 +41,8 @@ class CharAlignment:
 
     def __post_init__(self):
         _check_frame_offset(self.frame_offset_ms)
+        if not self.chars:
+            raise ValueError(f"utterance {self.utterance_id!r} has no characters")
         prev_begin = -1
         for ch, b, e in self.chars:
             if len(ch) != 1:
@@ -116,7 +118,7 @@ def _char_from_obj(obj) -> tuple[str, int, int]:
         raise ValueError(f"character {ch!r} is not a one-character string")
     if type(b) is not int or type(e) is not int:
         raise ValueError(f"frames {b!r}, {e!r} of {ch!r} are not integers")
-    return ch, b, e
+    return check_utf8(ch), b, e
 
 
 def _alignment_from_obj(obj, line: int | None = None) -> CharAlignment:
@@ -126,7 +128,7 @@ def _alignment_from_obj(obj, line: int | None = None) -> CharAlignment:
         if type(frame_offset_ms) not in (int, float):
             raise ValueError(f"frame_offset_ms {frame_offset_ms!r} is not a number")
         return CharAlignment(
-            utterance_id=str(obj["utterance_id"]),
+            utterance_id=check_utf8(str(obj["utterance_id"])),
             chars=chars,
             frame_offset_ms=float(frame_offset_ms),
         )
@@ -191,14 +193,11 @@ def alignment_to_json_line(alignment: CharAlignment) -> str:
 
 
 def read_alignments(path) -> list[CharAlignment]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return parse_alignments(fh.read())
+    return parse_alignments(read_text(path))
 
 
 def write_alignments(path, alignments) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in alignments:
-            fh.write(alignment_to_json_line(a) + "\n")
+    write_text(path, "".join(alignment_to_json_line(a) + "\n" for a in alignments))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +209,18 @@ def write_alignments(path, alignments) -> None:
 # (seconds) are converted to frame indices by rounding to the nearest frame.
 
 
-def _seconds_to_frame(t: float, frame_offset_ms: float) -> int:
-    return int(math.floor(t * 1000.0 / frame_offset_ms + 0.5))
+def _frame_at(value: str, frame_offset_ms: float, lineno: int) -> int:
+    """The frame nearest a time in seconds; ``ParseError`` unless that is a finite number."""
+    try:
+        frame = float(value) * 1000.0 / frame_offset_ms
+    except ValueError:
+        frame = math.nan
+    if not math.isfinite(frame):
+        raise ParseError(
+            f"time {value.strip()!r} s is not a finite frame at {frame_offset_ms!r} ms per frame",
+            line=lineno,
+        )
+    return int(math.floor(frame + 0.5))
 
 
 def _unquote(value: str) -> str:
@@ -234,7 +243,7 @@ def parse_textgrid(
     in_tier = False
     chars: list[tuple[str, int, int]] = []
     xmin = xmax = None
-    tier_seen = False
+    tier_line = None  # the line naming the tier
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("name ="):
@@ -242,16 +251,17 @@ def parse_textgrid(
             if in_tier:
                 break  # next tier begins
             in_tier = name == tier_name
-            tier_seen = tier_seen or in_tier
+            if in_tier:
+                tier_line = lineno
             continue
         if not in_tier:
             continue
         if line.startswith("item ["):
             break
         if line.startswith("xmin ="):
-            xmin = float(line.split("=", 1)[1])
+            xmin = _frame_at(line.split("=", 1)[1], frame_offset_ms, lineno)
         elif line.startswith("xmax ="):
-            xmax = float(line.split("=", 1)[1])
+            xmax = _frame_at(line.split("=", 1)[1], frame_offset_ms, lineno)
         elif line.startswith("text ="):
             label = _unquote(line.split("=", 1)[1])
             if xmin is None or xmax is None:
@@ -262,15 +272,9 @@ def parse_textgrid(
                         f"interval text must be one character, got {label!r}",
                         line=lineno,
                     )
-                chars.append(
-                    (
-                        label,
-                        _seconds_to_frame(xmin, frame_offset_ms),
-                        _seconds_to_frame(xmax, frame_offset_ms),
-                    )
-                )
+                chars.append((label, xmin, xmax))
             xmin = xmax = None
-    if not tier_seen:
+    if tier_line is None:
         for lineno, raw in enumerate(lines, start=1):
             # the short format writes a tier's class as a bare string
             if raw.strip() in ('"IntervalTier"', '"TextTier"'):
@@ -279,6 +283,8 @@ def parse_textgrid(
                     line=lineno,
                 )
         raise ParseError(f"no tier named {tier_name!r} in TextGrid")
+    if not chars:
+        raise ParseError(f"tier {tier_name!r} holds no characters, only silence", line=tier_line)
     return CharAlignment(utterance_id, tuple(chars), frame_offset_ms)
 
 
@@ -289,7 +295,5 @@ def read_textgrid(
 ) -> CharAlignment:
     import os
 
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
     utterance_id = os.path.splitext(os.path.basename(str(path)))[0]
-    return parse_textgrid(text, utterance_id, tier_name, frame_offset_ms)
+    return parse_textgrid(read_text(path), utterance_id, tier_name, frame_offset_ms)

@@ -15,8 +15,8 @@ import json
 import sys
 
 from . import alignment, crf, evaluate, mining, pipeline
-from .errors import InvalidConfig, PausesegError
-from .segments import read_gold_corpus, split_lines, write_gold_corpus
+from .errors import InvalidConfig, ParseError, PausesegError
+from .segments import read_gold_corpus, read_text, split_lines, write_gold_corpus, write_text
 
 # Every setting a config file may hold; each command reads only those it uses.
 DEFAULTS = {
@@ -41,9 +41,10 @@ def _check_setting(key: str, value):
 
 def _read_config_file(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        loaded = json.loads(read_text(path))
+    except ParseError as exc:  # already names the file
+        raise InvalidConfig(str(exc)) from exc
+    except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path}: not a JSON file: {exc}") from exc
     if not isinstance(loaded, dict):
         raise InvalidConfig(f"{path}: expected a JSON object of settings")
@@ -84,10 +85,8 @@ def _write_manifest(primary_output, args, config: dict, inputs, outputs):
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
-    path = str(primary_output) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    text = json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
+    write_text(str(primary_output) + ".manifest.json", text)
 
 
 def _load_gold(path, strip: bool):
@@ -131,8 +130,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_segment(args) -> int:
     model = crf.CrfModel.load(args.model)
-    with open(args.input, encoding="utf-8", newline="") as fh:
-        sentences = [line for line in split_lines(fh.read()) if line.strip()]
+    sentences = [line for line in split_lines(read_text(args.input)) if line.strip()]
     segmented = pipeline.segment_corpus(model, sentences)
     write_gold_corpus(args.output, segmented)
     _write_manifest(
@@ -251,8 +249,7 @@ def _cmd_disagree(args) -> int:
     pred_a = read_gold_corpus(args.pred_a)
     pred_b = read_gold_corpus(args.pred_b)
     rows = evaluate.build_review_rows(pred_a, pred_b, seed=args.seed)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(evaluate.format_review_tsv(rows))
+    write_text(args.output, evaluate.format_review_tsv(rows))
     _write_manifest(
         args.output, args, {"seed": args.seed},
         inputs=[args.pred_a, args.pred_b], outputs=[args.output],

@@ -31,7 +31,7 @@ from .errors import (
     SentenceTooShort,
     TrainingDiverged,
 )
-from .segments import SegmentedSentence, split_lines
+from .segments import SegmentedSentence, read_text, split_lines, write_text
 
 NEG_INF = float("-inf")
 N = tagset.N_LABELS
@@ -192,13 +192,11 @@ class CrfModel:
         return cls(vocab, arrays["emit"], arrays["trans"], arrays["start"], arrays["end"])
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
+        write_text(path, self.dumps())
 
     @classmethod
     def load(cls, path) -> "CrfModel":
-        with open(path, encoding="utf-8", newline="") as fh:
-            return cls.loads(fh.read())
+        return cls.loads(read_text(path))
 
 
 # ---------------------------------------------------------------------------

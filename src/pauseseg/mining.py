@@ -18,7 +18,7 @@ import numpy as np
 from . import crf, tagset
 from .alignment import Pause
 from .errors import IndexOutOfRange, LengthMismatch, ParseError, PausesegError, UnscoredPause
-from .segments import SegmentedSentence, split_lines
+from .segments import SegmentedSentence, check_utf8, read_text, split_lines, write_text
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -291,10 +291,8 @@ def parse_partial_line(line: str, lineno: int | None = None) -> PartialSentence 
 
 
 def read_partial_corpus(path) -> list[PartialSentence]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = split_lines(fh.read())
     out = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(split_lines(read_text(path)), start=1):
         parsed = parse_partial_line(line, lineno)
         if parsed is not None:
             out.append(parsed)
@@ -302,9 +300,7 @@ def read_partial_corpus(path) -> list[PartialSentence]:
 
 
 def write_partial_corpus(path, partials) -> None:
-    text = "".join(format_partial_line(p) + "\n" for p in partials)  # may refuse a sentence
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, "".join(format_partial_line(p) + "\n" for p in partials))
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +330,7 @@ def scored_pauses_to_json_line(utterance_id: str, sentence: str, pauses: list[Pa
 
 def write_scored_pauses(path, records) -> None:
     """``records`` yields (utterance_id, sentence, pauses) triples."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for utterance_id, sentence, pauses in records:
-            fh.write(scored_pauses_to_json_line(utterance_id, sentence, pauses) + "\n")
+    write_text(path, "".join(scored_pauses_to_json_line(*r) + "\n" for r in records))
 
 
 def _pause_from_json(obj, sentence: str, lineno: int) -> Pause:
@@ -355,17 +349,17 @@ def _pause_from_json(obj, sentence: str, lineno: int) -> Pause:
 
 
 def read_scored_pauses(path) -> list[tuple[str, str, list[Pause]]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = split_lines(fh.read())
     out = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(split_lines(read_text(path)), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            sentence = str(obj["sentence"])
+            sentence = check_utf8(str(obj["sentence"]))
+            if not sentence:
+                raise ValueError("empty sentence")
             pauses = [_pause_from_json(p, sentence, lineno) for p in obj["pauses"]]
-            out.append((str(obj["utterance_id"]), sentence, pauses))
+            out.append((check_utf8(str(obj["utterance_id"])), sentence, pauses))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad scored-pause record: {exc}", line=lineno) from exc
     return out

@@ -1,4 +1,4 @@
-"""Segmented sentences and the space-separated gold corpus format."""
+"""Segmented sentences, the space-separated gold corpus format, and data-file text I/O."""
 
 from __future__ import annotations
 
@@ -48,12 +48,41 @@ class SegmentedSentence:
         return {end - 1 for _, end in self.spans[:-1]}
 
 
+def read_text(path) -> str:
+    """A data file's text as strict UTF-8, line ends kept; ``ParseError`` names a bad line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}", line=line) from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write a data file as UTF-8. Callers build ``text`` first, and it is checked
+    before the file is opened, so a writer that refuses its input leaves no file."""
+    text.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError here
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def check_utf8(value: str) -> str:
+    """``value``, or ``ValueError`` if it holds a lone surrogate (which a JSON escape
+    such as ``\\ud800`` reads as), since no UTF-8 file can hold one."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{value!r} holds a lone surrogate, which UTF-8 cannot encode") from None
+    return value
+
+
 def split_lines(text: str) -> list[str]:
     """Lines of a file's text, ended by LF or CRLF.
 
     Not ``str.splitlines()``, which also breaks at a lone CR, U+000B,
-    U+000C, U+001C-U+001E, U+0085, U+2028 and U+2029 inside a line. Files
-    are read with ``newline=""`` so that ``open`` leaves a lone CR in place.
+    U+000C, U+001C-U+001E, U+0085, U+2028 and U+2029 inside a line;
+    ``read_text`` leaves a lone CR in place.
     """
     return text.replace("\r\n", "\n").split("\n")
 
@@ -93,11 +122,8 @@ def format_gold_corpus(sentences: Iterable[SegmentedSentence]) -> str:
 
 
 def read_gold_corpus(path) -> list[SegmentedSentence]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return parse_gold_corpus(fh.read())
+    return parse_gold_corpus(read_text(path))
 
 
 def write_gold_corpus(path, sentences: Iterable[SegmentedSentence]) -> None:
-    text = format_gold_corpus(sentences)  # before the file exists: it may refuse a word
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text(path, format_gold_corpus(sentences))

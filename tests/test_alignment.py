@@ -99,6 +99,10 @@ class TestCharAlignment:
         with pytest.raises(ValueError):
             CharAlignment("utt", (("一二", 0, 5),))
 
+    def test_rejects_no_characters(self):
+        with pytest.raises(ValueError, match="no characters"):
+            CharAlignment("utt", ())
+
 
 class TestJsonIO:
     def test_line_round_trip(self):
@@ -129,6 +133,12 @@ class TestJsonIO:
     def test_missing_field_rejected(self):
         with pytest.raises(ParseError):
             alignment.parse_alignments('{"chars": []}')
+
+    def test_alignment_without_characters_rejected_naming_the_line(self):
+        good = alignment.alignment_to_json_line(make_alignment([5]))
+        with pytest.raises(ParseError, match="no characters") as exc:
+            alignment.parse_alignments(good + '\n{"utterance_id": "u", "chars": []}\n')
+        assert exc.value.line == 2
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "alignments.jsonl"
@@ -184,6 +194,17 @@ class TestJsonIO:
             alignment.parse_alignments(good + "\n" + bad + "\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("bad", [
+        '{"utterance_id": "u", "chars": [{"c": "\\ud800", "b": 0, "e": 5}]}',
+        '{"utterance_id": "u\\udfff", "chars": [{"c": "一", "b": 0, "e": 5}]}',
+    ], ids=["character", "utterance-id"])
+    def test_lone_surrogate_rejected_naming_the_line(self, bad):
+        # a JSON escape can name a lone surrogate, which no UTF-8 output file can hold
+        good = alignment.alignment_to_json_line(make_alignment([5]))
+        with pytest.raises(ParseError, match="lone surrogate") as exc:
+            alignment.parse_alignments(good + "\n" + bad + "\n")
+        assert exc.value.line == 2
+
     def test_integer_frame_offset_reads_as_float(self):
         (a,) = alignment.parse_alignments(
             '{"utterance_id": "u", "chars": [{"c": "一", "b": 0, "e": 5}], "frame_offset_ms": 20}'
@@ -232,6 +253,11 @@ item []:
             xmax = 0.40
             text = "三"
 """
+
+
+def line_of(text: str, needle: str) -> int:
+    """The 1-based number of the first line of ``text`` holding ``needle``."""
+    return next(k for k, line in enumerate(text.split("\n"), start=1) if needle in line)
 
 
 class TestTextGrid:
@@ -290,6 +316,27 @@ class TestTextGrid:
     def test_bad_frame_offset_rejected_before_conversion(self, offset):
         with pytest.raises(InvalidConfig):
             alignment.parse_textgrid(TEXTGRID, "utt1", frame_offset_ms=offset)
+
+    def test_all_silence_tier_rejected_naming_the_tier(self):
+        silent = TEXTGRID
+        for ch in "一二三":
+            silent = silent.replace(f'text = "{ch}"', 'text = ""')
+        with pytest.raises(ParseError, match="no characters") as exc:
+            alignment.parse_textgrid(silent, "utt1")
+        assert exc.value.line == line_of(TEXTGRID, 'name = "characters"')
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "1e400", ""])
+    def test_time_that_is_not_a_finite_number_is_refused_naming_the_line(self, value):
+        bad = TEXTGRID.replace("xmax = 0.28", f"xmax = {value}")
+        with pytest.raises(ParseError, match="not a finite frame") as exc:
+            alignment.parse_textgrid(bad, "utt1")
+        assert exc.value.line == line_of(TEXTGRID, "xmax = 0.28")
+
+    def test_time_whose_frame_is_not_finite_is_refused_naming_the_line(self):
+        # 1.0 s at 1e-320 ms per frame is 1e323 frames, past the largest float
+        with pytest.raises(ParseError, match="not a finite frame") as exc:
+            alignment.parse_textgrid(TEXTGRID, "utt1", frame_offset_ms=1e-320)
+        assert exc.value.line == line_of(TEXTGRID, 'name = "characters"') + 2  # the tier's xmax
 
     def test_read_textgrid_uses_filename_as_id(self, tmp_path):
         path = tmp_path / "utt42.TextGrid"

@@ -377,6 +377,51 @@ class TestErrorHandling:
         assert "error[ParseError]" in err
         assert "line 1" in err
 
+    @pytest.mark.parametrize("name, text", [
+        ("alignments.jsonl", '{"utterance_id": "u", "chars": []}\n'),
+        ("u1.TextGrid", TEXTGRID.replace('text = "一"', 'text = ""').replace('text = "二"', 'text = ""')),
+    ], ids=["json", "textgrid"])
+    def test_mine_of_an_alignment_without_characters_exits_one(self, workspace, capsys, name, text):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        path = tmp / name
+        path.write_text(text, encoding="utf-8")
+        scored = tmp / "scored.jsonl"
+        assert run("mine", model_path, path, "-o", scored) == 1
+        err = capsys.readouterr().err
+        assert "error[ParseError]" in err and "no characters" in err and "(line " in err
+        assert not scored.exists()
+
+    def test_filter_of_an_empty_sentence_exits_one(self, workspace, capsys):
+        tmp, _ = workspace
+        scored = tmp / "scored.jsonl"
+        scored.write_text('{"utterance_id": "u", "sentence": "", "pauses": []}\n', encoding="utf-8")
+        out = tmp / "partial.txt"
+        assert run("filter", scored, "-o", out) == 1
+        err = capsys.readouterr().err
+        assert "error[ParseError]" in err and "empty sentence" in err and "line 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("time, offset, line", [
+        ("abc", "10", 16), ("nan", "10", 16), ("inf", "10", 16),
+        ("0.28", "1e-320", 9),  # 0.0 s is frame 0 at any offset; 0.05 s is not finite
+    ])
+    def test_mine_of_a_textgrid_time_with_no_finite_frame_exits_one(
+        self, workspace, capsys, time, offset, line
+    ):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        tg = tmp / "u1.TextGrid"
+        tg.write_text(TEXTGRID.replace("xmin = 0.28", f"xmin = {time}"), encoding="utf-8")
+        scored = tmp / "scored.jsonl"
+        assert run("mine", model_path, tg, "-o", scored, "--frame-offset-ms", offset) == 1
+        err = capsys.readouterr().err
+        assert "error[ParseError]" in err and "not a finite frame" in err
+        assert f"(line {line})" in err
+        assert not scored.exists()
+
     def test_completed_word_holding_whitespace_exits_one(self, workspace, capsys):
         tmp, gold = workspace
         model_path = tmp / "model.txt"

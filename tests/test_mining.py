@@ -313,6 +313,25 @@ class TestScoredPauseIO:
             mining.read_scored_pauses(path)
         assert exc.value.line == 1
 
+    def test_empty_sentence_rejected_naming_the_line(self, tmp_path):
+        path = tmp_path / "scored.jsonl"
+        good = {"utterance_id": "u1", "sentence": "一二三", "pauses": []}
+        empty = {"utterance_id": "u2", "sentence": "", "pauses": []}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(empty) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="empty sentence") as exc:
+            mining.read_scored_pauses(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("field", ["sentence", "utterance_id"])
+    def test_lone_surrogate_rejected_naming_the_line(self, tmp_path, field):
+        path = tmp_path / "scored.jsonl"
+        good = {"utterance_id": "u1", "sentence": "一二三", "pauses": []}
+        bad = dict(good, **{field: "四\ud800"})
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="lone surrogate") as exc:
+            mining.read_scored_pauses(path)
+        assert exc.value.line == 2
+
     @pytest.mark.parametrize("pause", [
         {"junction": 0, "duration_ms": 230.0, "probability": "high"},
         {"junction": 0, "duration_ms": 230.0, "probability": 1.5},
