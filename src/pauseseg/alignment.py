@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, NonMonotoneFrames, ParseError, SentenceTooShort
-from .segments import check_utf8, read_text, split_lines, write_text
+from .segments import check_utf8, read_text, split_lines, string_field, write_text
 
 DEFAULT_FRAME_OFFSET_MS = 10.0
 DEFAULT_MIN_PAUSE_MS = 10.0
@@ -112,12 +112,20 @@ def detect_pauses(
 # Files may hold one object, a JSON array of objects, or one object per line.
 
 
+# Frames are below 2**53, so that each is exact as a float and a pause
+# (a frame difference times the frame offset) is a finite number of ms.
+MAX_FRAME = 2**53 - 1
+
+
 def _char_from_obj(obj) -> tuple[str, int, int]:
     ch, b, e = obj["c"], obj["b"], obj["e"]
     if type(ch) is not str or len(ch) != 1:
         raise ValueError(f"character {ch!r} is not a one-character string")
     if type(b) is not int or type(e) is not int:
         raise ValueError(f"frames {b!r}, {e!r} of {ch!r} are not integers")
+    for frame in (b, e):
+        if not 0 <= frame <= MAX_FRAME:
+            raise ValueError(f"frames of {ch!r} must lie in [0, 2**53)")
     return check_utf8(ch), b, e
 
 
@@ -128,7 +136,7 @@ def _alignment_from_obj(obj, line: int | None = None) -> CharAlignment:
         if type(frame_offset_ms) not in (int, float):
             raise ValueError(f"frame_offset_ms {frame_offset_ms!r} is not a number")
         return CharAlignment(
-            utterance_id=check_utf8(str(obj["utterance_id"])),
+            utterance_id=string_field(obj, "utterance_id"),
             chars=chars,
             frame_offset_ms=float(frame_offset_ms),
         )
@@ -144,8 +152,9 @@ def parse_alignments(text: str) -> list[CharAlignment]:
     if stripped.startswith("["):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad alignment JSON: {exc.msg}", line=exc.lineno) from exc
+        except ValueError as exc:  # also an integer of more digits than int() reads
+            message = f"bad alignment JSON: {getattr(exc, 'msg', exc)}"
+            raise ParseError(message, line=getattr(exc, "lineno", None)) from exc
         return [_alignment_from_obj(obj) for obj in data]
     out = []
     for lineno, line in enumerate(split_lines(text), start=1):
@@ -153,8 +162,9 @@ def parse_alignments(text: str) -> list[CharAlignment]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad alignment JSON: {exc.msg}", line=lineno) from exc
+        except ValueError as exc:
+            message = f"bad alignment JSON: {getattr(exc, 'msg', exc)}"
+            raise ParseError(message, line=lineno) from exc
         out.append(_alignment_from_obj(obj, line=lineno))
     return out
 

@@ -44,7 +44,7 @@ def _read_config_file(path) -> dict:
         loaded = json.loads(read_text(path))
     except ParseError as exc:  # already names the file
         raise InvalidConfig(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of more digits than int() reads
         raise InvalidConfig(f"{path}: not a JSON file: {exc}") from exc
     if not isinstance(loaded, dict):
         raise InvalidConfig(f"{path}: expected a JSON object of settings")

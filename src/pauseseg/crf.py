@@ -1,12 +1,14 @@
 """Exact linear-chain CRF inference and training over the BMES tag space.
 
-All dynamic programming runs in log space on float64 arrays, over padded
-batches of sentences. Hard constraints are uniform: illegal transitions,
-illegal start/end labels and constraint-mask exclusions are -inf score
-entries, so a single forward / backward pair serves the partition
-function, marginals and both losses, and a single Viterbi recursion
-serves (constrained) decoding: over batches for corpora, and on Python
-floats for one sentence.
+Dynamic programming runs on float64 arrays, over padded batches of
+sentences. Hard constraints are uniform: illegal transitions, illegal
+start/end labels and constraint-mask exclusions are -inf score entries
+(0 once exponentiated), so a single forward / backward pair serves the
+partition function, marginals and both losses, and a single Viterbi
+recursion serves (constrained) decoding: over batches for corpora, and on
+Python floats for one sentence. Forward-backward runs in scaled
+probability space, and in log space for a sentence whose weights span
+too wide a range for that; Viterbi runs in max-sum over scores.
 """
 
 from __future__ import annotations
@@ -50,15 +52,12 @@ _FLOOR = -1e300
 
 
 def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    """``logsumexp`` without silencing log(0); the core's loops do that once."""
+    """Log-sum-exp of finite or -inf scores; -inf (not NaN) when all are -inf.
+
+    log(0) is not silenced here; the log-space loops do that once.
+    """
     m = np.maximum(np.maximum.reduce(a, axis=axis, keepdims=True), _FLOOR)
     return np.log(np.add.reduce(np.exp(a - m), axis=axis)) + m.squeeze(axis)
-
-
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Log-sum-exp of finite or -inf scores; -inf (not NaN) when all are -inf."""
-    with np.errstate(divide="ignore"):
-        return _lse(a, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +249,7 @@ def _allowed_array(mask, n: int) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 # Batched inference core
 #
-# One forward, one backward and one Viterbi recursion serve every caller
+# One forward-backward and one Viterbi recursion serve every caller
 # (``viterbi`` runs the same Viterbi on Python floats for one sentence,
 # see ``_viterbi_one``). They take a batch of sentences padded to
 # ``[B, L, 4]``: row b holds the emissions of a sentence of ``lengths[b]``
@@ -258,16 +257,52 @@ def _allowed_array(mask, n: int) -> np.ndarray | None:
 # -inf entries as well. The recursions run on a ``[L, 4, B]`` copy, so
 # that each step is a few vectorised operations over contiguous per-label
 # rows of the batch. No row's arithmetic depends on the other rows, so a
-# sentence gets bitwise the same result alone (B = 1) or in any batch.
+# sentence gets bitwise the same result alone (B = 1) or in any batch:
+# each sum over labels is an ``np.add.reduce`` over a leading axis of 4,
+# which adds in label order whatever B is (a BLAS matmul would not), and
+# each sum over positions is a ``cumsum``.
 #
-# alpha[i, l, b]: log-sum over prefixes ending at i with label l, including
-# the start weight and emissions up to i. beta[i, l, b]: log-sum over
-# suffixes from i with label l, excluding emission i, including the end
-# weight. Marginals are exp(alpha + beta - log Z); on hard-excluded entries
-# and on padding the -inf scores make them exactly 0.
+# Forward-backward runs in scaled probability space (Rabiner 1989, §V.A;
+# CRFsuite's crf1d_context). The emissions become X = exp(E - shift), where
+# shift[b, i] is the largest unmasked score at position i, and the weights
+# T = exp(trans), S = exp(start), F = exp(end); illegal, masked and padding
+# entries are exactly 0. alpha[i, l, b] is the mass of prefixes ending at i
+# with label l (start weight and emissions up to i included), divided by
+# c[i, b], its sum over l; at and after a row's last position c is 1, so
+# that labels which cannot end a sentence (B, M) enter no c, and a mask
+# that excludes only them leaves log Z bitwise unchanged. beta[i, l, b] is
+# the mass of suffixes from i with label l (emission i excluded, end weight
+# included), divided by the c of every later position. With
+# Z' = sum_l alpha[n-1, l] F[l] and Y[i] = X[i+1] beta[i+1] / c[i+1]:
+#     log Z = log Z' + sum_i log c[i] + sum_i shift[i]
+#     unigram[i, l] = alpha[i, l] beta[i, l] / Z'
+#     bigram[i, p, q] = alpha[i, p] T[p, q] Y[i, q] / Z'
+# Illegal bigrams, excluded labels and padding get exactly 0.
+#
+# Range guard. Let W be the largest |w| over the entries of trans, start
+# and end that are not -inf, and D_i the max - min of the unmasked scores
+# at position i, so every nonzero X lies in [exp(-D_i), 1] and every
+# nonzero T, S, F in [exp(-W), exp(W)]. A path of n positions weighs a
+# product of n factors X and n + 1 factors T, S or F, and a sum over
+# paths has at most 4**n terms. Every nonzero number the scaled recursion
+# forms (alpha and its products with T, c, beta, Y, Z', the marginals'
+# products) is such a sum of prefix, suffix or whole-path weights over
+# another such sum, times at most one more factor, so its log lies within
+# +-G, with
+#     G = sum_i D_i + (n + 1) (2 W + log 4).
+# A row with G <= _SCALED_RANGE = 600 therefore stays within the normal
+# floats (|log| < 708), where every operation keeps float64's relative
+# precision. The log-space recursion below takes the other rows: large
+# weights, or long rows of widely spread scores. G depends on neither the
+# mask nor the other rows, so a sentence takes the same recursion masked
+# and unmasked, alone and in any batch.
 
 # Characters per batch when a corpus goes through the core.
 INFERENCE_BATCH_CHARS = 2048
+
+# The largest G (see the range guard above) of a row in scaled space.
+_SCALED_RANGE = 600.0
+_LOG4 = math.log(4.0)
 
 
 @dataclass
@@ -289,8 +324,119 @@ def _row_ends(lengths: np.ndarray, L: int) -> dict[int, np.ndarray]:
     return {int(i): np.flatnonzero(last == i) for i in np.unique(last[last < L - 1])}
 
 
-def _forward(Et, lengths, trans, start, end):
-    """alpha [L, 4, B] and log Z [B] of a label-major batch."""
+def _in_range(lengths, spread, trans, start, end) -> np.ndarray:
+    """Whether each row's G is at most ``_SCALED_RANGE`` (see the range guard)."""
+    w = np.concatenate([trans.ravel(), start, end])
+    two_w = 2.0 * np.abs(w[w != NEG_INF]).max(initial=0.0)  # NaN or inf: no row
+    return spread + (lengths + 1) * (two_w + _LOG4) <= _SCALED_RANGE
+
+
+def _exponentiate(E, shift, trans, start, end):
+    """X = exp(E - shift) [L, 4, B], label-major, and T, S, F."""
+    B, L, _ = E.shape
+    X = np.subtract(E.transpose(1, 2, 0), shift.T[:, None, :], out=np.empty((L, N, B)))
+    np.exp(X, out=X)
+    return X, np.exp(trans), np.exp(start), np.exp(end)
+
+
+def _forward(X, lengths, shift, T, S, F):
+    """Scaled alpha [L, 4, B], its divisors c [L, B], Z' [B] and log Z [B].
+
+    A row without a legal path gets log Z = -inf.
+    """
+    L, _, B = X.shape
+    alpha = np.empty_like(X)
+    c = np.empty((L, B))
+    last = np.arange(L)[:, None] >= lengths - 1  # at or after the row's last position
+    first_last = int(lengths.min()) - 1
+    T_pq = T[:, :, None]
+    prod = np.empty((N, N, B))
+    a = S[:, None] * X[0]
+    # a row without a legal path divides 0 by 0 and takes log(0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(L):
+            if i:
+                np.multiply(alpha[i - 1][:, None, :], T_pq, out=prod)
+                np.add.reduce(prod, axis=0, out=a)
+                a *= X[i]
+            np.add.reduce(a, axis=0, out=c[i])
+            if i >= first_last:
+                np.copyto(c[i], 1.0, where=last[i])
+            np.divide(a, c[i], out=alpha[i])
+        z = np.add.reduce(alpha[lengths - 1, :, np.arange(B)].T * F[:, None], axis=0)
+        log_z = np.log(z) + np.cumsum(np.log(c), axis=0)[-1] + np.cumsum(shift, axis=1)[:, -1]
+    log_z[~(z > 0)] = NEG_INF
+    return alpha, c, z, log_z
+
+
+def _backward(X, lengths, c, T, F):
+    """Scaled beta [L, 4, B], and Y [L-1, 4, B] (see above)."""
+    L, _, B = X.shape
+    ends = _row_ends(lengths, L)
+    beta = np.empty_like(X)
+    beta[L - 1] = F[:, None]
+    Y = X[1:] / c[1:, None, :]
+    T_qp = T.T[:, :, None]
+    prod = np.empty((N, N, B))
+    for i in range(L - 2, -1, -1):
+        Y[i] *= beta[i + 1]
+        np.multiply(T_qp, Y[i][:, None, :], out=prod)
+        np.add.reduce(prod, axis=0, out=beta[i])
+        rows = ends.get(i)
+        if rows is not None:
+            beta[i][:, rows] = F[:, None]
+    return beta, Y
+
+
+def _scaled_forward_backward(E, lengths, shift, trans, start, end) -> _FB:
+    X, T, S, F = _exponentiate(E, shift, trans, start, end)
+    alpha, c, z, log_z = _forward(X, lengths, shift, T, S, F)
+    beta, Y = _backward(X, lengths, c, T, F)
+    bigram = alpha[:-1, :, None, :] * T[:, :, None]
+    bigram *= Y[:, None, :, :]
+    bigram /= z
+    alpha *= beta
+    alpha /= z
+    return _FB(log_z, alpha.transpose(2, 0, 1), bigram.transpose(3, 0, 1, 2))
+
+
+def _forward_backward(E, lengths, shift, spread, trans, start, end) -> _FB:
+    """log Z and marginals of a padded batch; rows without a path get log Z = -inf.
+
+    Rows ``_in_range`` go through the scaled recursion, the others through
+    the log-space one.
+    """
+    scaled = _in_range(lengths, spread, trans, start, end)
+    if scaled.all():
+        return _scaled_forward_backward(E, lengths, shift, trans, start, end)
+    B, L, _ = E.shape
+    fb = _FB(np.empty(B), np.zeros((B, L, N)), np.zeros((B, L - 1, N, N)))
+    for rows in (np.flatnonzero(scaled), np.flatnonzero(~scaled)):
+        if not len(rows):
+            continue
+        n = int(lengths[rows].max())
+        if scaled[rows[0]]:
+            part = _scaled_forward_backward(
+                E[rows, :n], lengths[rows], shift[rows, :n], trans, start, end
+            )
+        else:
+            part = _log_forward_backward(E[rows, :n], lengths[rows], trans, start, end)
+        fb.log_z[rows] = part.log_z
+        fb.unigram[rows, :n] = part.unigram
+        fb.bigram[rows, : n - 1] = part.bigram
+    return fb
+
+
+# The log-space recursion, for the rows out of the scaled range.
+# alpha[i, l, b]: log-sum over prefixes ending at i with label l, including
+# the start weight and emissions up to i. beta[i, l, b]: log-sum over
+# suffixes from i with label l, excluding emission i, including the end
+# weight. Marginals are exp(alpha + beta - log Z); on hard-excluded entries
+# and on padding the -inf scores make them exactly 0.
+
+
+def _log_forward(Et, lengths, trans, start, end):
+    """alpha [L, 4, B] and log Z [B] of a label-major batch, in log space."""
     L, _, B = Et.shape
     alpha = np.empty_like(Et)
     alpha[0] = start[:, None] + Et[0]
@@ -302,8 +448,8 @@ def _forward(Et, lengths, trans, start, end):
     return alpha, log_z
 
 
-def _backward(Et, lengths, trans, end):
-    """beta [L, 4, B] of a label-major batch."""
+def _log_backward(Et, lengths, trans, end):
+    """beta [L, 4, B] of a label-major batch, in log space."""
     L = len(Et)
     ends = _row_ends(lengths, L)
     beta = np.empty_like(Et)
@@ -318,11 +464,10 @@ def _backward(Et, lengths, trans, end):
     return beta
 
 
-def _forward_backward(E, lengths, trans, start, end) -> _FB:
-    """log Z and marginals of a padded batch; rows without a path get log Z = -inf."""
+def _log_forward_backward(E, lengths, trans, start, end) -> _FB:
     Et = _label_major(E)
-    alpha, log_z = _forward(Et, lengths, trans, start, end)
-    beta = _backward(Et, lengths, trans, end)
+    alpha, log_z = _log_forward(Et, lengths, trans, start, end)
+    beta = _log_backward(Et, lengths, trans, end)
     # in place, so that one [L-1, 4, 4, B] array is alive at a time
     unigram = alpha + beta
     unigram -= log_z
@@ -366,21 +511,35 @@ def _viterbi(E, lengths, trans, start, end) -> tuple[list[list[int]], np.ndarray
     return paths, np.max(first, axis=0) > NEG_INF
 
 
-def _emission_batch(model: "CrfModel", ids, allowed=None):
-    """Padded [B, L, 4] emissions of encoded sentences, and their lengths.
+def _emission_batch(model: "CrfModel", ids, allowed=None, scale: float = 1.0):
+    """Padded emissions of encoded sentences, with their lengths, shifts and spreads.
 
-    Row b is -inf on padding and, when ``allowed[b]`` is given, wherever
-    it is False.
+    Returns E [B, L, 4], lengths [B], shift [B, L] and spread [B]; the
+    scores are ``scale`` times the model's. Row b of E is -inf on padding
+    and, when ``allowed[b]`` is given, wherever it is False. shift[b, i] is
+    the largest unmasked score at position i (0 on padding), and spread[b]
+    sums max - min of the unmasked scores over the row's positions. Neither
+    depends on the mask, so the masked and unmasked passes of a sentence
+    share them.
     """
     lengths = np.array([len(x) for x in ids])
     scores = feat.emission_scores(np.concatenate(ids), model.emit_w)
-    E = np.full((len(ids), int(lengths.max()), N), NEG_INF)
-    s = 0
-    for b, n in enumerate(lengths.tolist()):
-        where = True if allowed is None or allowed[b] is None else allowed[b]
-        np.copyto(E[b, :n], scores[s : s + n], where=where)
-        s += n
-    return E, lengths
+    scores *= scale
+    B, L = len(ids), int(lengths.max())
+    inside = np.arange(L) < lengths[:, None]
+    E = np.full((B, L, N), NEG_INF)
+    E[inside] = scores
+    for b, where in enumerate(allowed or ()):
+        if where is not None:
+            E[b, : lengths[b]][~where] = NEG_INF
+    by_label = np.ascontiguousarray(scores.T)  # a reduction over 4 rows is fast
+    top = np.maximum.reduce(by_label)
+    shift = np.zeros((B, L))
+    shift[inside] = top
+    spread = np.zeros((B, L))
+    with np.errstate(invalid="ignore"):  # inf - inf, for infinite weights
+        spread[inside] = top - np.minimum.reduce(by_label)
+    return E, lengths, shift, np.cumsum(spread, axis=1)[:, -1]
 
 
 def _batches(order, lengths, budget: int):
@@ -443,8 +602,13 @@ def log_partition(sentence: str, model: CrfModel, mask=None) -> float:
     if not sentence:
         raise SentenceTooShort("empty sentence")
     allowed = _allowed_array(mask, len(sentence))
-    E, lengths = _emission_batch(model, [model.vocab.encode(sentence)], [allowed])
-    _, log_z = _forward(_label_major(E), lengths, model.trans, model.start, model.end)
+    E, lengths, shift, spread = _emission_batch(model, [model.vocab.encode(sentence)], [allowed])
+    weights = (model.trans, model.start, model.end)
+    if _in_range(lengths, spread, *weights)[0]:
+        X, T, S, F = _exponentiate(E, shift, *weights)
+        *_, log_z = _forward(X, lengths, shift, T, S, F)
+    else:
+        _, log_z = _log_forward(_label_major(E), lengths, *weights)
     _require_paths(log_z, "constraint mask")
     return float(log_z[0])
 
@@ -454,8 +618,8 @@ def _bigram_batch(ids, model: CrfModel) -> tuple[np.ndarray, np.ndarray]:
     for x in ids:
         if len(x) < 2:
             raise SentenceTooShort("bigram marginals need at least 2 characters")
-    E, lengths = _emission_batch(model, ids)
-    fb = _forward_backward(E, lengths, model.trans, model.start, model.end)
+    E, lengths, shift, spread = _emission_batch(model, ids)
+    fb = _forward_backward(E, lengths, shift, spread, model.trans, model.start, model.end)
     _require_paths(fb.log_z, "the model")
     return fb.bigram, lengths
 
@@ -560,7 +724,7 @@ def _viterbi_corpus(corpus, model: CrfModel, allowed=None, encode=None) -> list[
     for batch in _corpus_batches(corpus):
         masks = None if allowed is None else [allowed[k] for k in batch]
         ids = [corpus[k] for k in batch]
-        E, lengths = _emission_batch(model, ids if encode is None else encode(ids), masks)
+        E, lengths, _, _ = _emission_batch(model, ids if encode is None else encode(ids), masks)
         paths, feasible = _viterbi(E, lengths, model.trans, model.start, model.end)
         if not feasible.all():
             raise NoLegalPath("constraint mask admits no legal tag sequence")
@@ -671,9 +835,10 @@ def _loss_and_grad(model: CrfModel, items, emit_scale: float = 1.0) -> tuple[flo
     B = len(items)
     part = np.array([b for b, it in enumerate(items) if it[2] is not None], dtype=np.intp)
     rows = [it[0] for it in items] + [items[b][0] for b in part]
-    E, lengths = _emission_batch(model, rows, [None] * B + [items[b][2] for b in part])
-    E *= emit_scale
-    fb = _forward_backward(E, lengths, model.trans, model.start, model.end)
+    E, lengths, shift, spread = _emission_batch(
+        model, rows, [None] * B + [items[b][2] for b in part], emit_scale
+    )
+    fb = _forward_backward(E, lengths, shift, spread, model.trans, model.start, model.end)
     lengths = lengths[:B]
     ids = np.concatenate(rows[:B])
     row = np.repeat(np.arange(B), lengths)

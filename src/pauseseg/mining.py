@@ -18,7 +18,7 @@ import numpy as np
 from . import crf, tagset
 from .alignment import Pause
 from .errors import IndexOutOfRange, LengthMismatch, ParseError, PausesegError, UnscoredPause
-from .segments import SegmentedSentence, check_utf8, read_text, split_lines, write_text
+from .segments import SegmentedSentence, read_text, split_lines, string_field, write_text
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -355,11 +355,11 @@ def read_scored_pauses(path) -> list[tuple[str, str, list[Pause]]]:
             continue
         try:
             obj = json.loads(line)
-            sentence = check_utf8(str(obj["sentence"]))
+            sentence = string_field(obj, "sentence")
             if not sentence:
                 raise ValueError("empty sentence")
             pauses = [_pause_from_json(p, sentence, lineno) for p in obj["pauses"]]
-            out.append((check_utf8(str(obj["utterance_id"])), sentence, pauses))
+            out.append((string_field(obj, "utterance_id"), sentence, pauses))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad scored-pause record: {exc}", line=lineno) from exc
     return out

@@ -77,6 +77,18 @@ def check_utf8(value: str) -> str:
     return value
 
 
+def string_field(obj: dict, key: str) -> str:
+    """The string ``obj[key]`` of a JSON record, checked by ``check_utf8``.
+
+    ``ValueError`` when it is not a string: null, a number or a list is
+    refused, not turned into text.
+    """
+    value = obj[key]
+    if type(value) is not str:
+        raise ValueError(f"{key} {value!r} is not a string")
+    return check_utf8(value)
+
+
 def split_lines(text: str) -> list[str]:
     """Lines of a file's text, ended by LF or CRLF.
 

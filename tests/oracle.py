@@ -61,11 +61,11 @@ def log_partition(model: crf.CrfModel, sentence: str, allowed=None) -> float:
     return m + math.log(sum(math.exp(s - m) for s in scores))
 
 
-def bigram_marginals(model: crf.CrfModel, sentence: str) -> np.ndarray:
+def bigram_marginals(model: crf.CrfModel, sentence: str, allowed=None) -> np.ndarray:
     n = len(sentence)
-    log_z = log_partition(model, sentence)
+    log_z = log_partition(model, sentence, allowed)
     out = np.zeros((n - 1, N, N))
-    for t in legal_sequences(n):
+    for t in legal_sequences(n, allowed):
         p = math.exp(path_score(model, sentence, t) - log_z)
         for i in range(n - 1):
             out[i, t[i], t[i + 1]] += p

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,6 +203,43 @@ class TestJsonIO:
         # a JSON escape can name a lone surrogate, which no UTF-8 output file can hold
         good = alignment.alignment_to_json_line(make_alignment([5]))
         with pytest.raises(ParseError, match="lone surrogate") as exc:
+            alignment.parse_alignments(good + "\n" + bad + "\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("field", ["b", "e"])
+    @pytest.mark.parametrize("frame", ["-1", str(2**53), pytest.param("1" * 400, id="400-digits")])
+    def test_frame_outside_the_exact_floats_rejected_naming_the_line(self, field, frame):
+        # a 400-digit frame once ended ``mine`` converting the pause to a float
+        record = {"utterance_id": "u", "chars": [{"c": "一", "b": 0, "e": 5}]}
+        good = json.dumps(record, ensure_ascii=False)
+        bad = good.replace(f'"{field}": {record["chars"][0][field]}', f'"{field}": {frame}')
+        assert bad != good
+        with pytest.raises(ParseError, match=re.escape("[0, 2**53)")) as exc:
+            alignment.parse_alignments(good + "\n" + bad + "\n")
+        assert exc.value.line == 2
+
+    def test_largest_frame_reads(self):
+        top = alignment.MAX_FRAME
+        (a,) = alignment.parse_alignments(
+            f'{{"utterance_id": "u", "chars": [{{"c": "一", "b": {top}, "e": {top}}}]}}'
+        )
+        assert a.chars == (("一", top, top),)
+
+    def test_integer_of_more_digits_than_int_reads_is_a_parse_error(self):
+        good = alignment.alignment_to_json_line(make_alignment([5]))
+        bad = '{"utterance_id": "u", "chars": [{"c": "一", "b": 0, "e": ' + "1" * 5000 + "}]}"
+        with pytest.raises(ParseError) as exc:
+            alignment.parse_alignments(good + "\n" + bad + "\n")
+        assert exc.value.line == 2
+        with pytest.raises(ParseError):
+            alignment.parse_alignments("[" + bad + "]")
+
+    @pytest.mark.parametrize("value", ["null", "12345", "[1, 2]", "true"])
+    def test_utterance_id_that_is_not_a_string_rejected_naming_the_line(self, value):
+        good = alignment.alignment_to_json_line(make_alignment([5]))
+        bad = good.replace(json.dumps("utt"), value)
+        assert bad != good
+        with pytest.raises(ParseError, match="utterance_id .* is not a string") as exc:
             alignment.parse_alignments(good + "\n" + bad + "\n")
         assert exc.value.line == 2
 

@@ -1,10 +1,12 @@
-"""The batched inference core against one simple per-sentence reference.
+"""The batched inference core against simple per-sentence references.
 
-The reference below is the recursion the core replaced: one sentence at a
-time, in log space, with the same arithmetic per entry. Scores, marginals
-and decoded paths must therefore agree bitwise, and batching must not
-change any row's result. Gradients sum their counts in a different order,
-so they agree to a tolerance.
+The references below run one sentence at a time. The scaled one does the
+core's arithmetic per entry, so scores and marginals must agree with it
+bitwise; the log-space one is the recursion the core replaced, which
+they match to a relative 1e-12. Decoded paths agree bitwise with the
+max-sum reference, and batching must not change any row's result.
+Gradients sum their counts in a different order, so they agree to a
+tolerance.
 """
 
 import numpy as np
@@ -50,6 +52,38 @@ def ref_forward_backward(Em, trans, start, end):
     bigram = np.exp(
         alpha[:-1, :, None] + trans[None, :, :] + (Em[1:] + beta[1:])[:, None, :] - log_z
     )
+    return log_z, unigram, bigram
+
+
+def ref_scaled_forward_backward(Em, shift, trans, start, end):
+    """``ref_forward_backward`` in the core's scaled space (see ``crf._forward``).
+
+    ``shift[i]`` is the largest unmasked score at position i. Each position
+    but the last is divided by its sum c[i]; beta divides by the c of the
+    positions after it.
+    """
+    n = len(Em)
+    X = np.exp(Em - shift[:, None])
+    T, S, F = np.exp(trans), np.exp(start), np.exp(end)
+    alpha = np.empty((n, N))
+    c = np.ones(n)
+    a = S * X[0]
+    for i in range(n):
+        if i:
+            a = np.add.reduce(alpha[i - 1][:, None] * T, axis=0) * X[i]
+        if i < n - 1:
+            c[i] = np.add.reduce(a)
+        alpha[i] = a / c[i]
+    z = np.add.reduce(alpha[n - 1] * F)
+    log_z = float(np.log(z) + np.cumsum(np.log(c))[-1] + np.cumsum(shift)[-1])
+    beta = np.empty((n, N))
+    beta[n - 1] = F
+    Y = X[1:] / c[1:, None]  # Y[i] = X[i+1] beta[i+1] / c[i+1]
+    for i in range(n - 2, -1, -1):
+        Y[i] *= beta[i + 1]
+        beta[i] = np.add.reduce(T.T * Y[i][:, None], axis=0)
+    unigram = alpha * beta / z
+    bigram = alpha[:-1, :, None] * T * Y[:, None, :] / z
     return log_z, unigram, bigram
 
 
@@ -127,21 +161,36 @@ def pad(emissions):
 # Tests
 
 
+def assert_matches_references(log_z, unigram, bigram, Em, shift, model):
+    """One row of the core against both references: bitwise, and to 1e-12."""
+    n = len(Em)
+    weights = (model.trans, model.start, model.end)
+    want = ref_scaled_forward_backward(Em, shift, *weights)
+    assert log_z == want[0]
+    assert np.array_equal(unigram[:n], want[1])
+    assert np.array_equal(bigram[: n - 1], want[2])
+    assert np.all(unigram[n:] == 0.0)
+    assert np.all(bigram[n - 1 :] == 0.0)
+    log_ref = ref_forward_backward(Em, *weights)
+    assert log_z == pytest.approx(log_ref[0], rel=1e-12)
+    np.testing.assert_allclose(unigram[:n], log_ref[1], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(bigram[: n - 1], log_ref[2], rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_marginals_match_reference_on_mixed_lengths_and_masks(seed):
     rng = np.random.default_rng(seed)
     model = random_model(seed)
-    _, _, emissions = mixed_batch(rng, model)
-    E, lengths = pad(emissions)
-    fb = crf._forward_backward(E, lengths, model.trans, model.start, model.end)
-    for b, Em in enumerate(emissions):
-        n = len(Em)
-        log_z, uni, bi = ref_forward_backward(Em, model.trans, model.start, model.end)
-        assert fb.log_z[b] == log_z
-        assert np.array_equal(fb.unigram[b, :n], uni)
-        assert np.array_equal(fb.bigram[b, : n - 1], bi)
-        assert np.all(fb.unigram[b, n:] == 0.0)
-        assert np.all(fb.bigram[b, n - 1 :] == 0.0)
+    sentences, allowed, emissions = mixed_batch(rng, model)
+    E, lengths, shift, spread = crf._emission_batch(
+        model, [model.vocab.encode(s) for s in sentences], allowed
+    )
+    assert crf._in_range(lengths, spread, model.trans, model.start, model.end).all()
+    fb = crf._forward_backward(E, lengths, shift, spread, model.trans, model.start, model.end)
+    for b, (s, Em) in enumerate(zip(sentences, emissions)):
+        row_shift = model.emissions(s).max(axis=1)  # of the unmasked scores
+        assert np.array_equal(shift[b, : len(s)], row_shift)
+        assert_matches_references(fb.log_z[b], fb.unigram[b], fb.bigram[b], Em, row_shift, model)
 
 
 def test_boundary_probabilities_match_reference():
@@ -150,12 +199,89 @@ def test_boundary_probabilities_match_reference():
     sentences = [oracle.random_sentence(rng, int(n), ALPHABET) for n in rng.integers(2, 15, 40)]
     batched = crf.boundary_probabilities_batch(sentences, model)
     for s, got in zip(sentences, batched):
-        _, _, bi = ref_forward_backward(model.emissions(s), model.trans, model.start, model.end)
+        Em = model.emissions(s)
+        _, _, bi = ref_scaled_forward_backward(
+            Em, Em.max(axis=1), model.trans, model.start, model.end
+        )
+        _, _, log_bi = ref_forward_backward(Em, model.trans, model.start, model.end)
         want = np.zeros(len(s) - 1)
+        log_want = np.zeros(len(s) - 1)
         for a, b in BOUNDARY:
             want += bi[:, a, b]
+            log_want += log_bi[:, a, b]
         assert np.array_equal(got, want)
         assert np.array_equal(crf.boundary_probabilities(s, model), want)
+        np.testing.assert_allclose(got, log_want, rtol=1e-12, atol=0)
+
+
+def masked_marginals(model, sentence, allowed):
+    """log Z and bigram marginals of one sentence under ``allowed`` (None: no mask), by the core."""
+    ids = [model.vocab.encode(sentence)]
+    fb = crf._forward_backward(
+        *crf._emission_batch(model, ids, [allowed]), model.trans, model.start, model.end
+    )
+    return fb.log_z[0], fb.bigram[0]
+
+
+@pytest.mark.parametrize("scale", [300.0, 1000.0])
+def test_large_weights_match_the_oracle(scale):
+    """Weights far beyond the scaled range go through log space, still exact."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        s = oracle.random_sentence(rng, n)
+        model = oracle.make_model(rng, [s], scale=scale)
+        for allowed in (None, oracle.random_mask(rng, n)):
+            mask = None if allowed is None else ConstraintMask(allowed)
+            want = oracle.log_partition(model, s, allowed)
+            assert crf.log_partition(s, model, mask) == pytest.approx(want, rel=1e-9)
+            log_z, bigram = masked_marginals(model, s, allowed)
+            assert log_z == pytest.approx(want, rel=1e-9)
+            if n > 1:
+                want_bigram = oracle.bigram_marginals(model, s, allowed)
+                np.testing.assert_allclose(bigram, want_bigram, rtol=1e-9, atol=1e-300)
+                if allowed is None:
+                    np.testing.assert_allclose(
+                        crf.bigram_marginals(s, model), want_bigram, rtol=1e-9, atol=1e-300
+                    )
+
+
+@pytest.mark.parametrize("scale", [1.5, 300.0])
+@pytest.mark.parametrize("blocked", [0, 2], ids=["first-position", "last-position"])
+def test_raw_mask_without_a_legal_path_raises(scale, blocked):
+    # a dead prefix divides 0 by 0 in scaled space, a dead end takes log(0)
+    model = random_model(41, scale=scale)
+    allowed = np.ones((3, N), dtype=bool)
+    allowed[blocked] = [False, True, False, False]  # M cannot start or end a sentence
+    _, lengths, _, spread = crf._emission_batch(model, [model.vocab.encode("abc")])
+    assert crf._in_range(lengths, spread, model.trans, model.start, model.end)[0] == (scale < 10)
+    with pytest.raises(NoLegalPath):
+        crf.log_partition("abc", model, allowed)
+
+
+def test_rows_in_and_out_of_the_scaled_range_share_a_batch():
+    rng = np.random.default_rng(37)
+    model = oracle.make_model(rng, [ALPHABET], scale=12.0)
+    sentences = [oracle.random_sentence(rng, n, ALPHABET) for n in (1, 7, 2, 6, 3, 5, 4)]
+    allowed = [oracle.random_mask(rng, len(s)) if k % 2 else None for k, s in enumerate(sentences)]
+    ids = [model.vocab.encode(s) for s in sentences]
+    weights = (model.trans, model.start, model.end)
+    E, lengths, shift, spread = crf._emission_batch(model, ids, allowed)
+    scaled = crf._in_range(lengths, spread, *weights)
+    assert scaled.any() and not scaled.all()
+    fb = crf._forward_backward(E, lengths, shift, spread, *weights)
+    for b, (s, a) in enumerate(zip(sentences, allowed)):
+        # each row as it comes out alone, and as the oracle has it
+        alone = crf._forward_backward(*crf._emission_batch(model, [ids[b]], [a]), *weights)
+        n = len(s)
+        assert fb.log_z[b] == alone.log_z[0]
+        assert np.array_equal(fb.unigram[b, :n], alone.unigram[0])
+        assert np.array_equal(fb.bigram[b, : n - 1], alone.bigram[0])
+        assert fb.log_z[b] == pytest.approx(oracle.log_partition(model, s, a), rel=1e-9)
+        if n > 1:
+            np.testing.assert_allclose(
+                fb.bigram[b, : n - 1], oracle.bigram_marginals(model, s, a), rtol=1e-9, atol=1e-300
+            )
 
 
 @pytest.mark.parametrize("grid", [None, 0.25])

@@ -70,6 +70,18 @@ class TestTrainAndSegment:
         segmented = read_gold_corpus(out)
         assert [s.chars for s in segmented] == ["一二三", "四五六"]
 
+    def test_segment_output_scores_f1_one_against_itself(self, workspace, capsys):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "2")
+        raw = tmp / "raw.txt"
+        raw.write_text("一二三\n四五 六\n七\n六一二三四五\n", encoding="utf-8")
+        out = tmp / "segmented.txt"
+        assert run("segment", model_path, raw, "-o", out) == 0
+        capsys.readouterr()
+        assert run("eval", out, out) == 0
+        assert "f1        1.0000" in capsys.readouterr().out
+
     def test_segment_drops_whitespace_from_raw_lines(self, workspace):
         tmp, gold = workspace
         model_path = tmp / "model.txt"
@@ -454,6 +466,7 @@ class TestErrorHandling:
         '{"epochs": "3"}',
         '{"epochs": true}',
         '{"threshold": 1.5}',
+        pytest.param('{"seed": ' + "1" * 5000 + "}", id="5000-digit-integer"),  # past int()
     ])
     def test_malformed_config_file_exits_one(self, workspace, capsys, text):
         tmp, gold = workspace

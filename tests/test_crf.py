@@ -32,20 +32,23 @@ def zero_model(text="abcdef"):
 
 
 class TestLogSumExp:
+    """``crf._lse``, the log-sum-exp of the log-space recursion."""
+
     def test_matches_naive(self):
         a = np.array([0.1, -2.0, 3.5])
-        assert crf.logsumexp(a) == pytest.approx(math.log(sum(math.exp(x) for x in a)))
+        assert crf._lse(a, 0) == pytest.approx(math.log(sum(math.exp(x) for x in a)))
 
     def test_all_neg_inf_gives_neg_inf(self):
-        assert crf.logsumexp(np.array([NEG_INF, NEG_INF])) == NEG_INF
+        with np.errstate(divide="ignore"):  # log(0), silenced by its callers
+            assert crf._lse(np.array([NEG_INF, NEG_INF]), 0) == NEG_INF
 
     def test_partial_neg_inf(self):
         a = np.array([NEG_INF, 1.0])
-        assert crf.logsumexp(a) == pytest.approx(1.0)
+        assert crf._lse(a, 0) == pytest.approx(1.0)
 
     def test_axis(self):
         a = np.array([[0.0, NEG_INF], [1.0, 2.0]])
-        out = crf.logsumexp(a, axis=1)
+        out = crf._lse(a, 1)
         assert out[0] == pytest.approx(0.0)
         assert out[1] == pytest.approx(np.logaddexp(1.0, 2.0))
 

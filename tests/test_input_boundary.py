@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from pauseseg import alignment, cli, crf, mining, pipeline, segments
 from pauseseg.alignment import CharAlignment, Pause
-from pauseseg.errors import ParseError
+from pauseseg.errors import ParseError, PausesegError
 from pauseseg.mining import PartialSentence
 from pauseseg.segments import SegmentedSentence
 
@@ -246,3 +246,43 @@ def test_any_input_bytes_exit_zero_or_one_with_one_error_line(valid, argv, targe
     errors = [line for line in err.splitlines() if line.startswith("error[")]
     assert len(errors) == (1 if code == 1 else 0)
     assert "Traceback" not in err
+
+
+# characters the formats treat specially (escapes, line ends, whitespace, a
+# byte-order mark, a lone surrogate), and any other
+WORD = st.text(
+    st.one_of(
+        st.sampled_from(["|", "\\", "\r", "\n", " ", "\t", "\x1c", "\x85", "\u2028", "\u3000",
+                         "\ufeff", "\ud800"]),
+        st.characters(),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def partial_of(seg: SegmentedSentence) -> PartialSentence:
+    """The sentence with its word boundaries as the known ones."""
+    return PartialSentence(seg.chars, tuple(sorted(seg.boundary_junctions())))
+
+
+CORPUS_FORMATS = {
+    "gold": (lambda seg: seg, segments.write_gold_corpus, segments.read_gold_corpus),
+    "partial": (partial_of, mining.write_partial_corpus, mining.read_partial_corpus),
+}
+
+
+@pytest.mark.parametrize("fmt", CORPUS_FORMATS)
+@settings(max_examples=150, deadline=None)
+@given(sentences=st.lists(st.lists(WORD, min_size=1, max_size=4), min_size=1, max_size=4))
+def test_corpus_files_round_trip_or_the_writer_refuses(tmp_path_factory, fmt, sentences):
+    convert, write, read = CORPUS_FORMATS[fmt]
+    data = [convert(SegmentedSentence.from_words(words)) for words in sentences]
+    path = tmp_path_factory.getbasetemp() / f"round-trip.{fmt}.txt"
+    path.unlink(missing_ok=True)
+    try:
+        write(path, data)
+    except (PausesegError, UnicodeEncodeError):  # a word the format cannot hold
+        assert not path.exists()
+        return
+    assert read(path) == data

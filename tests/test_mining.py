@@ -332,6 +332,17 @@ class TestScoredPauseIO:
             mining.read_scored_pauses(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("field", ["sentence", "utterance_id"])
+    @pytest.mark.parametrize("value", [None, 12345, [1, 2]])
+    def test_field_that_is_not_a_string_rejected_naming_the_line(self, tmp_path, field, value):
+        path = tmp_path / "scored.jsonl"
+        good = {"utterance_id": "u1", "sentence": "一二三", "pauses": []}
+        bad = dict(good, **{field: value})
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{field} .* is not a string") as exc:
+            mining.read_scored_pauses(path)
+        assert exc.value.line == 2
+
     @pytest.mark.parametrize("pause", [
         {"junction": 0, "duration_ms": 230.0, "probability": "high"},
         {"junction": 0, "duration_ms": 230.0, "probability": 1.5},
