@@ -14,8 +14,10 @@ too wide a range for that; Viterbi runs in max-sum over scores.
 from __future__ import annotations
 
 import base64
+import logging
 import math
 import random
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,8 @@ from .errors import (
     TrainingDiverged,
 )
 from .segments import SegmentedSentence, read_text, split_lines, write_text
+
+log = logging.getLogger(__name__)
 
 NEG_INF = float("-inf")
 N = tagset.N_LABELS
@@ -797,25 +801,52 @@ _LABEL_OF_CODE = np.full(128, -1, dtype=np.intp)
 _LABEL_OF_CODE[[ord(c) for c in tagset.LABEL_CHARS]] = np.arange(N)
 
 
-def _prepare_full(ids: np.ndarray, tags):
-    """(feature ids, gold labels, None) after checking the gold sequence."""
-    if isinstance(tags, str):
-        # a non-ASCII character becomes "?", which is no label either
-        gold = _LABEL_OF_CODE[np.frombuffer(tags.encode("ascii", "replace"), dtype=np.uint8)]
-        if (gold < 0).any():
-            raise IllegalTagSequence(f"unknown label character in {tags!r}")
-    else:
-        gold = np.array(tagset.parse_tags(tags), dtype=np.intp)
-    if len(gold) != len(ids):
-        raise LengthMismatch(f"{len(gold)} tags for {len(ids)} characters")
-    if not (
-        len(gold)
-        and START_LEGAL[gold[0]]
-        and END_LEGAL[gold[-1]]
-        and TRANS_LEGAL[gold[:-1], gold[1:]].all()
-    ):
-        raise IllegalTagSequence(f"illegal gold sequence {tagset.tags_to_str(gold)!r}")
-    return ids, gold, None
+def _gold_labels(tag_sequences, lengths) -> list[np.ndarray]:
+    """The label arrays of gold tag sequences for sentences of ``lengths`` characters.
+
+    Checks every sequence in one pass over their concatenation. The first
+    bad one, in order, raises what checking it alone would: an unknown label
+    (``tagset.parse_tags``' error for a sequence of ints), else a length
+    mismatch, else an illegal start, end or transition.
+    """
+    texts = []
+    for k, tags in enumerate(tag_sequences):
+        if not isinstance(tags, str):
+            try:
+                tags = tagset.tags_to_str(tagset.parse_tags(tags))
+            except Exception:
+                _gold_labels(tag_sequences[:k], lengths[:k])  # an earlier error comes first
+                raise
+        texts.append(tags)
+    n_tags = np.fromiter(map(len, texts), np.intp, len(texts))
+    ends = np.cumsum(n_tags)
+    starts = ends - n_tags
+    # a non-ASCII character becomes "?", which is no label either
+    labels = _LABEL_OF_CODE[np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8)]
+    # position i starts its sequence when is_first[i], ends it when is_first[i + 1]
+    is_first = np.zeros(len(labels) + 1, dtype=bool)
+    is_first[starts] = True
+    is_first[-1] = True
+    prev = np.roll(labels, 1)  # the label before each position, where there is one
+    illegal = np.where(is_first[:-1], ~START_LEGAL[labels], ~TRANS_LEGAL[prev, labels])
+    illegal |= is_first[1:] & ~END_LEGAL[labels]
+
+    def per_sequence(at: np.ndarray) -> np.ndarray:
+        """Whether ``at`` holds at some position of each sequence."""
+        count = np.concatenate([[0], np.cumsum(at)])
+        return count[ends] > count[starts]
+
+    unknown = per_sequence(labels < 0)
+    wrong_length = n_tags != np.asarray(lengths, dtype=np.intp)
+    bad = unknown | wrong_length | per_sequence(illegal) | (n_tags == 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if unknown[k]:
+            raise IllegalTagSequence(f"unknown label character in {texts[k]!r}")
+        if wrong_length[k]:
+            raise LengthMismatch(f"{n_tags[k]} tags for {lengths[k]} characters")
+        raise IllegalTagSequence(f"illegal gold sequence {texts[k]!r}")
+    return [labels[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def _prepare_partial(ids: np.ndarray, mask):
@@ -890,7 +921,9 @@ def nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
     The gradient is expected feature counts minus gold counts, covering
     emissions, transitions and start/end weights.
     """
-    items = [_prepare_full(model.vocab.encode(sentence), tags) for sentence, tags in batch]
+    sentences = [sentence for sentence, _ in batch]
+    gold = _gold_labels([tags for _, tags in batch], [len(s) for s in sentences])
+    items = [(model.vocab.encode(s), labels, None) for s, labels in zip(sentences, gold)]
     return _batch_loss_and_grad(model, items)
 
 
@@ -921,6 +954,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidConfig("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfig(f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise InvalidConfig(f"l2 must be finite and >= 0, not {self.l2!r}")
+        if self.batch_chars < 1:
+            raise InvalidConfig(f"batch_chars must be >= 1, not {self.batch_chars!r}")
 
 
 @dataclass(frozen=True)
@@ -958,6 +997,24 @@ def _finite(model: CrfModel) -> bool:
     )
 
 
+def _prepare(examples) -> tuple[feat.FeatureVocabulary, list]:
+    """A frozen vocabulary of the examples' features, and the examples as ``_loss_and_grad`` items.
+
+    An item is (feature ids, gold labels, None) or (feature ids, None,
+    allowed labels). The gold sequences are checked before the vocabulary
+    is built, all at once.
+    """
+    full = [ex for ex in examples if isinstance(ex, FullExample)]
+    gold = iter(_gold_labels([ex.tags for ex in full], [len(ex.sentence) for ex in full]))
+    vocab = feat.FeatureVocabulary()
+    prepared = [
+        (ids, next(gold), None) if isinstance(ex, FullExample) else _prepare_partial(ids, ex.mask)
+        for ex, ids in zip(examples, vocab.add_corpus([ex.sentence for ex in examples]))
+    ]
+    vocab.freeze()
+    return vocab, prepared
+
+
 def train(
     examples,
     config: TrainConfig,
@@ -970,6 +1027,12 @@ def train(
     with the best dev F1 when ``dev`` is given, otherwise the final epoch.
     Deterministic for a fixed seed. Raises ``TrainingDiverged`` when an
     epoch leaves a weight infinite or NaN.
+
+    Logs to ``pauseseg.crf`` at INFO: one record for the preparation
+    (sentences, characters, features, seconds), then one per epoch: the
+    summed loss of its mini-batches, each taken before its update, the dev
+    F1 when ``dev`` is given, and the seconds and characters per second of
+    its updates.
 
     The L2 decay of the emission weights is lazy: within an epoch they are
     ``scale * model.emit_w``, each update multiplies ``scale`` by
@@ -985,17 +1048,16 @@ def train(
     if not examples:
         raise EmptyDataset("no training sentences")
 
-    vocab = feat.FeatureVocabulary()
-    prepared = [
-        _prepare_full(ids, ex.tags)
-        if isinstance(ex, FullExample)
-        else _prepare_partial(ids, ex.mask)
-        for ex, ids in zip(examples, vocab.add_corpus([ex.sentence for ex in examples]))
-    ]
-    vocab.freeze()
+    started = time.perf_counter()
+    vocab, prepared = _prepare(examples)
     model = CrfModel(vocab)
     lengths = [len(ex.sentence) for ex in examples]
     dev_ids = vocab.encode_corpus([s.chars for s in dev]) if dev else None
+    chars = sum(lengths)
+    log.info(
+        "prepared %d sentences, %d characters, %d features in %.3f s",
+        len(examples), chars, vocab.size, time.perf_counter() - started,
+    )
 
     rng = random.Random(config.seed)
     order = list(range(len(examples)))
@@ -1004,12 +1066,15 @@ def train(
     lr = config.learning_rate
     decay = 1.0 - lr * config.l2
     for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
         rng.shuffle(order)
         scale = 1.0
+        loss = 0.0
         # a diverging run overflows before the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for batch in _batches(order, lengths, config.batch_chars):
-                _, counts = _loss_and_grad(model, [prepared[idx] for idx in batch], scale)
+                batch_loss, counts = _loss_and_grad(model, [prepared[idx] for idx in batch], scale)
+                loss += batch_loss
                 inv_b = 1.0 / len(batch)
                 scale *= decay
                 # fold the scale in before it underflows, or once decay <= 0 has
@@ -1025,14 +1090,21 @@ def train(
                 ):
                     w[legal] -= lr * (inv_b * g[legal] + config.l2 * w[legal])
             model.emit_w *= scale
+        seconds = time.perf_counter() - started
         if not _finite(model):
             raise TrainingDiverged(
                 f"weights became infinite or NaN in epoch {epoch} of {config.epochs}"
                 f" (learning rate {lr:g})"
             )
+        dev_note = ""
         if dev:
             f1 = _dev_f1(model, dev, dev_ids)
+            dev_note = f", dev f1 {f1:.4f}"
             if f1 > best_f1:
                 best_f1 = f1
                 best = model.copy()
+        log.info(
+            "epoch %d/%d: loss %.6f%s, %.3f s, %.0f chars/s",
+            epoch, config.epochs, loss, dev_note, seconds, chars / seconds,
+        )
     return best if best is not None else model

@@ -190,8 +190,13 @@ class FeatureVocabulary:
         self._sorted_keys, self._sorted_ids = _merge(self._sorted_keys, self._sorted_ids, keys, ids)
 
     def _split(self, ids: np.ndarray, sentences: list[str]) -> list[np.ndarray]:
-        ends = np.cumsum([len(s) for s in sentences])
-        return np.split(ids.reshape(-1, len(self.templates)), ends[:-1])
+        ids = ids.reshape(-1, len(self.templates))
+        out, start = [], 0
+        for sentence in sentences:
+            end = start + len(sentence)
+            out.append(ids[start:end])
+            start = end
+        return out
 
     # -- building -----------------------------------------------------------
 
@@ -221,12 +226,16 @@ class FeatureVocabulary:
                 out[row : row + chars] = self._keys(sentences[start:end])
                 row += chars
                 start, chars = end, 0
+        if not len(out):  # no characters: no features, and no run to start
+            return self._split(out, sentences)
         # each column becomes indices into all templates' distinct keys
         keys, first = [], []
         offset = 0
         for t in range(T):
-            distinct, rows, inverse = np.unique(out[:, t], return_index=True, return_inverse=True)
-            out[:, t] = inverse.ravel() + offset
+            # a contiguous copy keeps the sort's gathers and scatters cheap
+            distinct, rows, rank = _distinct(out[:, t].copy())
+            rank += offset
+            out[:, t] = rank
             offset += len(distinct)
             keys.append(distinct)
             first.append(rows * T + t)  # flat position of the first occurrence
@@ -312,11 +321,14 @@ class FeatureVocabulary:
         bad = np.flatnonzero(~vocab._fireable(keys))
         if len(bad):
             raise ValueError(f"feature {bad[0] + 1} (key {keys[bad[0]]}) matches no template")
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         sorted_keys = keys[order]
-        repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
-        if len(repeats):
-            # a stable sort puts equal keys in id order
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            # a stable sort puts equal keys in id order: name the first repeat
+            # and the occurrence just before it
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
             k = repeats[np.argmin(order[repeats + 1])]
             raise ValueError(f"feature {order[k + 1] + 1} repeats feature {order[k] + 1}")
         vocab._sorted_keys = np.append(sorted_keys, _NO_KEY)
@@ -324,6 +336,24 @@ class FeatureVocabulary:
         vocab._next = len(keys) + 1
         vocab.freeze()
         return vocab
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``np.unique(values, return_index=True, return_inverse=True)`` gives, for 1-d values.
+
+    ``values`` must not be empty. The sort need not be stable: equal values
+    form one run of the sorted array, and the smallest index in the run is
+    the first occurrence.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    new_run = np.empty(len(ordered), dtype=bool)
+    new_run[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new_run) - 1
+    return ordered[starts], np.minimum.reduceat(order, starts), rank
 
 
 def _merge(

@@ -388,7 +388,8 @@ def test_batch_gradient_is_the_sum_of_per_sentence_gradients():
           [ref_loss_and_grad(model, s, allowed=m.allowed) for s, m in partial])
 
     # full and partial examples in one training batch
-    items = [crf._prepare_full(model.vocab.encode(s), t) for s, t in full]
+    gold = crf._gold_labels([t for _, t in full], [len(s) for s, _ in full])
+    items = [(model.vocab.encode(s), labels, None) for (s, _), labels in zip(full, gold)]
     items += [crf._prepare_partial(model.vocab.encode(s), m) for s, m in partial]
     loss, counts = crf._loss_and_grad(model, items)
     check(loss, crf._gradient(model, counts),

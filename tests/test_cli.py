@@ -353,6 +353,23 @@ class TestErrorHandling:
         assert "error[InvalidConfig]" in capsys.readouterr().err
         assert not (tmp / "m.txt").exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lr", "-1", "learning_rate"), ("--lr", "nan", "learning_rate"),
+        ("--l2", "-1", "l2"), ("--l2", "nan", "l2"), ("--batch-chars", "-5", "batch_chars"),
+    ])
+    def test_optimizer_setting_that_makes_no_sense_exits_one(
+        self, workspace, capsys, flag, value, field
+    ):
+        tmp, gold = workspace
+        assert run("train", gold, "-o", tmp / "m.txt", flag, value) == 1
+        assert capsys.readouterr().err.startswith(f"error[InvalidConfig]: {field} must be")
+        assert not (tmp / "m.txt").exists()
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({field: float(value)}), encoding="utf-8")  # nan as NaN
+        assert run("train", gold, "-o", tmp / "m.txt", "--config", cfg) == 1
+        assert capsys.readouterr().err.startswith(f"error[InvalidConfig]: {field} must be")
+        assert not (tmp / "m.txt").exists()
+
     def test_diverging_training_exits_one_and_writes_no_model(self, workspace, capsys):
         tmp, gold = workspace
         assert run("train", gold, "-o", tmp / "m.txt", "--lr", "1e308") == 1

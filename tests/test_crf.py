@@ -1,6 +1,8 @@
 import base64
+import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from pauseseg.errors import (
     EmptyDataset,
     IllegalTagSequence,
     IndexOutOfRange,
+    InvalidConfig,
     LengthMismatch,
     NoLegalPath,
     ParseError,
@@ -273,6 +276,22 @@ class TestConstraintMask:
             crf.log_partition("ab", m, mask)
 
 
+def reference_gold_check(tags, n):
+    """The labels of one gold sequence for n characters, checked one tag at a time."""
+    t = tagset.parse_tags(tags)
+    if len(t) != n:
+        raise LengthMismatch(f"{len(t)} tags for {n} characters")
+    if not tagset.is_legal(t):
+        raise IllegalTagSequence(f"illegal gold sequence {tagset.tags_to_str(t)!r}")
+    return t
+
+
+# legal BMES strings, one word of 1-4 characters at a time
+LEGAL_TAGS = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+    lambda words: "".join("S" if w == 1 else "B" + "M" * (w - 2) + "E" for w in words)
+)
+
+
 class TestGradients:
     def rel_err(self, a, b):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
@@ -381,21 +400,42 @@ class TestGradients:
     @given(tags=st.text("BMESX\u00e9", max_size=6), n=st.integers(0, 6))
     def test_gold_check_matches_tagset(self, tags, n):
         # the reference: parse, then length, then legality, one tag at a time
-        ids = np.zeros((n, 1), dtype=np.intp)
         try:
-            t = tagset.parse_tags(tags)
-            if len(t) != n:
-                raise LengthMismatch(f"{len(t)} tags for {n} characters")
-            if not tagset.is_legal(t):
-                raise IllegalTagSequence(f"illegal gold sequence {tagset.tags_to_str(t)!r}")
+            t = reference_gold_check(tags, n)
         except (LengthMismatch, IllegalTagSequence) as exc:
             with pytest.raises(type(exc)) as got:
-                crf._prepare_full(ids, tags)
+                crf._gold_labels([tags], [n])
             assert str(got.value) == str(exc)
         else:
-            _, gold, _ = crf._prepare_full(ids, tags)
+            [gold] = crf._gold_labels([tags], [n])
             assert gold.tolist() == list(t)
-            assert crf._prepare_full(ids, list(t))[1].tolist() == list(t)
+            assert crf._gold_labels([list(t)], [n])[0].tolist() == list(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=st.lists(
+        st.one_of(
+            st.tuples(st.text("BMESX\u00e9", max_size=6), st.integers(0, 6)),
+            st.tuples(st.lists(st.integers(-1, 4), max_size=6), st.integers(0, 6)),
+            LEGAL_TAGS.map(lambda tags: (tags, len(tags))),
+            LEGAL_TAGS.map(lambda tags: (tagset.parse_tags(tags), len(tags))),
+        ),
+        max_size=8,
+    ))
+    def test_corpus_gold_check_raises_for_the_first_bad_sequence(self, corpus):
+        # one pass over the corpus gives what checking each sequence in turn gives
+        tag_sequences = [tags for tags, _ in corpus]
+        lengths = [n for _, n in corpus]
+        want = []
+        try:
+            for tags, n in corpus:
+                want.append(reference_gold_check(tags, n))
+        except (LengthMismatch, IllegalTagSequence) as exc:
+            with pytest.raises(type(exc)) as got:
+                crf._gold_labels(tag_sequences, lengths)
+            assert str(got.value) == str(exc)
+        else:
+            got = crf._gold_labels(tag_sequences, lengths)
+            assert [labels.tolist() for labels in got] == [list(t) for t in want]
 
     def test_gradient_zero_on_illegal_entries(self):
         rng = np.random.default_rng(97)
@@ -492,6 +532,54 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", math.nan),
+        ("learning_rate", math.inf), ("l2", -1.0), ("l2", -1e-300), ("l2", math.nan),
+        ("l2", math.inf), ("batch_chars", 0), ("batch_chars", -5),
+    ])
+    def test_optimizer_settings_that_make_no_sense_are_refused(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+
+    def test_optimizer_settings_at_their_limits_are_accepted(self):
+        # lr * l2 >= 1 takes the lazy scale to 0 or below, which train handles
+        for cfg in (dict(l2=0.0), dict(learning_rate=1e308), dict(l2=3.0), dict(batch_chars=1)):
+            TrainConfig(**cfg)
+
+    def test_train_logs_its_preparation_and_each_epoch(self, caplog, capsys):
+        from pauseseg.segments import SegmentedSentence
+        examples = self.small_corpus()
+        dev = [SegmentedSentence.from_words(["ab", "c"])]
+        cfg = TrainConfig(epochs=3, seed=0, batch_chars=10**6)  # one batch per epoch
+        with caplog.at_level(logging.INFO, logger="pauseseg.crf"):
+            model = crf.train(examples, cfg, dev=dev)
+            crf.train(examples, cfg)
+        assert capsys.readouterr() == ("", "")
+        records = [r for r in caplog.records if r.name == "pauseseg.crf"]
+        assert [r.levelno for r in records] == [logging.INFO] * 8
+        chars = sum(len(ex.sentence) for ex in examples)
+        assert re.fullmatch(
+            rf"prepared {len(examples)} sentences, {chars} characters,"
+            rf" {model.vocab.size} features in \d+\.\d{{3}} s",
+            records[0].getMessage(),
+        )
+        epoch = re.compile(
+            r"epoch (\d)/3: loss (\S+)(, dev f1 (\S+))?, \d+\.\d{3} s, \d+ chars/s"
+        )
+        found = [epoch.fullmatch(r.getMessage()) for r in records[1:4] + records[5:]]
+        assert all(found)
+        assert [int(m[1]) for m in found] == [1, 2, 3] * 2
+        assert [m[3] is not None for m in found] == [True] * 3 + [False] * 3
+        # epoch 1 starts from zero weights: each sentence's loss is log(number of
+        # legal sequences); epoch 2's is the loss of the model after one epoch
+        log_counts = sum(math.log(len(oracle.legal_sequences(len(ex.sentence)))) for ex in examples)
+        assert float(found[0][2]) == pytest.approx(log_counts, abs=1e-6)
+        one_epoch = crf.train(examples, TrainConfig(epochs=1, seed=0, batch_chars=10**6))
+        loss, _ = crf.nll_loss_and_grad([(ex.sentence, ex.tags) for ex in examples], one_epoch)
+        assert float(found[1][2]) == pytest.approx(loss, abs=1e-6)
+        assert float(found[0][2]) > float(found[1][2]) > float(found[2][2])
+        assert [float(m[2]) for m in found[:3]] == [float(m[2]) for m in found[3:]]
+
 
 def random_examples(seed, n, partial_every=0):
     """n gold sentences over a small alphabet; every partial_every-th one as a mask."""
@@ -514,14 +602,7 @@ def random_examples(seed, n, partial_every=0):
 
 def dense_train(examples, config):
     """``crf.train`` without dev, updating every weight per batch: the reference."""
-    vocab = features.FeatureVocabulary()
-    prepared = [
-        crf._prepare_full(ids, ex.tags)
-        if isinstance(ex, crf.FullExample)
-        else crf._prepare_partial(ids, ex.mask)
-        for ex, ids in zip(examples, vocab.add_corpus([ex.sentence for ex in examples]))
-    ]
-    vocab.freeze()
+    vocab, prepared = crf._prepare(examples)
     model = CrfModel(vocab)
     lengths = [len(ex.sentence) for ex in examples]
     rng = random.Random(config.seed)
@@ -640,6 +721,13 @@ def with_first_key(key):
     return edit
 
 
+# any code point, lone surrogates and the characters feature strings are built from
+MODEL_TEXT_CHARS = st.one_of(
+    st.characters(),
+    st.sampled_from([chr(0xD800), chr(0xDFFF), features.SEP, "⟨", "⟩", "=", chr(0x10FFFF)]),
+)
+
+
 class TestSerialization:
     def test_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(101)
@@ -715,6 +803,41 @@ class TestSerialization:
         m.save(tmp_path / "a.model")
         m.save(tmp_path / "b.model")
         assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        corpus=st.lists(st.text(MODEL_TEXT_CHARS, max_size=10), min_size=1, max_size=6),
+        probes=st.lists(st.text(MODEL_TEXT_CHARS, max_size=10), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_model_file_round_trips_any_vocabulary_and_weights(self, corpus, probes, seed):
+        vocab = features.FeatureVocabulary()
+        vocab.add_corpus(corpus)
+        vocab.freeze()
+        rng = np.random.default_rng(seed)
+
+        def finite(legal):
+            # random bit patterns: huge, tiny, subnormal and signed-zero weights
+            bits = rng.integers(0, 2**64, size=legal.shape, dtype=np.uint64)
+            w = bits.view(np.float64)
+            return np.where(legal, np.where(np.isfinite(w), w, -0.0), NEG_INF)
+
+        m = CrfModel(
+            vocab,
+            finite(np.ones((vocab.size, 4), dtype=bool)),
+            finite(crf.TRANS_LEGAL),
+            finite(crf.START_LEGAL),
+            finite(crf.END_LEGAL),
+        )
+        text = m.dumps()
+        loaded = CrfModel.loads(text)
+        assert loaded.vocab.size == vocab.size
+        assert loaded.vocab.keys().tobytes() == vocab.keys().tobytes()
+        for name in ("emit_w", "trans", "start", "end"):
+            assert getattr(loaded, name).tobytes() == getattr(m, name).tobytes()
+        assert loaded.dumps() == text
+        for sentence in corpus + probes:
+            np.testing.assert_array_equal(loaded.vocab.encode(sentence), vocab.encode(sentence))
 
     def test_round_trip_at_ten_thousand_features_is_bitwise(self):
         rng = np.random.default_rng(113)

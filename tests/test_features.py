@@ -7,6 +7,7 @@ its keys must be the ``feature_key`` of exactly its strings.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,10 +155,31 @@ def test_from_keys_names_the_first_key_it_cannot_hold():
     keys = vocab.keys()
     with pytest.raises(ValueError, match="feature 5 repeats feature 2"):
         FeatureVocabulary.from_keys(vocab.templates, np.insert(keys, 4, keys[1]))
+    with pytest.raises(ValueError, match="feature 5 repeats feature 2"):
+        FeatureVocabulary.from_keys(vocab.templates, np.insert(keys, [4, 7], keys[1]))
     bad = keys.copy()
     bad[[2, 6]] = -1
     with pytest.raises(ValueError, match=r"feature 3 \(key -1\) matches no template"):
         FeatureVocabulary.from_keys(vocab.templates, bad)
+
+
+def test_from_keys_names_the_first_repeat_among_many():
+    # the first feature whose key an earlier one holds, and that earlier one
+    vocab = FeatureVocabulary()
+    vocab.add_corpus(["".join(chr(0x4E00 + k % 500) for k in range(n, n + 30)) for n in range(400)])
+    keys = vocab.keys()
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        edited = keys.copy()
+        at = rng.choice(len(keys), size=200, replace=False)
+        edited[at] = keys[rng.integers(0, len(keys), size=200)]
+        seen: dict[int, int] = {}
+        for j, key in enumerate(edited.tolist()):
+            if key in seen:
+                break
+            seen[key] = j
+        with pytest.raises(ValueError, match=f"^feature {j + 1} repeats feature {seen[key] + 1}$"):
+            FeatureVocabulary.from_keys(vocab.templates, edited)
 
 
 def test_emission_scores_sum_feature_weights():
@@ -255,6 +277,57 @@ def test_add_corpus_in_runs_numbers_like_the_reference(monkeypatch, run_chars):
         for got, text in zip(vocab.add_corpus(sentences), sentences, strict=True):
             np.testing.assert_array_equal(got, ref.ids(text))
     assert vocab.size == ref.size
+    np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
+
+
+# tiny alphabets, so that most keys repeat within a sort's column and across runs
+REPEATING_TEXTS = st.sampled_from(["a", "ab", "ab" + SEP + chr(0x1F600)]).flatmap(
+    lambda alphabet: st.lists(st.text(st.sampled_from(alphabet), max_size=12), max_size=40)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    corpus=REPEATING_TEXTS,
+    run_chars=st.sampled_from([1, 5, 16, features.ADD_CHUNK_CHARS]),
+    cut=st.integers(0, 40),
+)
+def test_add_corpus_numbers_repeated_keys_like_the_reference(corpus, run_chars, cut):
+    # the second call meets keys the first one numbered
+    vocab, ref = FeatureVocabulary(), RefVocabulary()
+    with mock.patch.object(features, "ADD_CHUNK_CHARS", run_chars):
+        for sentences in (corpus[:cut], corpus[cut:]):
+            for got, text in zip(vocab.add_corpus(sentences), sentences, strict=True):
+                np.testing.assert_array_equal(got, ref.ids(text))
+    assert vocab.size == ref.size
+    np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
+
+
+def test_add_corpus_past_a_run_numbers_like_the_reference():
+    # thousands of equal keys per column, keyed in several runs
+    rng = np.random.default_rng(8)
+    corpus = ["".join(rng.choice(list("abc"), size=rng.integers(0, 40))) for _ in range(400)]
+    assert sum(map(len, corpus)) > 3 * features.ADD_CHUNK_CHARS
+    vocab, ref = FeatureVocabulary(), RefVocabulary()
+    for got, text in zip(vocab.add_corpus(corpus), corpus, strict=True):
+        np.testing.assert_array_equal(got, ref.ids(text))
+    np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
+
+
+def test_numbering_does_not_depend_on_the_order_of_equal_keys(monkeypatch):
+    # the default sort is not stable: let it put every run of equal keys
+    # in descending position order, the opposite of a stable sort
+    def ties_reversed(a, *args, **kwargs):
+        return np.lexsort((-np.arange(len(a)), a))
+
+    rng = np.random.default_rng(9)
+    corpus = ["".join(rng.choice(list("ab"), size=rng.integers(0, 9))) for _ in range(60)]
+    ref = RefVocabulary()
+    want = [ref.ids(text) for text in corpus]
+    monkeypatch.setattr(np, "argsort", ties_reversed)
+    vocab = FeatureVocabulary()
+    for got, ids in zip(vocab.add_corpus(corpus), want, strict=True):
+        np.testing.assert_array_equal(got, ids)
     np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
 
 
