@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, NonMonotoneFrames, ParseError, SentenceTooShort
@@ -16,6 +17,12 @@ from .segments import check_utf8, read_text, split_lines, string_field, write_te
 
 DEFAULT_FRAME_OFFSET_MS = 10.0
 DEFAULT_MIN_PAUSE_MS = 10.0
+
+
+def check_min_pause_ms(min_pause_ms: float) -> None:
+    """``InvalidConfig`` unless ``min_pause_ms`` is a finite number >= 0."""
+    if not (math.isfinite(min_pause_ms) and min_pause_ms >= 0):
+        raise InvalidConfig(f"min_pause_ms must be finite and >= 0, not {min_pause_ms!r}")
 
 
 def _check_frame_offset(frame_offset_ms: float) -> None:
@@ -95,6 +102,7 @@ def detect_pauses(
     alignment: CharAlignment, min_pause_ms: float = DEFAULT_MIN_PAUSE_MS
 ) -> list[Pause]:
     """Junctions whose silence lasts at least ``min_pause_ms``."""
+    check_min_pause_ms(min_pause_ms)
     return [
         Pause(i, d)
         for i, d in enumerate(pause_durations(alignment))
@@ -131,6 +139,8 @@ def _char_from_obj(obj) -> tuple[str, int, int]:
 
 def _alignment_from_obj(obj, line: int | None = None) -> CharAlignment:
     try:
+        if type(obj) is not dict:
+            raise ValueError(f"record is not a JSON object: {str(obj)[:40]}")
         chars = tuple(_char_from_obj(c) for c in obj["chars"])
         frame_offset_ms = obj.get("frame_offset_ms", DEFAULT_FRAME_OFFSET_MS)
         if type(frame_offset_ms) not in (int, float):
@@ -144,18 +154,41 @@ def _alignment_from_obj(obj, line: int | None = None) -> CharAlignment:
         raise ParseError(f"bad alignment record: {exc}", line=line) from exc
 
 
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _parse_array(text: str) -> list[CharAlignment]:
+    """The records of a JSON array; a bad record names the line on which it starts."""
+    decoder = json.JSONDecoder()
+    out = []
+    pos = _JSON_SPACE.match(text, len(text) - len(text.lstrip()) + 1).end()  # past "["
+    line, counted = 1, 0  # the line of text[counted]
+    while out or not text.startswith("]", pos):  # "[]" holds no record, "[x, ]" is an error
+        line += text.count("\n", counted, pos)
+        counted = pos
+        try:
+            obj, pos = decoder.raw_decode(text, pos)
+        except ValueError as exc:  # also an integer of more digits than int() reads
+            message = f"bad alignment JSON: {getattr(exc, 'msg', exc)}"
+            raise ParseError(message, line=getattr(exc, "lineno", line)) from exc
+        out.append(_alignment_from_obj(obj, line))
+        pos = _JSON_SPACE.match(text, pos).end()
+        if not text.startswith(",", pos):
+            break
+        pos = _JSON_SPACE.match(text, pos + 1).end()
+    if not text.startswith("]", pos) or text[pos + 1 :].strip():
+        message = "bad alignment JSON: expected ',' or a ']' that ends the text"
+        raise ParseError(message, line=line + text.count("\n", counted, pos))
+    return out
+
+
 def parse_alignments(text: str) -> list[CharAlignment]:
     """Parse alignment JSON: a single object, an array, or JSON lines."""
     stripped = text.strip()
     if not stripped:
         return []
     if stripped.startswith("["):
-        try:
-            data = json.loads(stripped)
-        except ValueError as exc:  # also an integer of more digits than int() reads
-            message = f"bad alignment JSON: {getattr(exc, 'msg', exc)}"
-            raise ParseError(message, line=getattr(exc, "lineno", None)) from exc
-        return [_alignment_from_obj(obj) for obj in data]
+        return _parse_array(text)
     out = []
     for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():

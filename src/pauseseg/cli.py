@@ -18,25 +18,29 @@ from . import alignment, crf, evaluate, mining, pipeline
 from .errors import InvalidConfig, ParseError, PausesegError
 from .segments import read_gold_corpus, read_text, split_lines, write_gold_corpus, write_text
 
+_OPTIMIZER = {f.name: f.default for f in dataclasses.fields(crf.TrainConfig)}
 # Every setting a config file may hold; each command reads only those it uses.
 DEFAULTS = {
-    **{f.name: f.default for f in dataclasses.fields(crf.TrainConfig)},
+    **_OPTIMIZER,
     "threshold": mining.DEFAULT_THRESHOLD,
     "min_pause_ms": alignment.DEFAULT_MIN_PAUSE_MS,
 }
 
 
 def _check_setting(key: str, value):
-    """``value`` as its default's type (int or float); ``InvalidConfig`` if it does not fit."""
+    """``value`` as its default's type (int or float), in range; ``InvalidConfig`` if not."""
     if type(value) not in (int, float):
         raise InvalidConfig(f"{key} must be a number, not {value!r}")
-    if type(DEFAULTS[key]) is int:
-        if not float(value).is_integer():
-            raise InvalidConfig(f"{key} must be an integer, not {value!r}")
-        return int(value)
-    if key == "threshold" and not 0.0 <= value <= 1.0:
+    if type(DEFAULTS[key]) is int and not float(value).is_integer():
+        raise InvalidConfig(f"{key} must be an integer, not {value!r}")
+    value = type(DEFAULTS[key])(value)
+    if key in _OPTIMIZER:
+        crf.TrainConfig(**{key: value})
+    elif key == "min_pause_ms":
+        alignment.check_min_pause_ms(value)
+    elif key == "threshold" and not 0.0 <= value <= 1.0:
         raise InvalidConfig(f"threshold must be in [0, 1], not {value!r}")
-    return float(value)
+    return value
 
 
 def _read_config_file(path) -> dict:
@@ -71,8 +75,7 @@ def _settings(args) -> dict:
 
 def _train_config(args) -> crf.TrainConfig:
     settings = _settings(args)
-    fields = dataclasses.fields(crf.TrainConfig)
-    return crf.TrainConfig(**{f.name: settings[f.name] for f in fields})
+    return crf.TrainConfig(**{key: settings[key] for key in _OPTIMIZER})
 
 
 def _write_manifest(primary_output, args, config: dict, inputs, outputs):

@@ -8,7 +8,7 @@ partition function, marginals and both losses, and a single Viterbi
 recursion serves (constrained) decoding: over batches for corpora, and on
 Python floats for one sentence. Forward-backward runs in scaled
 probability space, and in log space for a sentence whose weights span
-too wide a range for that; Viterbi runs in max-sum over scores.
+too wide a range for that; batched Viterbi is the log-space backward with max.
 """
 
 from __future__ import annotations
@@ -258,7 +258,9 @@ def _allowed_array(mask, n: int) -> np.ndarray | None:
 # see ``_viterbi_one``). They take a batch of sentences padded to
 # ``[B, L, 4]``: row b holds the emissions of a sentence of ``lengths[b]``
 # characters followed by -inf padding, and constraint-mask exclusions are
-# -inf entries as well. The recursions run on a ``[L, 4, B]`` copy, so
+# -inf entries as well. One mask (``_end_mask``) marks each row's last
+# position and its padding, where every recursion restarts from the end
+# weights. The recursions run on a ``[L, 4, B]`` copy, so
 # that each step is a few vectorised operations over contiguous per-label
 # rows of the batch. No row's arithmetic depends on the other rows, so a
 # sentence gets bitwise the same result alone (B = 1) or in any batch:
@@ -276,7 +278,8 @@ def _allowed_array(mask, n: int) -> np.ndarray | None:
 # that labels which cannot end a sentence (B, M) enter no c, and a mask
 # that excludes only them leaves log Z bitwise unchanged. beta[i, l, b] is
 # the mass of suffixes from i with label l (emission i excluded, end weight
-# included), divided by the c of every later position. With
+# included), divided by the c of every later position; it is F at and after
+# a row's last position, where alpha and X are 0 past the end. With
 # Z' = sum_l alpha[n-1, l] F[l] and Y[i] = X[i+1] beta[i+1] / c[i+1]:
 #     log Z = log Z' + sum_i log c[i] + sum_i shift[i]
 #     unigram[i, l] = alpha[i, l] beta[i, l] / Z'
@@ -320,12 +323,9 @@ def _label_major(E: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(E.transpose(1, 2, 0))
 
 
-def _row_ends(lengths: np.ndarray, L: int) -> dict[int, np.ndarray]:
-    """Rows that end before position L-1, grouped by their last position."""
-    if lengths.min() == L:
-        return {}
-    last = lengths - 1
-    return {int(i): np.flatnonzero(last == i) for i in np.unique(last[last < L - 1])}
+def _end_mask(lengths: np.ndarray, L: int) -> tuple[np.ndarray, int]:
+    """[L, B] mask of each row's last position and its padding, and the first position it marks."""
+    return np.arange(L)[:, None] >= lengths - 1, int(lengths.min()) - 1
 
 
 def _in_range(lengths, spread, trans, start, end) -> np.ndarray:
@@ -351,8 +351,7 @@ def _forward(X, lengths, shift, T, S, F):
     L, _, B = X.shape
     alpha = np.empty_like(X)
     c = np.empty((L, B))
-    last = np.arange(L)[:, None] >= lengths - 1  # at or after the row's last position
-    first_last = int(lengths.min()) - 1
+    last, first_last = _end_mask(lengths, L)
     T_pq = T[:, :, None]
     prod = np.empty((N, N, B))
     a = S[:, None] * X[0]
@@ -376,7 +375,7 @@ def _forward(X, lengths, shift, T, S, F):
 def _backward(X, lengths, c, T, F):
     """Scaled beta [L, 4, B], and Y [L-1, 4, B] (see above)."""
     L, _, B = X.shape
-    ends = _row_ends(lengths, L)
+    last, first_last = _end_mask(lengths, L)
     beta = np.empty_like(X)
     beta[L - 1] = F[:, None]
     Y = X[1:] / c[1:, None, :]
@@ -386,9 +385,8 @@ def _backward(X, lengths, c, T, F):
         Y[i] *= beta[i + 1]
         np.multiply(T_qp, Y[i][:, None, :], out=prod)
         np.add.reduce(prod, axis=0, out=beta[i])
-        rows = ends.get(i)
-        if rows is not None:
-            beta[i][:, rows] = F[:, None]
+        if i >= first_last:
+            np.copyto(beta[i], F[:, None], where=last[i])
     return beta, Y
 
 
@@ -435,8 +433,9 @@ def _forward_backward(E, lengths, shift, spread, trans, start, end) -> _FB:
 # alpha[i, l, b]: log-sum over prefixes ending at i with label l, including
 # the start weight and emissions up to i. beta[i, l, b]: log-sum over
 # suffixes from i with label l, excluding emission i, including the end
-# weight. Marginals are exp(alpha + beta - log Z); on hard-excluded entries
-# and on padding the -inf scores make them exactly 0.
+# weight; the end weights at and after a row's last position. Marginals are
+# exp(alpha + beta - log Z); on hard-excluded entries and on padding the
+# -inf scores make them exactly 0.
 
 
 def _log_forward(Et, lengths, trans, start, end):
@@ -452,19 +451,19 @@ def _log_forward(Et, lengths, trans, start, end):
     return alpha, log_z
 
 
-def _log_backward(Et, lengths, trans, end):
-    """beta [L, 4, B] of a label-major batch, in log space."""
+def _log_backward(Et, lengths, trans, end, reduce=_lse):
+    """beta [L, 4, B] of a label-major batch, in log space; ``reduce(a, 0)`` sums
+    over the next label: ``_lse``, or ``np.maximum.reduce`` for Viterbi."""
     L = len(Et)
-    ends = _row_ends(lengths, L)
+    last, first_last = _end_mask(lengths, L)
     beta = np.empty_like(Et)
     beta[L - 1] = end[:, None]
     trans_qp = trans.T[:, :, None]
     with np.errstate(divide="ignore"):
         for i in range(L - 2, -1, -1):
-            beta[i] = _lse(trans_qp + (Et[i + 1] + beta[i + 1])[:, None, :], 0)
-            rows = ends.get(i)
-            if rows is not None:
-                beta[i][:, rows] = end[:, None]
+            beta[i] = reduce(trans_qp + (Et[i + 1] + beta[i + 1])[:, None, :], 0)
+            if i >= first_last:
+                np.copyto(beta[i], end[:, None], where=last[i])
     return beta
 
 
@@ -486,22 +485,15 @@ def _log_forward_backward(E, lengths, trans, start, end) -> _FB:
 def _viterbi(E, lengths, trans, start, end) -> tuple[list[list[int]], np.ndarray]:
     """Best label sequence of each row, and whether the row has a legal path.
 
-    A backward max-sum gives delta[i, l, b], the best suffix score from
-    position i with label l. A greedy forward pass then picks each label
-    with argmax, which takes the first (lowest-id) maximum: ties go to the
-    lower label id at the earliest position where tied paths differ.
+    The log-space backward with max in place of log-sum-exp, plus the
+    emissions, gives delta[i, l, b], the best suffix score from position i
+    with label l. A greedy forward pass then picks each label with argmax,
+    which takes the first (lowest-id) maximum: ties go to the lower label
+    id at the earliest position where tied paths differ.
     """
     Et = _label_major(E)
-    L, _, B = Et.shape
-    ends = _row_ends(lengths, L)
-    delta = np.empty_like(Et)
-    delta[L - 1] = Et[L - 1] + end[:, None]
-    trans_qp = trans.T[:, :, None]
-    for i in range(L - 2, -1, -1):
-        delta[i] = Et[i] + np.maximum.reduce(trans_qp + delta[i + 1][:, None, :], axis=0)
-        rows = ends.get(i)
-        if rows is not None:
-            delta[i][:, rows] = Et[i][:, rows] + end[:, None]
+    delta = _log_backward(Et, lengths, trans, end, np.maximum.reduce)
+    delta += Et
     first = start[:, None] + delta[0]
     # after label p at position i-1, the best label at i: nxt[i-1][p][b]
     nxt = np.argmax(trans[None, :, :, None] + delta[1:, None, :, :], axis=2).tolist()

@@ -118,13 +118,11 @@ def build_constraint_mask(sentence: str, boundaries) -> crf.ConstraintMask:
     """
     n = len(sentence)
     allowed = np.ones((n, tagset.N_LABELS), dtype=bool)
-    end_ok = np.array([False, False, True, True])  # E or S
-    start_ok = np.array([True, False, False, True])  # B or S
     for b in set(boundaries):
         if not 0 <= b < n - 1:
             raise IndexOutOfRange(f"junction {b} outside sentence of length {n}")
-        allowed[b] &= end_ok
-        allowed[b + 1] &= start_ok
+        allowed[b] &= tagset.WORD_FINAL
+        allowed[b + 1] &= tagset.WORD_INITIAL
     return crf.ConstraintMask(allowed)
 
 

@@ -1,8 +1,12 @@
 """The BMES label alphabet and its transition structure.
 
 B/M/E mark the beginning, middle and end of a multi-character word; S marks
-a single-character word. The legality tables below are constants of the tag
-scheme, not trainable state.
+a single-character word. Every table below follows from two label sets,
+the word-initial labels {B, S} and the word-final labels {E, S}: a bigram
+(p, q) is legal iff p ends a word exactly when q starts one, a sequence
+starts word-initial and ends word-final, and a bigram puts a word boundary
+between its positions iff p is word-final and q word-initial. The tables
+are constants of the tag scheme, not trainable state.
 """
 
 from __future__ import annotations
@@ -27,24 +31,6 @@ class Label(IntEnum):
 N_LABELS = 4
 LABEL_CHARS = "BMES"
 
-_LEGAL_BIGRAMS = frozenset(
-    {
-        (Label.B, Label.M),
-        (Label.B, Label.E),
-        (Label.M, Label.M),
-        (Label.M, Label.E),
-        (Label.E, Label.B),
-        (Label.E, Label.S),
-        (Label.S, Label.B),
-        (Label.S, Label.S),
-    }
-)
-
-# Bigrams that put a word boundary between their two positions.
-_BOUNDARY_BIGRAMS = frozenset(
-    {(Label.S, Label.S), (Label.S, Label.B), (Label.E, Label.S), (Label.E, Label.B)}
-)
-
 
 @dataclass(frozen=True)
 class TransitionTable:
@@ -60,14 +46,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Whether each label (B, M, E, S) starts a word, and whether it ends one.
+WORD_INITIAL = _frozen(np.array([True, False, False, True]))
+WORD_FINAL = _frozen(np.array([False, False, True, True]))
+
 _TABLE = TransitionTable(
-    legal=_frozen(
-        np.array(
-            [[(p, q) in _LEGAL_BIGRAMS for q in Label] for p in Label], dtype=bool
-        )
-    ),
-    legal_start=_frozen(np.array([True, False, False, True])),  # B, S
-    legal_end=_frozen(np.array([False, False, True, True])),  # E, S
+    legal=_frozen(WORD_FINAL[:, None] == WORD_INITIAL[None, :]),
+    legal_start=WORD_INITIAL,
+    legal_end=WORD_FINAL,
+)
+_LEGAL_BIGRAMS = frozenset((p, q) for p in Label for q in Label if _TABLE.legal[p, q])
+# Bigrams that put a word boundary between their two positions.
+_BOUNDARY_BIGRAMS = frozenset(
+    (p, q) for p in Label for q in Label if WORD_FINAL[p] and WORD_INITIAL[q]
 )
 
 
@@ -75,7 +66,6 @@ _TABLE = TransitionTable(
 _LEGAL_PAIRS = frozenset(zip(*(ids.tolist() for ids in np.nonzero(_TABLE.legal))))
 _LEGAL_FIRST = frozenset(np.flatnonzero(_TABLE.legal_start).tolist())
 _LEGAL_LAST = frozenset(np.flatnonzero(_TABLE.legal_end).tolist())
-_WORD_FINAL = frozenset((int(Label.E), int(Label.S)))
 
 
 def legal_transitions() -> TransitionTable:
@@ -143,7 +133,7 @@ def labels_to_words(tags: str | Sequence[int], sentence: str) -> SegmentedSenten
     spans = []
     start = 0
     for i, tag in enumerate(t):
-        if tag in _WORD_FINAL:
+        if tag in _LEGAL_LAST:  # word-final
             spans.append((start, i + 1))
             start = i + 1
     return SegmentedSentence(sentence, tuple(spans))

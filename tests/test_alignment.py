@@ -61,6 +61,11 @@ class TestDetectPauses:
         (p,) = alignment.detect_pauses(a)
         assert p.probability is None
 
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -5.0])
+    def test_floor_that_makes_no_sense_is_refused(self, floor):
+        with pytest.raises(InvalidConfig, match="min_pause_ms"):
+            alignment.detect_pauses(make_alignment([23]), floor)
+
 
 @given(st.lists(st.integers(min_value=-3, max_value=40), min_size=1, max_size=9))
 def test_pause_durations_cover_every_junction(gaps):
@@ -105,6 +110,14 @@ class TestCharAlignment:
             CharAlignment("utt", ())
 
 
+def assert_bad_record(good: str, bad: str, match=None):
+    """A good record then ``bad`` are refused naming ``bad``'s line, as JSON lines and as an array."""
+    for text, line in [(good + "\n" + bad + "\n", 2), ("[\n" + good + ",\n" + bad + "\n]", 3)]:
+        with pytest.raises(ParseError, match=match) as exc:
+            alignment.parse_alignments(text)
+        assert exc.value.line == line
+
+
 class TestJsonIO:
     def test_line_round_trip(self):
         a = make_alignment([23, 11])
@@ -127,19 +140,23 @@ class TestJsonIO:
 
     def test_bad_json_reports_line(self):
         good = alignment.alignment_to_json_line(make_alignment([5]))
-        with pytest.raises(ParseError) as exc:
-            alignment.parse_alignments(good + "\n{oops\n")
-        assert exc.value.line == 2
+        assert_bad_record(good, "{oops")
+        # an array broken after its record on line 2
+        for end in ["\n" + good + "\n]", ",\n]", "\n", "\n] x"]:
+            with pytest.raises(ParseError) as exc:
+                alignment.parse_alignments("[\n" + good + end)
+            assert exc.value.line == 3
 
     def test_missing_field_rejected(self):
         with pytest.raises(ParseError):
             alignment.parse_alignments('{"chars": []}')
+        good = alignment.alignment_to_json_line(make_alignment([5]))
+        for bad in ('{"chars": []}', "5", "[1]"):
+            assert_bad_record(good, bad)
 
     def test_alignment_without_characters_rejected_naming_the_line(self):
         good = alignment.alignment_to_json_line(make_alignment([5]))
-        with pytest.raises(ParseError, match="no characters") as exc:
-            alignment.parse_alignments(good + '\n{"utterance_id": "u", "chars": []}\n')
-        assert exc.value.line == 2
+        assert_bad_record(good, '{"utterance_id": "u", "chars": []}', match="no characters")
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "alignments.jsonl"
@@ -162,10 +179,7 @@ class TestJsonIO:
         good = alignment.alignment_to_json_line(make_alignment([4]))
         bad = good.replace('"frame_offset_ms": 10.0', f'"frame_offset_ms": {offset}')
         assert bad != good
-        with pytest.raises(ParseError) as exc:
-            alignment.parse_alignments(good + "\n" + bad + "\n")
-        assert exc.value.line == 2
-        assert "frame offset" in str(exc.value)
+        assert_bad_record(good, bad, match="frame offset")
 
     @pytest.mark.parametrize("offset", [float("nan"), 0.0, -10.0, float("inf")])
     def test_alignment_needs_a_positive_frame_offset(self, offset):
@@ -191,9 +205,7 @@ class TestJsonIO:
         else:
             record["chars"][0][field] = json.loads(value)
         bad = json.dumps(record, ensure_ascii=False)
-        with pytest.raises(ParseError) as exc:
-            alignment.parse_alignments(good + "\n" + bad + "\n")
-        assert exc.value.line == 2
+        assert_bad_record(good, bad)
 
     @pytest.mark.parametrize("bad", [
         '{"utterance_id": "u", "chars": [{"c": "\\ud800", "b": 0, "e": 5}]}',
@@ -202,9 +214,7 @@ class TestJsonIO:
     def test_lone_surrogate_rejected_naming_the_line(self, bad):
         # a JSON escape can name a lone surrogate, which no UTF-8 output file can hold
         good = alignment.alignment_to_json_line(make_alignment([5]))
-        with pytest.raises(ParseError, match="lone surrogate") as exc:
-            alignment.parse_alignments(good + "\n" + bad + "\n")
-        assert exc.value.line == 2
+        assert_bad_record(good, bad, match="lone surrogate")
 
     @pytest.mark.parametrize("field", ["b", "e"])
     @pytest.mark.parametrize("frame", ["-1", str(2**53), pytest.param("1" * 400, id="400-digits")])
@@ -214,9 +224,7 @@ class TestJsonIO:
         good = json.dumps(record, ensure_ascii=False)
         bad = good.replace(f'"{field}": {record["chars"][0][field]}', f'"{field}": {frame}')
         assert bad != good
-        with pytest.raises(ParseError, match=re.escape("[0, 2**53)")) as exc:
-            alignment.parse_alignments(good + "\n" + bad + "\n")
-        assert exc.value.line == 2
+        assert_bad_record(good, bad, match=re.escape("[0, 2**53)"))
 
     def test_largest_frame_reads(self):
         top = alignment.MAX_FRAME
@@ -228,20 +236,14 @@ class TestJsonIO:
     def test_integer_of_more_digits_than_int_reads_is_a_parse_error(self):
         good = alignment.alignment_to_json_line(make_alignment([5]))
         bad = '{"utterance_id": "u", "chars": [{"c": "一", "b": 0, "e": ' + "1" * 5000 + "}]}"
-        with pytest.raises(ParseError) as exc:
-            alignment.parse_alignments(good + "\n" + bad + "\n")
-        assert exc.value.line == 2
-        with pytest.raises(ParseError):
-            alignment.parse_alignments("[" + bad + "]")
+        assert_bad_record(good, bad)
 
     @pytest.mark.parametrize("value", ["null", "12345", "[1, 2]", "true"])
     def test_utterance_id_that_is_not_a_string_rejected_naming_the_line(self, value):
         good = alignment.alignment_to_json_line(make_alignment([5]))
         bad = good.replace(json.dumps("utt"), value)
         assert bad != good
-        with pytest.raises(ParseError, match="utterance_id .* is not a string") as exc:
-            alignment.parse_alignments(good + "\n" + bad + "\n")
-        assert exc.value.line == 2
+        assert_bad_record(good, bad, match="utterance_id .* is not a string")
 
     def test_integer_frame_offset_reads_as_float(self):
         (a,) = alignment.parse_alignments(

@@ -262,26 +262,35 @@ def test_raw_mask_without_a_legal_path_raises(scale, blocked):
 def test_rows_in_and_out_of_the_scaled_range_share_a_batch():
     rng = np.random.default_rng(37)
     model = oracle.make_model(rng, [ALPHABET], scale=12.0)
-    sentences = [oracle.random_sentence(rng, n, ALPHABET) for n in (1, 7, 2, 6, 3, 5, 4)]
-    allowed = [oracle.random_mask(rng, len(s)) if k % 2 else None for k, s in enumerate(sentences)]
-    ids = [model.vocab.encode(s) for s in sentences]
     weights = (model.trans, model.start, model.end)
-    E, lengths, shift, spread = crf._emission_batch(model, ids, allowed)
-    scaled = crf._in_range(lengths, spread, *weights)
-    assert scaled.any() and not scaled.all()
-    fb = crf._forward_backward(E, lengths, shift, spread, *weights)
-    for b, (s, a) in enumerate(zip(sentences, allowed)):
-        # each row as it comes out alone, and as the oracle has it
-        alone = crf._forward_backward(*crf._emission_batch(model, [ids[b]], [a]), *weights)
-        n = len(s)
-        assert fb.log_z[b] == alone.log_z[0]
-        assert np.array_equal(fb.unigram[b, :n], alone.unigram[0])
-        assert np.array_equal(fb.bigram[b, : n - 1], alone.bigram[0])
-        assert fb.log_z[b] == pytest.approx(oracle.log_partition(model, s, a), rel=1e-9)
-        if n > 1:
-            np.testing.assert_allclose(
-                fb.bigram[b, : n - 1], oracle.bigram_marginals(model, s, a), rtol=1e-9, atol=1e-300
-            )
+    lists = [w.tolist() for w in weights]
+    # the second batch has rows ending at every position, each masked and unmasked
+    for row_lengths in [(1, 7, 2, 6, 3, 5, 4), [n for n in range(1, 10) for _ in range(2)]]:
+        sentences = [oracle.random_sentence(rng, n, ALPHABET) for n in row_lengths]
+        allowed = [
+            oracle.random_mask(rng, len(s)) if k % 2 else None for k, s in enumerate(sentences)
+        ]
+        ids = [model.vocab.encode(s) for s in sentences]
+        E, lengths, shift, spread = crf._emission_batch(model, ids, allowed)
+        scaled = crf._in_range(lengths, spread, *weights)
+        assert scaled.any() and not scaled.all()
+        fb = crf._forward_backward(E, lengths, shift, spread, *weights)
+        paths, feasible = crf._viterbi(E, lengths, *weights)
+        assert feasible.all()
+        for b, (s, a) in enumerate(zip(sentences, allowed)):
+            # each row as it comes out alone, and as the oracle has it
+            alone = crf._forward_backward(*crf._emission_batch(model, [ids[b]], [a]), *weights)
+            n = len(s)
+            assert fb.log_z[b] == alone.log_z[0]
+            assert np.array_equal(fb.unigram[b, :n], alone.unigram[0])
+            assert np.array_equal(fb.bigram[b, : n - 1], alone.bigram[0])
+            assert paths[b] == crf._viterbi_one(E[b, :n].tolist(), *lists)
+            assert fb.log_z[b] == pytest.approx(oracle.log_partition(model, s, a), rel=1e-9)
+            if n > 1:
+                np.testing.assert_allclose(
+                    fb.bigram[b, : n - 1], oracle.bigram_marginals(model, s, a),
+                    rtol=1e-9, atol=1e-300,
+                )
 
 
 @pytest.mark.parametrize("grid", [None, 0.25])

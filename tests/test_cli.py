@@ -367,8 +367,25 @@ class TestErrorHandling:
         cfg = tmp / "config.json"
         cfg.write_text(json.dumps({field: float(value)}), encoding="utf-8")  # nan as NaN
         assert run("train", gold, "-o", tmp / "m.txt", "--config", cfg) == 1
-        assert capsys.readouterr().err.startswith(f"error[InvalidConfig]: {field} must be")
+        # a value from a config file is refused naming the file
+        assert capsys.readouterr().err.startswith(f"error[InvalidConfig]: {cfg}: {field} must be")
         assert not (tmp / "m.txt").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+    def test_min_pause_that_makes_no_sense_exits_one(self, workspace, capsys, value):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        path = tmp / "alignments.jsonl"
+        alignment.write_alignments(path, [CharAlignment("u1", (("一", 0, 5), ("二", 30, 35)))])
+        scored = tmp / "scored.jsonl"
+        assert run("mine", model_path, path, "-o", scored, f"--min-pause-ms={value}") == 1
+        assert capsys.readouterr().err.startswith("error[InvalidConfig]: min_pause_ms must be")
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({"min_pause_ms": float(value)}), encoding="utf-8")
+        assert run("mine", model_path, path, "-o", scored, "--config", cfg) == 1
+        assert capsys.readouterr().err.startswith(f"error[InvalidConfig]: {cfg}: min_pause_ms must be")
+        assert not scored.exists()
 
     def test_diverging_training_exits_one_and_writes_no_model(self, workspace, capsys):
         tmp, gold = workspace
@@ -483,6 +500,10 @@ class TestErrorHandling:
         '{"epochs": "3"}',
         '{"epochs": true}',
         '{"threshold": 1.5}',
+        '{"learning_rate": -1}',
+        '{"epochs": 0}',
+        '{"min_pause_ms": -5}',
+        '{"min_pause_ms": NaN}',
         pytest.param('{"seed": ' + "1" * 5000 + "}", id="5000-digit-integer"),  # past int()
     ])
     def test_malformed_config_file_exits_one(self, workspace, capsys, text):
