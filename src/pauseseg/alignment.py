@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-import re
+import os
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, NonMonotoneFrames, ParseError, SentenceTooShort
-from .segments import check_utf8, read_text, split_lines, string_field, write_text
+from .segments import check_utf8, json_records, read_text, split_lines, string_field, write_text
 
 DEFAULT_FRAME_OFFSET_MS = 10.0
 DEFAULT_MIN_PAUSE_MS = 10.0
+DEFAULT_TIER_NAME = "characters"
 
 
 def check_min_pause_ms(min_pause_ms: float) -> None:
@@ -137,7 +138,7 @@ def _char_from_obj(obj) -> tuple[str, int, int]:
     return check_utf8(ch), b, e
 
 
-def _alignment_from_obj(obj, line: int | None = None) -> CharAlignment:
+def _alignment_from_obj(obj, line: int) -> CharAlignment:
     try:
         if type(obj) is not dict:
             raise ValueError(f"record is not a JSON object: {str(obj)[:40]}")
@@ -154,58 +155,15 @@ def _alignment_from_obj(obj, line: int | None = None) -> CharAlignment:
         raise ParseError(f"bad alignment record: {exc}", line=line) from exc
 
 
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-
-
-def _parse_array(text: str) -> list[CharAlignment]:
-    """The records of a JSON array; a bad record names the line on which it starts."""
-    decoder = json.JSONDecoder()
-    out = []
-    pos = _JSON_SPACE.match(text, len(text) - len(text.lstrip()) + 1).end()  # past "["
-    line, counted = 1, 0  # the line of text[counted]
-    while out or not text.startswith("]", pos):  # "[]" holds no record, "[x, ]" is an error
-        line += text.count("\n", counted, pos)
-        counted = pos
-        try:
-            obj, pos = decoder.raw_decode(text, pos)
-        except ValueError as exc:  # also an integer of more digits than int() reads
-            message = f"bad alignment JSON: {getattr(exc, 'msg', exc)}"
-            raise ParseError(message, line=getattr(exc, "lineno", line)) from exc
-        out.append(_alignment_from_obj(obj, line))
-        pos = _JSON_SPACE.match(text, pos).end()
-        if not text.startswith(",", pos):
-            break
-        pos = _JSON_SPACE.match(text, pos + 1).end()
-    if not text.startswith("]", pos) or text[pos + 1 :].strip():
-        message = "bad alignment JSON: expected ',' or a ']' that ends the text"
-        raise ParseError(message, line=line + text.count("\n", counted, pos))
-    return out
-
-
 def parse_alignments(text: str) -> list[CharAlignment]:
-    """Parse alignment JSON: a single object, an array, or JSON lines."""
-    stripped = text.strip()
-    if not stripped:
-        return []
-    if stripped.startswith("["):
-        return _parse_array(text)
-    out = []
-    for lineno, line in enumerate(split_lines(text), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            message = f"bad alignment JSON: {getattr(exc, 'msg', exc)}"
-            raise ParseError(message, line=lineno) from exc
-        out.append(_alignment_from_obj(obj, line=lineno))
-    return out
+    """Parse alignment JSON as ``segments.json_records`` reads it (lines, array or one object)."""
+    return [_alignment_from_obj(obj, line) for line, obj in json_records(text)]
 
 
 def parse_alignment(
     text: str,
     utterance_id: str = "utt",
-    tier_name: str = "characters",
+    tier_name: str = DEFAULT_TIER_NAME,
     frame_offset_ms: float = DEFAULT_FRAME_OFFSET_MS,
 ) -> CharAlignment:
     """Parse a single-utterance alignment document, JSON or TextGrid.
@@ -277,7 +235,7 @@ def _unquote(value: str) -> str:
 def parse_textgrid(
     text: str,
     utterance_id: str,
-    tier_name: str = "characters",
+    tier_name: str = DEFAULT_TIER_NAME,
     frame_offset_ms: float = DEFAULT_FRAME_OFFSET_MS,
 ) -> CharAlignment:
     """Extract a character alignment from one tier of a long-format TextGrid."""
@@ -333,10 +291,8 @@ def parse_textgrid(
 
 def read_textgrid(
     path,
-    tier_name: str = "characters",
+    tier_name: str = DEFAULT_TIER_NAME,
     frame_offset_ms: float = DEFAULT_FRAME_OFFSET_MS,
 ) -> CharAlignment:
-    import os
-
     utterance_id = os.path.splitext(os.path.basename(str(path)))[0]
     return parse_textgrid(read_text(path), utterance_id, tier_name, frame_offset_ms)

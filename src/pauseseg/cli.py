@@ -38,8 +38,8 @@ def _check_setting(key: str, value):
         crf.TrainConfig(**{key: value})
     elif key == "min_pause_ms":
         alignment.check_min_pause_ms(value)
-    elif key == "threshold" and not 0.0 <= value <= 1.0:
-        raise InvalidConfig(f"threshold must be in [0, 1], not {value!r}")
+    elif key == "threshold":
+        mining.check_threshold(value)
     return value
 
 
@@ -48,7 +48,7 @@ def _read_config_file(path) -> dict:
         loaded = json.loads(read_text(path))
     except ParseError as exc:  # already names the file
         raise InvalidConfig(str(exc)) from exc
-    except ValueError as exc:  # also an integer of more digits than int() reads
+    except (ValueError, RecursionError) as exc:  # too many digits for int(), or too deep
         raise InvalidConfig(f"{path}: not a JSON file: {exc}") from exc
     if not isinstance(loaded, dict):
         raise InvalidConfig(f"{path}: expected a JSON object of settings")
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("alignments", nargs="+", help="alignment JSON or .TextGrid files")
     p.add_argument("-o", "--output", required=True, help="scored-pause JSON lines")
     p.add_argument("--min-pause-ms", dest="min_pause_ms", type=float, default=None)
-    p.add_argument("--tier-name", default="characters")
+    p.add_argument("--tier-name", default=alignment.DEFAULT_TIER_NAME)
     p.add_argument(
         "--frame-offset-ms", dest="frame_offset_ms", type=float,
         default=alignment.DEFAULT_FRAME_OFFSET_MS,

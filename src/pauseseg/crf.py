@@ -14,6 +14,7 @@ too wide a range for that; batched Viterbi is the log-space backward with max.
 from __future__ import annotations
 
 import base64
+import ctypes
 import logging
 import math
 import random
@@ -1007,6 +1008,12 @@ def _prepare(examples) -> tuple[feat.FeatureVocabulary, list]:
     return vocab, prepared
 
 
+try:  # glibc's malloc_trim(0) gives the free pages inside the heap back to the system
+    _trim_heap = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # another C library: the heap stays as it is
+    _trim_heap = lambda pad: None  # noqa: E731
+
+
 def train(
     examples,
     config: TrainConfig,
@@ -1042,6 +1049,10 @@ def train(
 
     started = time.perf_counter()
     vocab, prepared = _prepare(examples)
+    # building it leaves MB of freed temporaries in holes of the heap. Whether a
+    # vocabulary-sized table then fits a resident hole or takes new pages depends on
+    # how the heap fragmented; trimmed, it takes its own pages either way
+    _trim_heap(0)
     model = CrfModel(vocab)
     lengths = [len(ex.sentence) for ex in examples]
     dev_ids = vocab.encode_corpus([s.chars for s in dev]) if dev else None
@@ -1094,9 +1105,10 @@ def train(
             dev_note = f", dev f1 {f1:.4f}"
             if f1 > best_f1:
                 best_f1 = f1
-                best = model.copy()
+                best = model if epoch == config.epochs else model.copy()
         log.info(
             "epoch %d/%d: loss %.6f%s, %.3f s, %.0f chars/s",
             epoch, config.epochs, loss, dev_note, seconds, chars / seconds,
         )
+    _trim_heap(0)  # and the epochs' temporaries
     return best if best is not None else model

@@ -17,10 +17,21 @@ import numpy as np
 
 from . import crf, tagset
 from .alignment import Pause
-from .errors import IndexOutOfRange, LengthMismatch, ParseError, PausesegError, UnscoredPause
-from .segments import SegmentedSentence, read_text, split_lines, string_field, write_text
+from .errors import (
+    IndexOutOfRange, InvalidConfig, LengthMismatch, ParseError, PausesegError, UnscoredPause,
+)
+from .segments import (
+    SegmentedSentence, json_records, read_text, split_lines, string_field, write_text,
+)
 
 DEFAULT_THRESHOLD = 0.5
+
+
+def check_threshold(threshold: float) -> None:
+    """``InvalidConfig`` unless ``threshold`` is a finite number in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:  # NaN fails both comparisons
+        raise InvalidConfig(f"threshold must be in [0, 1], not {threshold!r}")
+
 
 PROBABILITY_BIN_EDGES = (0.1, 0.9, 1.0)
 PROBABILITY_BIN_NAMES = ("[0.0, 0.1)", "[0.1, 0.9)", "[0.9, 1.0)", "1.0")
@@ -85,6 +96,7 @@ def score_pause_lists(
 
 def filter_pauses(pauses: list[Pause], threshold: float) -> list[Pause]:
     """Keep pauses whose boundary probability is at least ``threshold``."""
+    check_threshold(threshold)
     for p in pauses:
         if p.probability is None:
             raise UnscoredPause(f"pause at junction {p.junction} has no probability")
@@ -184,15 +196,12 @@ def pause_statistics(
     kept = 0
     n_correct = 0
     for idx, pauses in enumerate(pause_lists):
+        kept += len(filter_pauses(pauses, DEFAULT_THRESHOLD))  # refuses an unscored pause
         gold_junctions = gold[idx].boundary_junctions() if gold is not None else None
         for p in pauses:
-            if p.probability is None:
-                raise UnscoredPause(f"pause at junction {p.junction} has no probability")
             db = duration_bin(p.duration_ms)
             pb = probability_bin(p.probability)
             counts[db, pb] += 1
-            if p.probability >= DEFAULT_THRESHOLD:
-                kept += 1
             if gold_junctions is not None and p.junction in gold_junctions:
                 correct[db, pb] += 1
                 n_correct += 1
@@ -302,7 +311,7 @@ def write_partial_corpus(path, partials) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scored-pause JSON lines
+# Scored-pause JSON, written as JSON lines
 #
 # {"utterance_id": "u1", "sentence": "...",
 #  "pauses": [{"junction": 3, "duration_ms": 230.0, "probability": 0.97}]}
@@ -331,32 +340,26 @@ def write_scored_pauses(path, records) -> None:
     write_text(path, "".join(scored_pauses_to_json_line(*r) + "\n" for r in records))
 
 
-def _pause_from_json(obj, sentence: str, lineno: int) -> Pause:
+def _pause_from_json(obj, sentence: str) -> Pause:
     junction, duration, probability = obj["junction"], obj["duration_ms"], obj.get("probability")
     if type(junction) is not int or not 0 <= junction < len(sentence) - 1:
-        raise ParseError(
-            f"junction {junction!r} is not an integer in 0..{len(sentence) - 2}", line=lineno
-        )
+        raise ValueError(f"junction {junction!r} is not an integer in 0..{len(sentence) - 2}")
     if type(duration) not in (int, float) or not 0 <= duration < math.inf:
-        raise ParseError(f"duration_ms {duration!r} is not a finite number >= 0", line=lineno)
+        raise ValueError(f"duration_ms {duration!r} is not a finite number >= 0")
     if not (probability is None or type(probability) in (int, float) and 0 <= probability <= 1):
-        raise ParseError(
-            f"probability {probability!r} is not null or a number in [0, 1]", line=lineno
-        )
+        raise ValueError(f"probability {probability!r} is not null or a number in [0, 1]")
     return Pause(junction, float(duration), probability)
 
 
 def read_scored_pauses(path) -> list[tuple[str, str, list[Pause]]]:
+    """(utterance_id, sentence, pauses) records, read as ``segments.json_records`` reads."""
     out = []
-    for lineno, line in enumerate(split_lines(read_text(path)), start=1):
-        if not line.strip():
-            continue
+    for lineno, obj in json_records(read_text(path)):
         try:
-            obj = json.loads(line)
             sentence = string_field(obj, "sentence")
             if not sentence:
                 raise ValueError("empty sentence")
-            pauses = [_pause_from_json(p, sentence, lineno) for p in obj["pauses"]]
+            pauses = [_pause_from_json(p, sentence) for p in obj["pauses"]]
             out.append((string_field(obj, "utterance_id"), sentence, pauses))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad scored-pause record: {exc}", line=lineno) from exc

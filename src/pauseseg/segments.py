@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, WhitespaceInWord
 
@@ -87,6 +89,41 @@ def string_field(obj: dict, key: str) -> str:
     if type(value) is not str:
         raise ValueError(f"{key} {value!r} is not a string")
     return check_utf8(value)
+
+
+_SPACE = re.compile(r"\s*")  # any str.isspace character: a line of U+3000 is a blank line
+
+
+def json_records(text: str) -> Iterator[tuple[int, object]]:
+    """Each record of a JSON data file, with the line on which the record starts.
+
+    The file holds one JSON array of records, or records one after another with
+    whitespace between them: JSON lines, an array, or one object over several lines.
+    A bad record (or what stands where ``,`` or the closing ``]`` belongs) is a
+    ``ParseError`` naming its first line; the decoder's line and column stay in the message."""
+    decoder = json.JSONDecoder()
+    pos = _SPACE.match(text).end()
+    array = text.startswith("[", pos)
+    if array:
+        pos = _SPACE.match(text, pos + 1).end()
+    more = not text.startswith("]", pos) if array else pos < len(text)  # "[]" holds no record
+    line, counted = 1, 0  # the line of text[counted]
+    while more:
+        line += text.count("\n", counted, pos)
+        counted = pos
+        try:
+            obj, pos = decoder.raw_decode(text, pos)
+        except (ValueError, RecursionError) as exc:  # too many digits for int(), or too deep
+            raise ParseError(f"bad JSON record: {exc}", line=line) from exc
+        yield line, obj
+        pos = _SPACE.match(text, pos).end()
+        if array and text.startswith(",", pos):  # "[x, ]" is an error: a record must follow
+            pos = _SPACE.match(text, pos + 1).end()
+        else:
+            more = not array and pos < len(text)
+    if array and not (text.startswith("]", pos) and _SPACE.match(text, pos + 1).end() == len(text)):
+        message = "bad JSON: expected ',' or a ']' that ends the text"
+        raise ParseError(message, line=line + text.count("\n", counted, pos))
 
 
 def split_lines(text: str) -> list[str]:

@@ -118,6 +118,40 @@ def assert_bad_record(good: str, bad: str, match=None):
         assert exc.value.line == line
 
 
+def indented(json_line: str) -> str:
+    """The record of one JSON line, written over several lines."""
+    return json.dumps(json.loads(json_line), ensure_ascii=False, indent=2)
+
+
+# every layout a JSON data file may have: JSON lines, one array, and records
+# written over several lines one after another
+JSON_LAYOUTS = {
+    "lines": lambda lines: "".join(line + "\n" for line in lines),
+    "array": lambda lines: "[\n" + ",\n".join(lines) + "\n]\n",
+    "indented": lambda lines: "\n".join(indented(line) for line in lines),
+}
+
+
+@st.composite
+def alignments(draw):
+    """A valid alignment: any characters, non-decreasing begins, any frame offset."""
+    chars, begin = [], 0
+    for ch in draw(st.lists(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)):
+        begin += draw(st.integers(0, 2**20))
+        chars.append((ch, begin, begin + draw(st.integers(0, 2**20))))
+    utterance_id = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=5))
+    offset = draw(st.floats(min_value=1e-3, max_value=1e3))
+    return CharAlignment(utterance_id, tuple(chars), offset)
+
+
+@pytest.mark.parametrize("layout", JSON_LAYOUTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.lists(alignments(), max_size=4))
+def test_alignment_json_round_trips_in_every_layout(layout, data):
+    text = JSON_LAYOUTS[layout]([alignment.alignment_to_json_line(a) for a in data])
+    assert alignment.parse_alignments(text) == data
+
+
 class TestJsonIO:
     def test_line_round_trip(self):
         a = make_alignment([23, 11])
@@ -238,12 +272,30 @@ class TestJsonIO:
         bad = '{"utterance_id": "u", "chars": [{"c": "一", "b": 0, "e": ' + "1" * 5000 + "}]}"
         assert_bad_record(good, bad)
 
+    def test_nesting_too_deep_to_decode_is_a_parse_error(self):
+        good = alignment.alignment_to_json_line(make_alignment([5]))
+        assert_bad_record(good, "[" * 100_000 + "]" * 100_000, match="recursion")
+
     @pytest.mark.parametrize("value", ["null", "12345", "[1, 2]", "true"])
     def test_utterance_id_that_is_not_a_string_rejected_naming_the_line(self, value):
         good = alignment.alignment_to_json_line(make_alignment([5]))
         bad = good.replace(json.dumps("utt"), value)
         assert bad != good
         assert_bad_record(good, bad, match="utterance_id .* is not a string")
+
+    def test_single_object_over_several_lines(self):
+        a = make_alignment([23, 11])
+        text = indented(alignment.alignment_to_json_line(a))
+        assert text.count("\n") > 10
+        assert alignment.parse_alignment(text) == a
+        assert alignment.parse_alignments(text) == [a]
+
+    def test_truncated_json_line_names_its_own_line(self):
+        good = alignment.alignment_to_json_line(make_alignment([5]))
+        truncated = good.rsplit(", ", 1)[0]  # the record's closing "}" is lost
+        with pytest.raises(ParseError, match="line 3 column 1") as exc:
+            alignment.parse_alignments(good + "\n" + truncated + "\n" + good + "\n")
+        assert exc.value.line == 2
 
     def test_integer_frame_offset_reads_as_float(self):
         (a,) = alignment.parse_alignments(

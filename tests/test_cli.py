@@ -206,6 +206,19 @@ class TestMineFilterComplete:
             assert manifest["config"] == {"min_pause_ms": 10.0}
         assert outputs[0] == outputs[1]
 
+    def test_mine_reads_a_single_object_over_several_lines(self, workspace):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        a = CharAlignment("u1", (("一", 0, 5), ("二", 30, 35), ("三", 35, 40)))
+        path = tmp / "u1.json"
+        record = json.loads(alignment.alignment_to_json_line(a))
+        path.write_text(json.dumps(record, ensure_ascii=False, indent=2), encoding="utf-8")
+        scored = tmp / "scored.jsonl"
+        assert run("mine", model_path, path, "-o", scored) == 0
+        ((uid, sentence, pauses),) = mining.read_scored_pauses(scored)
+        assert (uid, sentence, [p.junction for p in pauses]) == ("u1", "一二三", [0])
+
     def test_mine_reads_textgrids(self, workspace):
         tmp, gold = workspace
         model_path = tmp / "model.txt"
@@ -505,6 +518,7 @@ class TestErrorHandling:
         '{"min_pause_ms": -5}',
         '{"min_pause_ms": NaN}',
         pytest.param('{"seed": ' + "1" * 5000 + "}", id="5000-digit-integer"),  # past int()
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),  # past the decoder
     ])
     def test_malformed_config_file_exits_one(self, workspace, capsys, text):
         tmp, gold = workspace

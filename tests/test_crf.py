@@ -496,6 +496,16 @@ class TestTraining:
         model = crf.train(self.small_corpus(), TrainConfig(epochs=5, seed=0), dev=dev)
         assert crf.viterbi("abc", model) == "BES"
 
+    def test_dev_selection_of_the_last_epoch_returns_its_weights(self):
+        # with one epoch, the dev set picks the trained model itself, uncopied
+        from pauseseg.segments import SegmentedSentence
+        dev = [SegmentedSentence.from_words(["ab", "c"])]
+        cfg = TrainConfig(epochs=1, seed=0, batch_chars=6)
+        picked = crf.train(self.small_corpus(), cfg, dev=dev)
+        final = crf.train(self.small_corpus(), cfg)
+        for name in ("emit_w", "trans", "start", "end"):
+            assert getattr(picked, name).tobytes() == getattr(final, name).tobytes()
+
     def test_train_extracts_features_once_per_character(self, monkeypatch):
         # every training and every dev character is keyed once, however many
         # epochs score the dev set

@@ -165,23 +165,42 @@ def test_non_utf8_config_file_is_an_invalid_config(valid, tmp_path):
 # One place opens files
 
 
-def opened_outside_read_write_text(path: pathlib.Path) -> list[str]:
-    """``name:line`` of each call to ``open`` (or ``x.open``) in ``path`` outside
-    ``segments.read_text`` and ``segments.write_text``."""
+def dotted(node) -> str:
+    """A name as written: ``open``, ``io.open``, ``json.JSONDecoder``, ``?.raw_decode``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return dotted(node.value) + "." + node.attr
+    return "?"
+
+
+def used_outside(path: pathlib.Path, wanted, allowed: dict) -> list[str]:
+    """``name:line`` of each use, called or not, of a name that ``wanted`` accepts in
+    ``path``, outside the functions ``allowed`` names for that file. A name imported
+    with ``from m import x`` is ``m.x``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    allowed = set()
-    if path.name == "segments.py":
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name in ("read_text", "write_text"):
-                allowed.update(id(n) for n in ast.walk(node))
+    inside = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in allowed.get(path.name, ()):
+            inside.update(id(n) for n in ast.walk(node))
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and id(node) not in allowed:
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "open":
-                found.append(f"{path.name}:{node.lineno}")
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = [dotted(node)] if isinstance(node, (ast.Name, ast.Attribute)) else []
+        if id(node) not in inside and any(wanted(name) for name in names):
+            found.append(f"{path.name}:{node.lineno}")
     return found
+
+
+def opened_outside_read_write_text(path: pathlib.Path) -> list[str]:
+    """``name:line`` of each use of ``open`` (or ``x.open``) in ``path`` outside
+    ``segments.read_text`` and ``segments.write_text``."""
+    return used_outside(
+        path, lambda name: name.split(".")[-1] == "open",
+        {"segments.py": ("read_text", "write_text")},
+    )
 
 
 def test_only_read_text_and_write_text_open_files():
@@ -194,6 +213,38 @@ def test_the_open_check_sees_a_call_to_open(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("import io\n\ndef f(p):\n    return open(p), io.open(p)\n", encoding="utf-8")
     assert opened_outside_read_write_text(path) == ["mod.py:4", "mod.py:4"]
+
+
+# ---------------------------------------------------------------------------
+# One JSON record reader: segments.json_records (and the one --config document)
+
+
+def decoded_outside_json_records(path: pathlib.Path) -> list[str]:
+    """``name:line`` of each use of a JSON decoder (``json.load(s)``, ``JSONDecoder``,
+    ``raw_decode``) in ``path`` outside ``segments.json_records`` and
+    ``cli._read_config_file``."""
+    return used_outside(
+        path,
+        lambda name: name in ("json.loads", "json.load", "json.JSONDecoder", "JSONDecoder")
+        or name.endswith(".raw_decode"),
+        {"segments.py": ("json_records",), "cli.py": ("_read_config_file",)},
+    )
+
+
+def test_only_json_records_and_the_config_reader_decode_json():
+    sources = sorted(SRC.glob("*.py"))
+    assert SRC / "segments.py" in sources and SRC / "cli.py" in sources
+    assert [hit for p in sources for hit in decoded_outside_json_records(p)] == []
+
+
+def test_the_json_check_sees_a_decoder_call(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import json\nfrom json import loads\n\ndef f(text):\n"
+        "    return json.JSONDecoder().raw_decode(text), list(map(json.loads, [text]))\n",
+        encoding="utf-8",
+    )
+    assert decoded_outside_json_records(path) == ["mod.py:2", "mod.py:5", "mod.py:5", "mod.py:5"]
 
 
 # ---------------------------------------------------------------------------

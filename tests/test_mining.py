@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from pauseseg import crf, features, mining, tagset
 from pauseseg.alignment import Pause
-from pauseseg.errors import IndexOutOfRange, ParseError, PausesegError, UnscoredPause
+from pauseseg.errors import IndexOutOfRange, InvalidConfig, ParseError, PausesegError, UnscoredPause
 from pauseseg.mining import PartialSentence
 from pauseseg.segments import SegmentedSentence
+from test_alignment import JSON_LAYOUTS
 
 
 def zero_model(text="一二三四五六"):
@@ -99,6 +100,13 @@ class TestScoreAndFilter:
     def test_filter_rejects_unscored(self):
         with pytest.raises(UnscoredPause):
             mining.filter_pauses([Pause(0, 50.0)], 0.5)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 7.0, -3.0])
+    def test_filter_refuses_a_threshold_outside_0_1(self, threshold):
+        with pytest.raises(InvalidConfig, match=re.escape("threshold must be in [0, 1]")):
+            mining.filter_pauses([Pause(0, 20.0, 0.9)], threshold)
+        with pytest.raises(InvalidConfig):
+            mining.filter_to_partials(["一二"], [[Pause(0, 20.0, 0.9)]], threshold)
 
     def test_rising_thresholds_keep_nested_subsets(self):
         rng = np.random.default_rng(5)
@@ -372,3 +380,27 @@ class TestScoredPauseIO:
                    ("u2", "四五", [Pause(0, 50.0, 1.0)])]
         mining.write_scored_pauses(path, records)
         assert mining.read_scored_pauses(path) == records
+
+
+@st.composite
+def scored_records(draw):
+    """A valid scored-pause record: any sentence, scored or unscored pauses at its junctions."""
+    text = st.characters(blacklist_categories=("Cs",))
+    sentence = draw(st.text(text, min_size=1, max_size=6))
+    junctions = draw(st.lists(st.integers(0, max(0, len(sentence) - 2)), max_size=3))
+    pauses = [
+        Pause(j, draw(st.floats(min_value=0.0, max_value=1e300)),
+              draw(st.none() | st.floats(min_value=0.0, max_value=1.0)))
+        for j in (junctions if len(sentence) > 1 else [])
+    ]
+    return draw(st.text(text, max_size=4)), sentence, pauses
+
+
+@pytest.mark.parametrize("layout", JSON_LAYOUTS)
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(scored_records(), max_size=4))
+def test_scored_pauses_round_trip_in_every_layout(tmp_path_factory, layout, records):
+    path = tmp_path_factory.getbasetemp() / f"scored.{layout}.json"
+    lines = [mining.scored_pauses_to_json_line(*r) for r in records]
+    path.write_text(JSON_LAYOUTS[layout](lines), encoding="utf-8")
+    assert mining.read_scored_pauses(path) == records
