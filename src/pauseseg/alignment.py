@@ -20,17 +20,18 @@ DEFAULT_MIN_PAUSE_MS = 10.0
 DEFAULT_TIER_NAME = "characters"
 
 
-def check_min_pause_ms(min_pause_ms: float) -> None:
-    """``InvalidConfig`` unless ``min_pause_ms`` is a finite number >= 0."""
-    if not (math.isfinite(min_pause_ms) and min_pause_ms >= 0):
-        raise InvalidConfig(f"min_pause_ms must be finite and >= 0, not {min_pause_ms!r}")
-
-
-def _check_frame_offset(frame_offset_ms: float) -> None:
+def check_frame_offset_ms(frame_offset_ms: float) -> None:
+    """``InvalidConfig`` unless ``frame_offset_ms`` is a finite number > 0."""
     if not (math.isfinite(frame_offset_ms) and frame_offset_ms > 0):
         raise InvalidConfig(
             f"frame offset must be a finite number of ms > 0, got {frame_offset_ms!r}"
         )
+
+
+def check_min_pause_ms(min_pause_ms: float) -> None:
+    """``InvalidConfig`` unless ``min_pause_ms`` is a finite number >= 0."""
+    if not (math.isfinite(min_pause_ms) and min_pause_ms >= 0):
+        raise InvalidConfig(f"min_pause_ms must be finite and >= 0, not {min_pause_ms!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class CharAlignment:
     frame_offset_ms: float = DEFAULT_FRAME_OFFSET_MS
 
     def __post_init__(self):
-        _check_frame_offset(self.frame_offset_ms)
+        check_frame_offset_ms(self.frame_offset_ms)
         if not self.chars:
             raise ValueError(f"utterance {self.utterance_id!r} has no characters")
         prev_begin = -1
@@ -151,6 +152,8 @@ def _alignment_from_obj(obj, line: int) -> CharAlignment:
             chars=chars,
             frame_offset_ms=float(frame_offset_ms),
         )
+    except NonMonotoneFrames as exc:
+        raise NonMonotoneFrames(str(exc), line=line) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad alignment record: {exc}", line=line) from exc
 
@@ -239,7 +242,7 @@ def parse_textgrid(
     frame_offset_ms: float = DEFAULT_FRAME_OFFSET_MS,
 ) -> CharAlignment:
     """Extract a character alignment from one tier of a long-format TextGrid."""
-    _check_frame_offset(frame_offset_ms)  # before any time is converted with it
+    check_frame_offset_ms(frame_offset_ms)  # before any time is converted with it
     lines = split_lines(text)
     in_tier = False
     chars: list[tuple[str, int, int]] = []
@@ -286,7 +289,10 @@ def parse_textgrid(
         raise ParseError(f"no tier named {tier_name!r} in TextGrid")
     if not chars:
         raise ParseError(f"tier {tier_name!r} holds no characters, only silence", line=tier_line)
-    return CharAlignment(utterance_id, tuple(chars), frame_offset_ms)
+    try:
+        return CharAlignment(utterance_id, tuple(chars), frame_offset_ms)
+    except NonMonotoneFrames as exc:
+        raise NonMonotoneFrames(str(exc), line=tier_line) from exc
 
 
 def read_textgrid(

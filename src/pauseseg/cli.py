@@ -146,6 +146,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_mine(args) -> int:
     min_pause_ms = _settings(args)["min_pause_ms"]
+    alignment.check_frame_offset_ms(args.frame_offset_ms)
     model = crf.CrfModel.load(args.model)
     alignments = _read_alignment_files(
         args.alignments, args.tier_name, args.frame_offset_ms

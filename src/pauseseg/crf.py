@@ -85,7 +85,6 @@ class CrfModel:
         end: np.ndarray | None = None,
     ):
         self.vocab = vocab
-        self.templates = vocab.templates
         self.emit_w = np.zeros((vocab.size, N)) if emit_w is None else emit_w
         self.trans = np.where(TRANS_LEGAL, 0.0, NEG_INF) if trans is None else trans
         self.start = np.where(START_LEGAL, 0.0, NEG_INF) if start is None else start
@@ -104,12 +103,16 @@ class CrfModel:
         )
 
     # -- persistence --------------------------------------------------------
-    # A short text header (format line, templates, vocabulary size), then one
-    # line per array holding the base64 of its raw little-endian bytes, which
-    # round-trip every float bitwise. Base64 keeps the file text, read and
-    # written as UTF-8 like every other file of the package.
+    # A short text header (format line, fixed templates, vocabulary size), then
+    # one line per array holding the base64 of its raw little-endian bytes,
+    # which round-trip every float bitwise. Base64 keeps the file text, read
+    # and written as UTF-8 like every other file of the package.
 
     FORMAT_HEADER = "pauseseg model format 2"
+    # the lines before the vocab_size line: the format line, then the feature set
+    _HEADER = (FORMAT_HEADER,) + tuple(
+        f"template {name} " + " ".join(map(str, offsets)) for name, offsets in feat.TEMPLATES
+    )
     # (record, dtype) in file order after the vocab_size line
     _RECORDS = (("keys", "<i8"), ("emit", "<f8"), ("trans", "<f8"), ("start", "<f8"), ("end", "<f8"))
     _LEGAL = {"trans": TRANS_LEGAL, "start": START_LEGAL, "end": END_LEGAL}
@@ -121,10 +124,7 @@ class CrfModel:
                 raise ValueError("model contains NaN weights")
             if name in self._LEGAL and (arr[~self._LEGAL[name]] != NEG_INF).any():
                 raise ValueError(f"illegal {name} entries must be -inf")
-        lines = [self.FORMAT_HEADER]
-        for name, offsets in self.templates:
-            lines.append("template " + name + " " + " ".join(str(o) for o in offsets))
-        lines.append(f"vocab_size {self.vocab.size}")
+        lines = [*self._HEADER, f"vocab_size {self.vocab.size}"]
         arrays = {"keys": self.vocab.keys(), **weights}
         for name, dtype in self._RECORDS:
             raw = np.ascontiguousarray(arrays[name], dtype=dtype).tobytes()
@@ -138,19 +138,13 @@ class CrfModel:
             raise ParseError("model format 1 is no longer read; retrain the model", line=1)
         if lines[0] != cls.FORMAT_HEADER:
             raise ParseError("not a pauseseg model file (bad header)", line=1)
+        lines += [""] * (len(cls._HEADER) + len(cls._RECORDS))  # a missing line reads as blank
+        for k in range(1, len(cls._HEADER)):
+            if lines[k] != cls._HEADER[k]:
+                message = f"expected the fixed template line {cls._HEADER[k]!r}"
+                raise ParseError(message, line=k + 1)
         records = [line.partition(" ")[::2] for line in lines]  # (kind, payload)
-        records += [("", "")] * (len(cls._RECORDS) + 1)  # a missing record reads as blank
-        templates: list[tuple[str, tuple[int, ...]]] = []
-        k = 1  # the index of the next line
-        while records[k][0] == "template":
-            try:
-                name, *offsets = records[k][1].split()
-                templates.append(feat.check_template(name, [int(x) for x in offsets]))
-                if name in dict(templates[:-1]):
-                    raise ValueError(f"template {name!r} repeats")
-            except ValueError as exc:
-                raise ParseError(f"bad template: {exc}", line=k + 1) from exc
-            k += 1
+        k = len(cls._HEADER)  # the index of the next line
 
         def payload(name: str) -> str:
             kind, rest = records[k]
@@ -181,7 +175,7 @@ class CrfModel:
             arr = np.frombuffer(raw, dtype).reshape(shape).astype(dtype[1:])  # native, writable
             if name == "keys":
                 try:
-                    vocab = feat.FeatureVocabulary.from_keys(tuple(templates), arr)
+                    vocab = feat.FeatureVocabulary.from_keys(arr)
                 except ValueError as exc:
                     raise ParseError(f"bad key: {exc}", line=k + 1) from exc
             elif np.isnan(arr).any():
@@ -769,7 +763,7 @@ class _Counts:
     transition, start and end counts are dense.
     """
 
-    ids: np.ndarray  # [C, n_templates] feature ids
+    ids: np.ndarray  # [C, 9] feature ids
     coef: np.ndarray  # [C, 4]
     trans: np.ndarray
     start: np.ndarray

@@ -36,8 +36,8 @@ class ParseError(PausesegError):
         self.line = line
 
 
-class NonMonotoneFrames(PausesegError):
-    """Character begin frames decrease across an alignment."""
+class NonMonotoneFrames(ParseError):
+    """Begin frames decrease across an alignment, or a character ends before it begins."""
 
 
 class UnscoredPause(PausesegError):

@@ -1,16 +1,17 @@
 """Sparse character n-gram features and per-position emission scores.
 
-A feature is a template plus the characters at its offsets from the
-current position; positions outside the sentence contribute the sentinels
-``⟨BOS⟩`` / ``⟨EOS⟩``. Inside the package a feature is one int64 key that
-packs the template index and the code points at its (at most two) offsets
-in 21-bit fields, with BOS and EOS as the codes just past the last Unicode
-code point. Keys are computed for whole sentences or corpora at once.
+The feature set is fixed: nine templates (``TEMPLATES``), the character
+unigrams at offsets -2..+2 and the four adjacent bigrams. A feature is a
+template plus the characters at its offsets from the current position;
+positions outside the sentence contribute the sentinels ``⟨BOS⟩`` /
+``⟨EOS⟩``. Inside the package a feature is one int64 key that packs the
+template index and the code points at its one or two offsets in 21-bit
+fields, with BOS and EOS as the codes just past the last Unicode code
+point. Keys are computed for whole sentences or corpora at once.
 
 Feature strings, ``"<template name>=<chars>"`` with the characters of a
-multi-character template joined by U+001F, are only read, by
-``FeatureVocabulary.feature_key``; ``extract_features`` is their reference
-definition.
+bigram joined by U+001F, are only read, by ``FeatureVocabulary.feature_key``;
+``extract_features`` is their reference definition.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ BOS = "⟨BOS⟩"
 EOS = "⟨EOS⟩"
 SEP = "\x1f"
 
-# Character unigrams in a +-2 window and the four adjacent bigrams.
-DEFAULT_TEMPLATES: tuple[tuple[str, tuple[int, ...]], ...] = (
+# Character unigrams in a +-2 window and the four adjacent bigrams, in key order.
+TEMPLATES: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("U-2", (-2,)),
     ("U-1", (-1,)),
     ("U0", (0,)),
@@ -35,30 +36,46 @@ DEFAULT_TEMPLATES: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 # Key layout: template index << 42 | first code << 21 | second code. A
-# one-offset template keeps its code in the low field; code points end at
-# 0x10FFFF, so the sentinels fit the 21-bit fields too.
+# unigram keeps its code in the low field; code points end at 0x10FFFF, so
+# the sentinels fit the 21-bit fields too.
 CODE_BITS = 21
 BOS_CODE = 0x110000
 EOS_CODE = 0x110001
-MAX_OFFSETS = 2
 _CODE_MASK = (1 << CODE_BITS) - 1
 _NO_KEY = np.iinfo(np.int64).max  # above every key: ends the sorted key array
 # add_corpus keys a corpus in runs of about this many characters, which keeps
 # the keying's temporaries small; the numbering then takes the corpus at once
 ADD_CHUNK_CHARS = 2048
 
+_TEMPLATE_INDEX = {name: t for t, (name, _) in enumerate(TEMPLATES)}
 
-def extract_features(
-    sentence: str,
-    position: int,
-    templates: tuple[tuple[str, tuple[int, ...]], ...] = DEFAULT_TEMPLATES,
-) -> list[str]:
+
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Keys are (codes at the distinct offsets) @ pack + _BASE; per template, the offset
+    each code field (high, low) is read at, and whether the template uses that field."""
+    offsets = np.array(sorted({o for _, offs in TEMPLATES for o in offs}), np.int64)
+    pack = np.zeros((len(offsets), len(TEMPLATES)), dtype=np.int64)
+    field_used = np.zeros((len(TEMPLATES), 2), dtype=bool)
+    field_offset = np.zeros((len(TEMPLATES), 2), dtype=np.int64)
+    for t, (_, offs) in enumerate(TEMPLATES):
+        for k, off in enumerate(offs):
+            pack[np.searchsorted(offsets, off), t] += 1 << CODE_BITS * (len(offs) - 1 - k)
+        field_used[t, 2 - len(offs) :] = True
+        field_offset[t, 2 - len(offs) :] = offs
+    return offsets, pack, field_used, field_offset
+
+
+_OFFSETS, _PACK, _FIELD_USED, _FIELD_OFFSET = _tables()
+_BASE = np.arange(len(TEMPLATES), dtype=np.int64) << 2 * CODE_BITS
+
+
+def extract_features(sentence: str, position: int) -> list[str]:
     """One feature string per template for ``sentence[position]``."""
     if not 0 <= position < len(sentence):
         raise IndexError(f"position {position} outside sentence of length {len(sentence)}")
     n = len(sentence)
     feats = []
-    for name, offsets in templates:
+    for name, offsets in TEMPLATES:
         parts = []
         for off in offsets:
             j = position + off
@@ -72,18 +89,6 @@ def extract_features(
     return feats
 
 
-def check_template(name: str, offsets) -> tuple[str, tuple[int, ...]]:
-    """``(name, offsets)`` as a template; ValueError unless its features key into one int."""
-    offsets = tuple(int(o) for o in offsets)
-    if len(offsets) > MAX_OFFSETS:
-        raise ValueError(
-            f"template {name!r} has {len(offsets)} offsets; at most {MAX_OFFSETS} are supported"
-        )
-    if not name or "=" in name:
-        raise ValueError(f"template name {name!r} must be non-empty and hold no '='")
-    return name, offsets
-
-
 class FeatureVocabulary:
     """Dense feature-to-id mapping; id 0 is shared by every unseen feature.
 
@@ -94,30 +99,7 @@ class FeatureVocabulary:
     never changes from 0.
     """
 
-    def __init__(self, templates: tuple[tuple[str, tuple[int, ...]], ...] = DEFAULT_TEMPLATES):
-        self.templates = tuple(check_template(name, offs) for name, offs in templates)
-        self._template_index = {name: t for t, (name, _) in enumerate(self.templates)}
-        if len(self._template_index) != len(self.templates):
-            raise ValueError("template names must be distinct")
-        if len(self.templates) >= 1 << CODE_BITS:
-            raise ValueError(f"at most {(1 << CODE_BITS) - 1} templates are supported")
-        T = len(self.templates)
-        # keys = (codes at the distinct offsets) @ _pack + _base
-        self._offsets = np.array(sorted({o for _, offs in self.templates for o in offs}), np.int64)
-        self._pack = np.zeros((len(self._offsets), T), dtype=np.int64)
-        for t, (_, offs) in enumerate(self.templates):
-            for k, off in enumerate(offs):
-                u = np.searchsorted(self._offsets, off)
-                self._pack[u, t] += 1 << CODE_BITS * (len(offs) - 1 - k)
-        self._base = np.arange(T, dtype=np.int64) << 2 * CODE_BITS
-        # per template, the offset each code field (high, low) is read at and
-        # whether the template uses that field; row T stands in for keys that
-        # name no template
-        self._field_used = np.zeros((T + 1, 2), dtype=bool)
-        self._field_offset = np.zeros((T + 1, 2), dtype=np.int64)
-        for t, (_, offs) in enumerate(self.templates):
-            self._field_used[t, 2 - len(offs) :] = True
-            self._field_offset[t, 2 - len(offs) :] = offs
+    def __init__(self):
         # the real features' keys in ascending order, then _NO_KEY; their ids alongside
         self._sorted_keys = np.array([_NO_KEY], dtype=np.int64)
         self._sorted_ids = np.array([-1], dtype=np.int64)
@@ -154,31 +136,27 @@ class FeatureVocabulary:
             first = np.repeat(bos, lens)[:, None]
             last = first + np.repeat(lens + 1, lens)[:, None]
         # the code at every distinct offset, sentinels past the sentence ends
-        window = padded[np.minimum(np.maximum(slot[:, None] + self._offsets, first), last)]
-        return window @ self._pack + self._base
+        window = padded[np.minimum(np.maximum(slot[:, None] + _OFFSETS, first), last)]
+        return window @ _PACK + _BASE
 
-    def _fireable(self, keys: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _fireable(keys: np.ndarray) -> np.ndarray:
         """Which of ``keys`` some position of some sentence produces.
 
         A key names a template and fits its fields: the fields the template
         does not use are 0, BOS is read only at a negative offset and EOS
-        only at a positive one, and along increasing offsets the codes run
-        BOS..., characters..., EOS..., with equal codes at equal offsets.
+        only at a positive one, and along a bigram's two offsets the codes
+        run BOS..., characters..., EOS....
         """
-        T = len(self.templates)
         t = keys >> 2 * CODE_BITS
-        ok = (keys >= 0) & (t < T)
-        t = np.where(ok, t, T)
+        ok = (keys >= 0) & (t < len(TEMPLATES))
+        t = np.where(ok, t, 0)  # a key that names no template is refused whatever it reads
         codes = np.stack([keys >> CODE_BITS & _CODE_MASK, keys & _CODE_MASK], axis=1)
-        used, offset = self._field_used[t], self._field_offset[t]
+        used, offset = _FIELD_USED[t], _FIELD_OFFSET[t]
         kind = np.where(codes == BOS_CODE, 0, np.where(codes == EOS_CODE, 2, 1))
         fits = (codes <= EOS_CODE) & ((kind != 0) | (offset < 0)) & ((kind != 2) | (offset > 0))
         ok &= np.where(used, fits, codes == 0).all(axis=1)
-        step = offset[:, 1] - offset[:, 0]
-        ordered = np.where(
-            step == 0, codes[:, 0] == codes[:, 1], np.sign(step) * (kind[:, 1] - kind[:, 0]) >= 0
-        )
-        return ok & (ordered | ~used[:, 0])
+        return ok & ((kind[:, 0] <= kind[:, 1]) | ~used[:, 0])
 
     def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of known keys and a mask of the unknown ones, both shaped like ``keys``."""
@@ -190,7 +168,7 @@ class FeatureVocabulary:
         self._sorted_keys, self._sorted_ids = _merge(self._sorted_keys, self._sorted_ids, keys, ids)
 
     def _split(self, ids: np.ndarray, sentences: list[str]) -> list[np.ndarray]:
-        ids = ids.reshape(-1, len(self.templates))
+        ids = ids.reshape(-1, len(TEMPLATES))
         out, start = [], 0
         for sentence in sentences:
             end = start + len(sentence)
@@ -217,7 +195,7 @@ class FeatureVocabulary:
         sentences = list(sentences)
         if not sentences:
             return []
-        T = len(self.templates)
+        T = len(TEMPLATES)
         out = np.empty((sum(map(len, sentences)), T), dtype=np.int64)
         row = start = chars = 0
         for end, sentence in enumerate(sentences, 1):
@@ -257,7 +235,7 @@ class FeatureVocabulary:
     # -- lookup -------------------------------------------------------------
 
     def encode(self, sentence: str) -> np.ndarray:
-        """Feature ids as an int array of shape [len(sentence), n_templates]."""
+        """Feature ids as an int array of shape [len(sentence), len(TEMPLATES)]."""
         if not self.frozen:
             raise RuntimeError("freeze the vocabulary before encoding")
         ids, unseen = self._lookup(self._keys([sentence]))
@@ -281,8 +259,8 @@ class FeatureVocabulary:
     def feature_key(self, feature: str) -> int:
         """The key of a feature string; ValueError if no sentence can produce it."""
         name, eq, body = feature.partition("=")
-        t = self._template_index.get(name) if eq else None
-        codes = None if t is None else _parse_codes(body, self.templates[t][1])
+        t = _TEMPLATE_INDEX.get(name) if eq else None
+        codes = None if t is None else _parse_codes(body, TEMPLATES[t][1])
         key = -1
         if codes is not None:
             key = 0
@@ -308,15 +286,13 @@ class FeatureVocabulary:
         return out
 
     @classmethod
-    def from_keys(
-        cls, templates: tuple[tuple[str, tuple[int, ...]], ...], keys: np.ndarray
-    ) -> "FeatureVocabulary":
+    def from_keys(cls, keys: np.ndarray) -> "FeatureVocabulary":
         """A frozen vocabulary whose features 1, 2, ... have ``keys``, in that order.
 
         ValueError naming the first feature whose key no sentence can
         produce, or a feature that repeats an earlier one.
         """
-        vocab = cls(templates)
+        vocab = cls()
         keys = np.asarray(keys, dtype=np.int64)
         bad = np.flatnonzero(~vocab._fireable(keys))
         if len(bad):
@@ -398,7 +374,7 @@ def _parse_codes(body: str, offsets: tuple[int, ...]) -> list[int] | None:
 def emission_scores(ids: np.ndarray, emit_w: np.ndarray) -> np.ndarray:
     """Per-position label scores, shape [len(ids), 4].
 
-    ``ids`` are encoded feature ids of shape [n, n_templates]; the score of
+    ``ids`` are encoded feature ids of shape [n, len(TEMPLATES)]; the score of
     label l at position i is the sum of the weights of the features active
     there.
     """

@@ -110,10 +110,10 @@ class TestCharAlignment:
             CharAlignment("utt", ())
 
 
-def assert_bad_record(good: str, bad: str, match=None):
+def assert_bad_record(good: str, bad: str, match=None, error=ParseError):
     """A good record then ``bad`` are refused naming ``bad``'s line, as JSON lines and as an array."""
     for text, line in [(good + "\n" + bad + "\n", 2), ("[\n" + good + ",\n" + bad + "\n]", 3)]:
-        with pytest.raises(ParseError, match=match) as exc:
+        with pytest.raises(error, match=match) as exc:
             alignment.parse_alignments(text)
         assert exc.value.line == line
 
@@ -214,6 +214,15 @@ class TestJsonIO:
         bad = good.replace('"frame_offset_ms": 10.0', f'"frame_offset_ms": {offset}')
         assert bad != good
         assert_bad_record(good, bad, match="frame offset")
+
+    @pytest.mark.parametrize("chars", [
+        [{"c": "a", "b": 20, "e": 25}, {"c": "b", "b": 4, "e": 30}],
+        [{"c": "a", "b": 20, "e": 15}],
+    ], ids=["decreasing-begins", "end-before-begin"])
+    def test_non_monotone_frames_rejected_naming_the_line(self, chars):
+        good = alignment.alignment_to_json_line(make_alignment([4]))
+        bad = json.dumps({"utterance_id": "v", "chars": chars})
+        assert_bad_record(good, bad, match="frames", error=NonMonotoneFrames)
 
     @pytest.mark.parametrize("offset", [float("nan"), 0.0, -10.0, float("inf")])
     def test_alignment_needs_a_positive_frame_offset(self, offset):
@@ -408,6 +417,16 @@ class TestTextGrid:
     def test_bad_frame_offset_rejected_before_conversion(self, offset):
         with pytest.raises(InvalidConfig):
             alignment.parse_textgrid(TEXTGRID, "utt1", frame_offset_ms=offset)
+
+    @pytest.mark.parametrize("old, new", [
+        ("xmin = 0.33", "xmin = 0.20"),  # 三 begins before 二
+        ("xmax = 0.33", "xmax = 0.20"),  # 二 ends before it begins
+    ], ids=["decreasing-begins", "end-before-begin"])
+    def test_non_monotone_frames_rejected_naming_the_tier(self, old, new):
+        assert TEXTGRID.count(old) == 1
+        with pytest.raises(NonMonotoneFrames, match="frames") as exc:
+            alignment.parse_textgrid(TEXTGRID.replace(old, new), "utt1")
+        assert exc.value.line == line_of(TEXTGRID, 'name = "characters"')
 
     def test_all_silence_tier_rejected_naming_the_tier(self):
         silent = TEXTGRID

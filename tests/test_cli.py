@@ -408,19 +408,47 @@ class TestErrorHandling:
         assert "epoch" in err
         assert not (tmp / "m.txt").exists()
 
-    @pytest.mark.parametrize("offset", ["0", "-10", "nan"])
-    def test_bad_frame_offset_flag_exits_one(self, workspace, capsys, offset):
+    @pytest.mark.parametrize("name, offset", [
+        *(pytest.param("u1.TextGrid", offset, id=offset) for offset in ("0", "-10", "nan")),
+        *(pytest.param("alignments.jsonl", offset, id=f"jsonl-{offset}")
+          for offset in ("0", "-10", "nan")),
+    ])
+    def test_bad_frame_offset_flag_exits_one(self, workspace, capsys, name, offset):
         tmp, gold = workspace
         model_path = tmp / "model.txt"
         run("train", gold, "-o", model_path, "--epochs", "1")
-        tg = tmp / "u1.TextGrid"
-        tg.write_text(TEXTGRID, encoding="utf-8")
+        path = tmp / name
+        if name.endswith(".TextGrid"):
+            path.write_text(TEXTGRID, encoding="utf-8")
+        else:
+            alignment.write_alignments(path, [CharAlignment("u1", (("一", 0, 5), ("二", 30, 35)))])
         scored = tmp / "scored.jsonl"
-        argv = ["mine", model_path, tg, "-o", scored, "--frame-offset-ms", offset]
-        assert run(*argv) == 1
+        # the setting is checked before the model or any input is read
+        for model in (model_path, tmp / "missing-model.txt"):
+            assert run("mine", model, path, "-o", scored, "--frame-offset-ms", offset) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error[InvalidConfig]: frame offset")
+            assert not scored.exists()
+
+    @pytest.mark.parametrize("name, text, line", [
+        ("alignments.jsonl", '{"utterance_id": "u", "chars": [{"c": "一", "b": 0, "e": 5}]}\n'
+         '{"utterance_id": "v", "chars": [{"c": "一", "b": 20, "e": 25}, '
+         '{"c": "二", "b": 4, "e": 30}]}\n', 2),  # begins decrease in the record of line 2
+        ("u1.TextGrid", TEXTGRID.replace("xmax = 0.33", "xmax = 0.20"), 6),  # the tier's line
+    ], ids=["json", "textgrid"])
+    def test_non_monotone_frames_exit_one_naming_the_line(
+        self, workspace, capsys, name, text, line
+    ):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        path = tmp / name
+        path.write_text(text, encoding="utf-8")
+        scored = tmp / "scored.jsonl"
+        assert run("mine", model_path, path, "-o", scored) == 1
         err = capsys.readouterr().err
-        assert "error[InvalidConfig]" in err
-        assert "frame offset" in err
+        assert err.startswith("error[NonMonotoneFrames]: ")
+        assert err.rstrip().endswith(f"(line {line})")
         assert not scored.exists()
 
     def test_bad_frame_offset_in_alignment_file_exits_one(self, workspace, capsys):

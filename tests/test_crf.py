@@ -688,13 +688,13 @@ class TestLazyUpdate:
 class PerTemplateUnseenIds(features.FeatureVocabulary):
     """The former numbering: ids 0..T-1 are each template's unseen id, real features follow."""
 
-    def __init__(self, templates=features.DEFAULT_TEMPLATES):
-        super().__init__(templates)
-        self._next = len(self.templates)
+    def __init__(self):
+        super().__init__()
+        self._next = len(features.TEMPLATES)
 
     def encode_corpus(self, sentences):
         ids, unseen = self._lookup(self._keys(sentences))
-        return self._split(np.where(unseen, np.arange(len(self.templates)), ids), sentences)
+        return self._split(np.where(unseen, np.arange(len(features.TEMPLATES)), ids), sentences)
 
     def encode(self, sentence):
         return self.encode_corpus([sentence])[0]
@@ -711,7 +711,7 @@ def test_unseen_rows_never_train(monkeypatch, l2):
     got = crf.train(examples, cfg, dev=dev)
     monkeypatch.setattr(features, "FeatureVocabulary", PerTemplateUnseenIds)
     want = crf.train(examples, cfg, dev=dev)
-    T = len(features.DEFAULT_TEMPLATES)
+    T = len(features.TEMPLATES)
     assert want.vocab.size == got.vocab.size + T - 1
     assert not want.emit_w[:T].any() and not got.emit_w[0].any()
     assert got.emit_w[1:].tobytes() == want.emit_w[T:].tobytes()
@@ -738,7 +738,49 @@ MODEL_TEXT_CHARS = st.one_of(
 )
 
 
+# A format-2 model file, as the model writer of the nine-template feature set
+# wrote it: the vocabulary of "ab" and "b", a few non-zero weights. Files
+# written before and after the feature set became a constant are these bytes.
+GOLDEN_MODEL_TEXT = (
+    "pauseseg model format 2\n"
+    "template U-2 -2\n"
+    "template U-1 -1\n"
+    "template U0 0\n"
+    "template U+1 1\n"
+    "template U+2 2\n"
+    "template B-2 -2 -1\n"
+    "template B-1 -1 0\n"
+    "template B0 0 1\n"
+    "template B+1 1 2\n"
+    "vocab_size 18\n"
+    "keys AAARAAAAAAAAABEAAAQAAGEAAAAACAAAYgAAAAAMAAABABEAABAAAAAAEQAgFgAAYQAAACAaAABiACAMABwAAAEAU"
+    "QwAIAAAYQAAAAAEAABiAAAAAAgAAAEAEQAADAAAYQAAACAWAABiACAMABgAAAEAUQwAHAAAAQAxACAiAABiAAAAIB"
+    "oAAA==\n"
+    "emit " + base64.b64encode(np.array(
+        [[0.0] * 4, [0.5, -1.25, 0.0, 2.0]] + [[0.0] * 4] * 3 + [[0.0, 0.0, 0.0, -0.75]]
+        + [[0.0] * 4] * 12, "<f8").tobytes()).decode("ascii") + "\n"
+    "trans AAAAAAAA8P8AAAAAAAD4PwAAAAAAAAAAAAAAAAAA8P8AAAAAAADw/wAAAAAAAAAAAAAAAAAAAAAAAAAAAADw/wAA"
+    "AAAAAAAAAAAAAAAA8P8AAAAAAADw/wAAAAAAAAAAAAAAAAAAAAAAAAAAAADw/wAAAAAAAPD/AAAAAAAAAAA=\n"
+    "start AAAAAAAAAAAAAAAAAADw/wAAAAAAAPD/AAAAAAAA0D8=\n"
+    "end AAAAAAAA8P8AAAAAAADw/wAAAAAAAAjAAAAAAAAAAAA=\n"
+)
+
+
 class TestSerialization:
+    def test_golden_model_text_reads_and_writes_back_its_bytes(self):
+        m = CrfModel.loads(GOLDEN_MODEL_TEXT)
+        assert m.dumps() == GOLDEN_MODEL_TEXT
+        assert m.vocab.size == 18
+        assert m.emit_w[1].tolist() == [0.5, -1.25, 0.0, 2.0] and m.emit_w[5, 3] == -0.75
+        assert np.count_nonzero(m.emit_w) == 4
+        assert (m.trans[0, 1], m.start[3], m.end[2]) == (1.5, 0.25, -3.0)
+        assert m.vocab.encode("ab").tolist() == [
+            [1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 10, 11, 12, 5, 13, 14, 15, 16]]
+        assert m.vocab.encode("ba").tolist() == [
+            [1, 2, 11, 0, 5, 6, 17, 0, 0], [1, 0, 3, 12, 5, 0, 0, 0, 16]]
+        assert m.vocab.encode("bx").tolist() == [
+            [1, 2, 11, 0, 5, 6, 17, 0, 0], [1, 0, 0, 12, 5, 0, 0, 0, 16]]
+
     def test_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(101)
         s = oracle.random_sentence(rng, 6)
@@ -912,8 +954,8 @@ class TestSerialization:
             ("keys ", with_first_key(2 << 2 * CODE_BITS | features.BOS_CODE),
              "feature 1 .*matches no template"),
             ("keys ", lambda keys: np.append(keys[:-1], keys[0]), "repeats feature 1"),
-            ("template B0 ", "template B0 0 1 2", "at most 2"),
-            ("template U-1 ", "template U-2 -1", "repeats"),
+            ("template B0 ", "template B0 0 1 2", "fixed template line 'template B0 0 1'"),
+            ("template U-1 ", "template U-2 -1", "fixed template line 'template U-1 -1'"),
             ("trans ", None, "expected the trans record"),
             ("emit ", lambda emit: emit[:-1], "emit record holds"),
             ("keys ", "keys AAAA!AAAAAAAAAA=", "bad keys record"),
@@ -933,6 +975,26 @@ class TestSerialization:
         text, line = self.edited(prefix, new_line)
         with pytest.raises(ParseError, match=rf"{message}.*\(line {line}\)"):
             CrfModel.loads(text)
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda lines: lines[:3] + lines[4:], 4, "fixed template line 'template U0 0'"),
+        (lambda lines: lines[:6] + [lines[7], lines[6]] + lines[8:], 7,
+         "fixed template line 'template B-2 -2 -1'"),
+        (lambda lines: lines[:9] + ["template B+1 1 2 3"] + lines[10:], 10,
+         "fixed template line 'template B\\+1 1 2'"),
+        (lambda lines: lines[:2] + ["template U-1 -1 0"] + lines[3:], 3,
+         "fixed template line 'template U-1 -1'"),
+        (lambda lines: lines[:1] + ["template X -2"] + lines[2:], 2,
+         "fixed template line 'template U-2 -2'"),
+        (lambda lines: lines[:10] + ["template T 0"] + lines[10:], 11,
+         "expected the vocab_size record"),
+        (lambda lines: lines[:5], 6, "fixed template line 'template U\\+2 2'"),
+    ], ids=["missing", "reordered", "extra-offset", "unigram-as-bigram", "renamed",
+            "tenth-template", "cut-in-the-header"])
+    def test_template_lines_other_than_the_fixed_ones_are_refused(self, edit, line, message):
+        lines = edit(GOLDEN_MODEL_TEXT.splitlines())
+        with pytest.raises(ParseError, match=rf"{message}.*\(line {line}\)"):
+            CrfModel.loads("\n".join(lines) + "\n")
 
     def test_line_after_the_end_record_is_named(self):
         text = zero_model("ab").dumps()

@@ -18,8 +18,7 @@ from pauseseg.features import BOS, EOS, SEP, FeatureVocabulary
 
 
 class RefVocabulary:
-    def __init__(self, templates=features.DEFAULT_TEMPLATES):
-        self.templates = templates
+    def __init__(self):
         self.index: dict[str, int] = {}
         self.size = 1  # id 0: every unseen feature
         self.frozen = False
@@ -28,13 +27,13 @@ class RefVocabulary:
         rows = []
         for i in range(len(sentence)):
             row = []
-            for t, f in enumerate(features.extract_features(sentence, i, self.templates)):
+            for t, f in enumerate(features.extract_features(sentence, i)):
                 if f not in self.index and not self.frozen:
                     self.index[f] = self.size
                     self.size += 1
                 row.append(self.index.get(f, 0))
             rows.append(row)
-        return np.array(rows, dtype=np.int64).reshape(len(sentence), len(self.templates))
+        return np.array(rows, dtype=np.int64).reshape(len(sentence), len(features.TEMPLATES))
 
     def keys(self, vocab):
         """The keys ``vocab`` gives the features, in id order."""
@@ -54,8 +53,8 @@ def texts(special):
 
 
 def test_default_templates():
-    names = [name for name, _ in features.DEFAULT_TEMPLATES]
-    offsets = [offs for _, offs in features.DEFAULT_TEMPLATES]
+    names = [name for name, _ in features.TEMPLATES]
+    offsets = [offs for _, offs in features.TEMPLATES]
     assert names == ["U-2", "U-1", "U0", "U+1", "U+2", "B-2", "B-1", "B0", "B+1"]
     assert offsets == [
         (-2,), (-1,), (0,), (1,), (2,),
@@ -102,7 +101,8 @@ def test_unseen_features_share_id_0():
         for t, feat in enumerate(features.extract_features("xy", pos)):
             assert ids[pos, t] == vocab.feature_id(feat)
             assert (ids[pos, t] == 0) == (feat not in seen)
-    assert (ids == 0).sum() > len(vocab.templates)  # one id for unseen features of every template
+    # one id for unseen features of every template
+    assert (ids == 0).sum() > len(features.TEMPLATES)
 
 
 def test_vocabulary_growth_and_freeze():
@@ -115,7 +115,7 @@ def test_vocabulary_growth_and_freeze():
     with pytest.raises(RuntimeError):
         vocab.add_sentence("cd")
     ids = vocab.encode("ab")
-    assert ids.shape == (2, len(features.DEFAULT_TEMPLATES))
+    assert ids.shape == (2, len(features.TEMPLATES))
     assert ids.dtype == np.int64
 
 
@@ -125,7 +125,7 @@ def test_add_sentence_returns_the_ids_encode_gives():
     added = [vocab.add_sentence(text) for text in texts]
     vocab.freeze()
     for text, ids in zip(texts, added):
-        assert ids.shape == (len(text), len(features.DEFAULT_TEMPLATES))
+        assert ids.shape == (len(text), len(features.TEMPLATES))
         assert ids.dtype == np.int64
         np.testing.assert_array_equal(ids, vocab.encode(text))
 
@@ -141,7 +141,7 @@ def test_from_keys_round_trip():
     vocab = FeatureVocabulary()
     vocab.add_sentence("abc")
     vocab.freeze()
-    restored = FeatureVocabulary.from_keys(vocab.templates, vocab.keys())
+    restored = FeatureVocabulary.from_keys(vocab.keys())
     assert restored.frozen
     assert restored.size == vocab.size
     np.testing.assert_array_equal(restored.keys(), vocab.keys())
@@ -154,13 +154,13 @@ def test_from_keys_names_the_first_key_it_cannot_hold():
     vocab.add_sentence("ab")
     keys = vocab.keys()
     with pytest.raises(ValueError, match="feature 5 repeats feature 2"):
-        FeatureVocabulary.from_keys(vocab.templates, np.insert(keys, 4, keys[1]))
+        FeatureVocabulary.from_keys(np.insert(keys, 4, keys[1]))
     with pytest.raises(ValueError, match="feature 5 repeats feature 2"):
-        FeatureVocabulary.from_keys(vocab.templates, np.insert(keys, [4, 7], keys[1]))
+        FeatureVocabulary.from_keys(np.insert(keys, [4, 7], keys[1]))
     bad = keys.copy()
     bad[[2, 6]] = -1
     with pytest.raises(ValueError, match=r"feature 3 \(key -1\) matches no template"):
-        FeatureVocabulary.from_keys(vocab.templates, bad)
+        FeatureVocabulary.from_keys(bad)
 
 
 def test_from_keys_names_the_first_repeat_among_many():
@@ -179,7 +179,7 @@ def test_from_keys_names_the_first_repeat_among_many():
                 break
             seen[key] = j
         with pytest.raises(ValueError, match=f"^feature {j + 1} repeats feature {seen[key] + 1}$"):
-            FeatureVocabulary.from_keys(vocab.templates, edited)
+            FeatureVocabulary.from_keys(edited)
 
 
 def test_emission_scores_sum_feature_weights():
@@ -227,7 +227,7 @@ def test_scores_survive_id_permutation():
 
     moved_keys = np.empty_like(vocab.keys())
     moved_keys[perm[1:] - 1] = vocab.keys()
-    shuffled = FeatureVocabulary.from_keys(vocab.templates, moved_keys)
+    shuffled = FeatureVocabulary.from_keys(moved_keys)
 
     w = rng.normal(size=(vocab.size, 4))
     w_perm = np.empty_like(w)
@@ -358,11 +358,12 @@ def test_add_corpus_of_nothing_and_of_empty_sentences():
     ref = RefVocabulary()
     corpus = ["", "ab", "", "ba", ""]
     got = vocab.add_corpus(corpus)
-    assert [ids.shape for ids in got] == [(len(s), len(vocab.templates)) for s in corpus]
+    assert [ids.shape for ids in got] == [(len(s), len(features.TEMPLATES)) for s in corpus]
     for ids, text in zip(got, corpus, strict=True):
         np.testing.assert_array_equal(ids, ref.ids(text))
     assert vocab.size == ref.size
-    assert [ids.shape for ids in FeatureVocabulary().add_corpus([""])] == [(0, len(vocab.templates))]
+    empty = FeatureVocabulary().add_corpus([""])
+    assert [ids.shape for ids in empty] == [(0, len(features.TEMPLATES))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -388,9 +389,8 @@ def test_encode_corpus_matches_encode():
     vocab = FeatureVocabulary()
     vocab.add_corpus(["abcab", "ba", "c"])
     vocab.freeze()
-    unigrams = FeatureVocabulary((("U0", (0,)),))  # no sentinel features, which every text fires
-    unigrams.add_corpus(["ab"])
-    unigrams.freeze()
+    # one feature that is no sentinel feature, which every text fires
+    unigrams = FeatureVocabulary.from_keys([vocab.feature_key("U0=a")])
     assert vocab.encode_corpus([]) == []
     for v, batch in (
         (vocab, ["abab", "abab", "b", "aaaa", "", "cab"]),  # keys repeated in and across sentences
@@ -421,11 +421,6 @@ def test_model_text_round_trips_byte_identically(added, seed):
         np.testing.assert_array_equal(loaded.vocab.encode(sentence), vocab.encode(sentence))
 
 
-def test_template_with_more_than_two_offsets_is_refused():
-    with pytest.raises(ValueError, match="at most 2"):
-        FeatureVocabulary((("T", (-1, 0, 1)),))
-
-
 def test_feature_id_only_looks_up():
     vocab = FeatureVocabulary()
     vocab.add_sentence("ab")
@@ -447,23 +442,19 @@ def test_feature_strings_that_cannot_fire_have_no_key():
 
 
 def test_key_check_accepts_exactly_the_keys_some_sentence_fires():
-    # every template shape: one and two offsets, either order, equal offsets, none
-    templates = features.DEFAULT_TEMPLATES + (
-        ("R", (1, -1)), ("E", (0, 0)), ("F", (-1, -1)), ("L", (2, 0)), ("Z", ()),
-    )
-    vocab = FeatureVocabulary(templates)
+    vocab = FeatureVocabulary()
     fired = {
         f
         for n in range(1, 6)
         for sentence in map("".join, itertools.product("ab", repeat=n))
         for i in range(n)
-        for f in features.extract_features(sentence, i, templates)
+        for f in features.extract_features(sentence, i)
     }
     names = {BOS: features.BOS_CODE, EOS: features.EOS_CODE, "a": ord("a"), "b": ord("b")}
     keys, strings = [], []
-    for t, (name, offsets) in enumerate(templates):
+    for t, (name, offsets) in enumerate(features.TEMPLATES):
         for parts in itertools.product(names, repeat=len(offsets)):
-            key = 0  # a one-offset template keeps its code in the low field
+            key = 0  # a unigram keeps its code in the low field
             for part in parts:
                 key = key << features.CODE_BITS | names[part]
             keys.append(t << 2 * features.CODE_BITS | key)
@@ -482,11 +473,10 @@ def test_key_check_accepts_exactly_the_keys_some_sentence_fires():
     junk = [
         -1,
         -(1 << 62),
-        len(templates) << 2 * features.CODE_BITS,  # no such template
+        len(features.TEMPLATES) << 2 * features.CODE_BITS,  # no such template
         np.iinfo(np.int64).max,
         2 << 2 * features.CODE_BITS | high | ord("a"),  # "U0" with a nonzero high field
         2 << 2 * features.CODE_BITS | features.EOS_CODE + 1,  # a code past EOS
         7 << 2 * features.CODE_BITS | (features.EOS_CODE + 1) * high | ord("a"),
-        (len(templates) - 1) << 2 * features.CODE_BITS | 1,  # "Z" holds no code
     ]
     assert not vocab._fireable(np.array(junk, dtype=np.int64)).any()
