@@ -2,9 +2,10 @@
 
 Subcommands cover each pipeline stage (train, mine, filter, complete,
 segment) plus the end-to-end recipes (ctt, selftrain, partialcrf) and the
-reporting tools (eval, stats, disagree). Every command that writes a file
-also writes ``<output>.manifest.json`` recording the exact invocation, so
-runs can be reproduced.
+reporting tools (eval, stats, disagree). ``main`` resolves each command's
+settings before it runs, and after any command that writes a file it
+writes ``<output>.manifest.json`` recording the exact invocation, every
+setting and every path, so runs can be reproduced.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 
 from . import alignment, crf, evaluate, mining, pipeline
-from .errors import InvalidConfig, ParseError, PausesegError
+from .errors import InvalidConfig, ParseError, PausesegError, SentenceMismatch
 from .segments import read_gold_corpus, read_text, split_lines, write_gold_corpus, write_text
 
 _OPTIMIZER = {f.name: f.default for f in dataclasses.fields(crf.TrainConfig)}
@@ -61,35 +62,44 @@ def _read_config_file(path) -> dict:
         raise InvalidConfig(f"{path}: {exc}") from exc
 
 
-def _settings(args) -> dict:
-    """Merge defaults, an optional JSON config file, and CLI flags (flags win)."""
-    settings = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        settings.update(_read_config_file(args.config))
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = _check_setting(key, value)
-    return settings
+def _resolve_settings(args) -> list[str]:
+    """Write every setting's value into ``args`` and return the settings' names.
+
+    A setting is any dest the subcommand defines that is not a declared path.
+    A config key takes its flag, else the ``--config`` file's value, else its
+    entry in ``DEFAULTS``; any other setting keeps its argparse value.
+    """
+    not_settings = ("command", "func", "inputs", "outputs", *args.inputs, *args.outputs)
+    names = [key for key in vars(args) if key not in not_settings]
+    from_file = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in (key for key in names if key in DEFAULTS):
+        flag = getattr(args, key)
+        value = from_file.get(key, DEFAULTS[key]) if flag is None else _check_setting(key, flag)
+        setattr(args, key, value)
+    return names
 
 
 def _train_config(args) -> crf.TrainConfig:
-    settings = _settings(args)
-    return crf.TrainConfig(**{key: settings[key] for key in _OPTIMIZER})
+    return crf.TrainConfig(**{key: getattr(args, key) for key in _OPTIMIZER})
 
 
-def _write_manifest(primary_output, args, config: dict, inputs, outputs):
+def _write_manifest(args, argv, settings) -> None:
+    """``<first output>.manifest.json``: the command line, every setting, every path given."""
+    def given(dests):
+        values = (getattr(args, dest) for dest in dests)
+        return [str(p) for v in values if v for p in (v if isinstance(v, list) else [v])]
+
     manifest = {
         "tool": "pauseseg",
         "format": 1,
         "command": args.command,
-        "argv": [str(a) for a in args._argv],
-        "config": config,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "argv": [str(a) for a in argv],
+        "config": {key: getattr(args, key) for key in settings},
+        "inputs": given(args.inputs),
+        "outputs": given(args.outputs),
     }
     text = json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
-    write_text(str(primary_output) + ".manifest.json", text)
+    write_text(str(getattr(args, args.outputs[0])) + ".manifest.json", text)
 
 
 def _load_gold(path, strip: bool):
@@ -117,16 +127,10 @@ def _read_alignment_files(paths, tier_name: str, frame_offset_ms: float):
 
 
 def _cmd_train(args) -> int:
-    config = _train_config(args)
     gold = _load_gold(args.gold, args.strip_punct)
     dev = _load_gold(args.dev, args.strip_punct) if args.dev else None
-    model = pipeline.train_baseline(gold, config, dev=dev)
+    model = pipeline.train_baseline(gold, _train_config(args), dev=dev)
     model.save(args.model_out)
-    _write_manifest(
-        args.model_out, args, dataclasses.asdict(config),
-        inputs=[args.gold] + ([args.dev] if args.dev else []),
-        outputs=[args.model_out],
-    )
     print(f"wrote model to {args.model_out}")
     return 0
 
@@ -136,46 +140,32 @@ def _cmd_segment(args) -> int:
     sentences = [line for line in split_lines(read_text(args.input)) if line.strip()]
     segmented = pipeline.segment_corpus(model, sentences)
     write_gold_corpus(args.output, segmented)
-    _write_manifest(
-        args.output, args, {},
-        inputs=[args.model, args.input], outputs=[args.output],
-    )
     print(f"segmented {len(segmented)} sentences to {args.output}")
     return 0
 
 
 def _cmd_mine(args) -> int:
-    min_pause_ms = _settings(args)["min_pause_ms"]
     alignment.check_frame_offset_ms(args.frame_offset_ms)
     model = crf.CrfModel.load(args.model)
     alignments = _read_alignment_files(
         args.alignments, args.tier_name, args.frame_offset_ms
     )
-    scored = pipeline.score_alignments(model, alignments, min_pause_ms)
+    scored = pipeline.score_alignments(model, alignments, args.min_pause_ms)
     records = [(a.utterance_id, a.sentence, pauses) for a, pauses in zip(alignments, scored)]
     mining.write_scored_pauses(args.output, records)
-    _write_manifest(
-        args.output, args, {"min_pause_ms": min_pause_ms},
-        inputs=[args.model] + list(args.alignments), outputs=[args.output],
-    )
     n_pauses = sum(len(p) for _, _, p in records)
     print(f"scored {n_pauses} pauses in {len(records)} utterances to {args.output}")
     return 0
 
 
 def _cmd_filter(args) -> int:
-    threshold = _settings(args)["threshold"]
     records = mining.read_scored_pauses(args.scored)
     pause_lists = [pauses for _, _, pauses in records]
     sentences = [sentence for _, sentence, _ in records]
-    partials, kept = mining.filter_to_partials(sentences, pause_lists, threshold)
+    partials, kept = mining.filter_to_partials(sentences, pause_lists, args.threshold)
     total = sum(len(pauses) for pauses in pause_lists)
     mining.write_partial_corpus(args.output, partials)
-    _write_manifest(
-        args.output, args, {"threshold": threshold},
-        inputs=[args.scored], outputs=[args.output],
-    )
-    print(f"kept {kept} of {total} pauses at threshold {threshold} -> {args.output}")
+    print(f"kept {kept} of {total} pauses at threshold {args.threshold} -> {args.output}")
     return 0
 
 
@@ -184,10 +174,6 @@ def _cmd_complete(args) -> int:
     partials = _load_partial(args.partial, args.strip_punct)
     completed = pipeline.complete_corpus(model, partials)
     write_gold_corpus(args.output, completed)
-    _write_manifest(
-        args.output, args, {},
-        inputs=[args.model, args.partial], outputs=[args.output],
-    )
     print(f"completed {len(completed)} sentences to {args.output}")
     return 0
 
@@ -198,7 +184,6 @@ def _cmd_recipe(args) -> int:
     source = _load_gold(args.source, args.strip_punct)
     target = _load_partial(args.target, args.strip_punct)
     dev = _load_gold(args.dev, args.strip_punct) if args.dev else None
-    outputs = [args.model_out]
     if args.command == "partialcrf":
         model = pipeline.run_partial_crf(source, target, config, dev=dev)
     else:
@@ -210,17 +195,10 @@ def _cmd_recipe(args) -> int:
         model = result.model
         if args.baseline_out:
             result.baseline.save(args.baseline_out)
-            outputs.append(args.baseline_out)
         if args.completed_out:
             write_gold_corpus(args.completed_out, result.completed)
-            outputs.append(args.completed_out)
         print(f"completed {result.used} target sentences, skipped {result.skipped}")
     model.save(args.model_out)
-    _write_manifest(
-        args.model_out, args, dataclasses.asdict(config),
-        inputs=[args.source, args.target] + ([args.dev] if args.dev else []),
-        outputs=outputs,
-    )
     print(f"wrote model to {args.model_out}")
     return 0
 
@@ -242,9 +220,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_stats(args) -> int:
     records = mining.read_scored_pauses(args.scored)
-    pause_lists = [pauses for _, _, pauses in records]
     gold = read_gold_corpus(args.gold) if args.gold else None
-    stats = mining.pause_statistics(pause_lists, gold)
+    for number, ((uid, sentence, _), ref) in enumerate(zip(records, gold or ()), 1):
+        if ref.chars != sentence:
+            raise SentenceMismatch(
+                f"record {number} (utterance {uid!r}): {sentence!r} is not the gold {ref.chars!r}"
+            )
+    stats = mining.pause_statistics([pauses for _, _, pauses in records], gold)
     sys.stdout.write(mining.format_stats_report(stats))
     return 0
 
@@ -254,16 +236,15 @@ def _cmd_disagree(args) -> int:
     pred_b = read_gold_corpus(args.pred_b)
     rows = evaluate.build_review_rows(pred_a, pred_b, seed=args.seed)
     write_text(args.output, evaluate.format_review_tsv(rows))
-    _write_manifest(
-        args.output, args, {"seed": args.seed},
-        inputs=[args.pred_a, args.pred_b], outputs=[args.output],
-    )
     print(f"wrote {len(rows)} disagreement rows to {args.output}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser
+#
+# Each subcommand declares which of its dests are input and output paths
+# (``inputs``, ``outputs``); every other dest it defines is a setting.
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -288,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gold")
     p.add_argument("-o", "--model-out", dest="model_out", required=True)
     _add_train_flags(p)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, inputs=("gold", "dev", "config"), outputs=("model_out",))
 
     p = sub.add_parser("segment", help="segment raw sentences with a model")
     p.add_argument("model")
     p.add_argument("input", help="one sentence per line")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_segment)
+    p.set_defaults(func=_cmd_segment, inputs=("model", "input"), outputs=("output",))
 
     p = sub.add_parser("mine", help="detect pauses and score them with a model")
     p.add_argument("model")
@@ -307,21 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=alignment.DEFAULT_FRAME_OFFSET_MS,
     )
     p.add_argument("--config")
-    p.set_defaults(func=_cmd_mine)
+    p.set_defaults(func=_cmd_mine, inputs=("model", "alignments", "config"), outputs=("output",))
 
     p = sub.add_parser("filter", help="keep pauses above a boundary probability")
     p.add_argument("scored", help="scored-pause JSON lines")
     p.add_argument("-o", "--output", required=True, help="partial corpus ('|' marks)")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--config")
-    p.set_defaults(func=_cmd_filter)
+    p.set_defaults(func=_cmd_filter, inputs=("scored", "config"), outputs=("output",))
 
     p = sub.add_parser("complete", help="fill partial annotations by constrained decoding")
     p.add_argument("model")
     p.add_argument("partial")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--strip-punct", dest="strip_punct", action="store_true")
-    p.set_defaults(func=_cmd_complete)
+    p.set_defaults(func=_cmd_complete, inputs=("model", "partial"), outputs=("output",))
 
     for name, help_text in (
         ("ctt", "complete-then-train on source gold plus target constraints"),
@@ -333,28 +314,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("target", help="target-domain partial corpus")
         p.add_argument("-o", "--model-out", dest="model_out", required=True)
         _add_train_flags(p)
+        inputs, outputs = ("source", "target", "dev", "config"), ("model_out",)
         if name != "partialcrf":
             p.add_argument("--baseline", help="reuse an already trained baseline model")
             p.add_argument("--baseline-out", dest="baseline_out")
             p.add_argument("--completed-out", dest="completed_out")
-        p.set_defaults(func=_cmd_recipe)
+            inputs, outputs = (*inputs, "baseline"), (*outputs, "baseline_out", "completed_out")
+        p.set_defaults(func=_cmd_recipe, inputs=inputs, outputs=outputs)
 
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("gold")
     p.add_argument("pred")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, inputs=("gold", "pred"), outputs=())
 
     p = sub.add_parser("stats", help="tabulate scored pauses by duration and probability")
     p.add_argument("scored")
     p.add_argument("--gold", help="gold corpus to check pauses against")
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats, inputs=("scored", "gold"), outputs=())
 
     p = sub.add_parser("disagree", help="blind review sheet for two outputs")
     p.add_argument("pred_a")
     p.add_argument("pred_b")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_disagree)
+    p.set_defaults(func=_cmd_disagree, inputs=("pred_a", "pred_b"), outputs=("output",))
 
     return parser
 
@@ -362,11 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        settings = _resolve_settings(args)
+        code = args.func(args)
+        if args.outputs:
+            _write_manifest(args, argv, settings)
+        return code
     except (PausesegError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

@@ -939,6 +939,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_chars", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise InvalidConfig(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.epochs < 1:
             raise InvalidConfig("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):

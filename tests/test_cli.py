@@ -203,7 +203,9 @@ class TestMineFilterComplete:
                        "--config", cfg) == 0
             outputs.append(scored.read_bytes())
             manifest = json.loads((tmp / f"scored_{threshold}.jsonl.manifest.json").read_text())
-            assert manifest["config"] == {"min_pause_ms": 10.0}
+            assert manifest["config"] == {
+                "min_pause_ms": 10.0, "tier_name": "characters", "frame_offset_ms": 10.0,
+            }
         assert outputs[0] == outputs[1]
 
     def test_mine_reads_a_single_object_over_several_lines(self, workspace):
@@ -293,7 +295,9 @@ class TestRecipes:
         assert run(command, gold, target, "-o", model_path, "--epochs", "1") == 0
         manifest = json.loads((tmp / f"{command}.txt.manifest.json").read_text())
         assert manifest["command"] == command
-        assert list(manifest["config"]) == ["epochs", "learning_rate", "l2", "batch_chars", "seed"]
+        assert list(manifest["config"]) == [
+            "epochs", "learning_rate", "l2", "batch_chars", "seed", "strip_punct",
+        ]
 
 
 class TestReporting:
@@ -326,6 +330,23 @@ class TestReporting:
         assert run("stats", scored, "--gold", ref) == 0
         assert "at gold boundaries: 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("first, number", [("一二三", 1), ("甲乙丙", 2)])
+    def test_stats_with_gold_of_other_text_exits_one(self, workspace, capsys, first, number):
+        tmp, _ = workspace
+        scored = tmp / "scored.jsonl"
+        mining.write_scored_pauses(scored, [
+            (f"u{i}", text, [alignment.Pause(0, 230.0, 0.97), alignment.Pause(1, 230.0, 0.97)])
+            for i, text in enumerate((first, "一二三", "一二三"), 1)
+        ])
+        ref = tmp / "ref.txt"
+        write_gold_corpus(ref, [seg("甲", "乙丙")] * 3)
+        assert run("stats", scored, "--gold", ref) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error[SentenceMismatch]: record {number} (utterance 'u{number}')"
+        )
+        assert captured.out == ""
+
     def test_disagree_writes_tsv(self, workspace):
         tmp, gold = workspace
         a, b = tmp / "a.txt", tmp / "b.txt"
@@ -348,6 +369,74 @@ class TestReporting:
         assert default.read_text(encoding="utf-8") == zero.read_text(encoding="utf-8")
         manifest = json.loads((tmp / "default.tsv.manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"] == {"seed": 0}
+
+
+TRAINING = ["epochs", "learning_rate", "l2", "batch_chars", "seed", "strip_punct"]
+RECIPE = ["gold.txt", "partial.txt", "-o", "out.txt", "--config", "config.json",
+          "--dev", "dev.txt", "--epochs", "1"]
+BASELINE = ["--baseline", "model.txt", "--baseline-out", "base.txt", "--completed-out", "done.txt"]
+RECIPE_INPUTS = ["gold.txt", "partial.txt", "dev.txt", "config.json"]
+# command: its arguments (names with a dot are files in the workspace), then the
+# settings, inputs and outputs its manifest must list
+MANIFEST_CASES = {
+    "train": (["gold.txt", "-o", "out.txt", "--config", "config.json", "--dev", "dev.txt",
+               "--epochs", "1"], TRAINING, ["gold.txt", "dev.txt", "config.json"], ["out.txt"]),
+    "mine": (["model.txt", "a.jsonl", "b.jsonl", "-o", "out.txt", "--config", "config.json"],
+             ["min_pause_ms", "tier_name", "frame_offset_ms"],
+             ["model.txt", "a.jsonl", "b.jsonl", "config.json"], ["out.txt"]),
+    "filter": (["scored.jsonl", "-o", "out.txt", "--config", "config.json"],
+               ["threshold"], ["scored.jsonl", "config.json"], ["out.txt"]),
+    "complete": (["model.txt", "partial.txt", "-o", "out.txt"],
+                 ["strip_punct"], ["model.txt", "partial.txt"], ["out.txt"]),
+    "ctt": (RECIPE + BASELINE, TRAINING, RECIPE_INPUTS + ["model.txt"],
+            ["out.txt", "base.txt", "done.txt"]),
+    "selftrain": (RECIPE + BASELINE, TRAINING, RECIPE_INPUTS + ["model.txt"],
+                  ["out.txt", "base.txt", "done.txt"]),
+    "partialcrf": (RECIPE, TRAINING, RECIPE_INPUTS, ["out.txt"]),
+    "segment": (["model.txt", "raw.txt", "-o", "out.txt"], [], ["model.txt", "raw.txt"],
+                ["out.txt"]),
+    "disagree": (["gold.txt", "dev.txt", "-o", "out.txt"], ["seed"], ["gold.txt", "dev.txt"],
+                 ["out.txt"]),
+}
+
+
+class TestManifest:
+    """A manifest holds every setting a command ran with and every path it was given."""
+
+    @pytest.mark.parametrize("command", MANIFEST_CASES)
+    def test_manifest_holds_every_setting_and_path(self, workspace, command):
+        arguments, settings, inputs, outputs = MANIFEST_CASES[command]
+        tmp, gold = workspace
+        run("train", gold, "-o", tmp / "model.txt", "--epochs", "1")
+        write_gold_corpus(tmp / "dev.txt", [seg("一", "二三")] + GOLD[1:])  # text of GOLD
+        (tmp / "config.json").write_text(
+            json.dumps({"seed": 3, "threshold": 0.4, "min_pause_ms": 20}), encoding="utf-8"
+        )
+        for name in ("a.jsonl", "b.jsonl"):
+            alignment.write_alignments(
+                tmp / name, [CharAlignment(name, (("一", 0, 5), ("二", 30, 35)))]
+            )
+        mining.write_scored_pauses(
+            tmp / "scored.jsonl", [("u1", "一二三", [alignment.Pause(0, 230.0, 0.97)])]
+        )
+        mining.write_partial_corpus(tmp / "partial.txt", [mining.PartialSentence("一二三", (1,))])
+        (tmp / "raw.txt").write_text("一二三\n", encoding="utf-8")
+
+        def path(name):
+            return str(tmp / name)
+
+        argv = [command] + [path(a) if "." in a else a for a in arguments]
+        assert cli.main(argv) == 0
+        manifest = json.loads((tmp / "out.txt.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["argv"] == argv
+        assert list(manifest["config"]) == settings
+        assert manifest["inputs"] == [path(name) for name in inputs]
+        assert manifest["outputs"] == [path(name) for name in outputs]
+        # values as the command resolved them: flag, then config file, then default
+        resolved = {"seed": 0 if command == "disagree" else 3, "epochs": 1,
+                    "threshold": 0.4, "min_pause_ms": 20.0, "frame_offset_ms": 10.0}
+        for key in set(resolved) & set(settings):
+            assert manifest["config"][key] == resolved[key]
 
 
 class TestErrorHandling:
