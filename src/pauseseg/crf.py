@@ -108,7 +108,7 @@ class CrfModel:
     # which round-trip every float bitwise. Base64 keeps the file text, read
     # and written as UTF-8 like every other file of the package.
 
-    FORMAT_HEADER = "pauseseg model format 2"
+    FORMAT_HEADER = "pauseseg model format 3"
     # the lines before the vocab_size line: the format line, then the feature set
     _HEADER = (FORMAT_HEADER,) + tuple(
         f"template {name} " + " ".join(map(str, offsets)) for name, offsets in feat.TEMPLATES
@@ -134,8 +134,8 @@ class CrfModel:
     @classmethod
     def loads(cls, text: str) -> "CrfModel":
         lines = split_lines(text)
-        if lines[0] == "pauseseg model format 1":
-            raise ParseError("model format 1 is no longer read; retrain the model", line=1)
+        if lines[0] in ("pauseseg model format 1", "pauseseg model format 2"):
+            raise ParseError(f"{lines[0]} is no longer read; retrain the model", line=1)
         if lines[0] != cls.FORMAT_HEADER:
             raise ParseError("not a pauseseg model file (bad header)", line=1)
         lines += [""] * (len(cls._HEADER) + len(cls._RECORDS))  # a missing line reads as blank
@@ -725,10 +725,15 @@ def _viterbi_corpus(corpus, model: CrfModel, allowed=None, encode=None) -> list[
 
 
 def viterbi_batch(sentences, model: CrfModel, masks=None) -> list[str]:
-    """``viterbi`` of every sentence (under ``masks[k]`` when given), in batches."""
+    """``viterbi`` of every sentence (under ``masks[k]`` when given), in batches.
+
+    ``LengthMismatch`` if ``masks`` is not one mask per sentence.
+    """
     allowed = None
     if masks is not None:
-        allowed = [_allowed_array(masks[k], len(s)) for k, s in enumerate(sentences)]
+        if len(masks) != len(sentences):
+            raise LengthMismatch(f"{len(masks)} masks for {len(sentences)} sentences")
+        allowed = [_allowed_array(mask, len(s)) for mask, s in zip(masks, sentences)]
     return _viterbi_corpus(sentences, model, allowed, model.vocab.encode_corpus)
 
 

@@ -7,7 +7,8 @@ positions outside the sentence contribute the sentinels ``⟨BOS⟩`` /
 ``⟨EOS⟩``. Inside the package a feature is one int64 key that packs the
 template index and the code points at its one or two offsets in 21-bit
 fields, with BOS and EOS as the codes just past the last Unicode code
-point. Keys are computed for whole sentences or corpora at once.
+point. Keys are computed for whole sentences or corpora at once, and a
+vocabulary numbers its features by the rank of their keys.
 
 Feature strings, ``"<template name>=<chars>"`` with the characters of a
 bigram joined by U+001F, are only read, by ``FeatureVocabulary.feature_key``;
@@ -92,23 +93,22 @@ def extract_features(sentence: str, position: int) -> list[str]:
 class FeatureVocabulary:
     """Dense feature-to-id mapping; id 0 is shared by every unseen feature.
 
-    Real features start at id 1, numbered in order of first occurrence
-    (sentence, then position, then template). ``add_sentence`` /
-    ``add_corpus`` insert features until the vocabulary is frozen;
-    ``encode`` then maps unseen features to id 0, whose weights training
-    never changes from 0.
+    A real feature's id is 1 plus the rank of its key among the
+    vocabulary's keys, so the ascending key array is the whole mapping.
+    ``add_sentence`` / ``add_corpus`` insert features until the vocabulary
+    is frozen, and adding a feature renumbers every feature whose key is
+    above its key; ``encode`` then maps unseen features to id 0, whose
+    weights training never changes from 0.
     """
 
     def __init__(self):
-        # the real features' keys in ascending order, then _NO_KEY; their ids alongside
+        # the real features' keys in ascending order, then _NO_KEY
         self._sorted_keys = np.array([_NO_KEY], dtype=np.int64)
-        self._sorted_ids = np.array([-1], dtype=np.int64)
-        self._next = 1
         self.frozen = False
 
     @property
     def size(self) -> int:
-        return self._next
+        return len(self._sorted_keys)
 
     def freeze(self) -> None:
         self.frozen = True
@@ -161,11 +161,7 @@ class FeatureVocabulary:
     def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of known keys and a mask of the unknown ones, both shaped like ``keys``."""
         pos = np.searchsorted(self._sorted_keys, keys)
-        return self._sorted_ids[pos], self._sorted_keys[pos] != keys
-
-    def _insert(self, keys: np.ndarray, ids: np.ndarray) -> None:
-        """Add unseen ``keys`` (ascending) with their ``ids``."""
-        self._sorted_keys, self._sorted_ids = _merge(self._sorted_keys, self._sorted_ids, keys, ids)
+        return pos + 1, self._sorted_keys[pos] != keys
 
     def _split(self, ids: np.ndarray, sentences: list[str]) -> list[np.ndarray]:
         ids = ids.reshape(-1, len(TEMPLATES))
@@ -179,11 +175,15 @@ class FeatureVocabulary:
     # -- building -----------------------------------------------------------
 
     def add_sentence(self, sentence: str) -> np.ndarray:
-        """Insert the sentence's unseen features; returns its ids like ``encode``."""
+        """Insert the sentence's unseen features; returns its ids like ``encode``.
+
+        The ids are those the vocabulary gives after this call: a later add
+        renumbers every feature whose key is above a key it inserts.
+        """
         return self.add_corpus([sentence])[0]
 
     def add_corpus(self, sentences: list[str]) -> list[np.ndarray]:
-        """``add_sentence`` of each sentence in turn, with one sort per template.
+        """``add_sentence`` of all the sentences at once, with one sort per template.
 
         The corpus is keyed (in runs) into one [characters, templates] array.
         The template index is a key's top field, so each column's distinct
@@ -204,30 +204,19 @@ class FeatureVocabulary:
                 out[row : row + chars] = self._keys(sentences[start:end])
                 row += chars
                 start, chars = end, 0
-        if not len(out):  # no characters: no features, and no run to start
-            return self._split(out, sentences)
         # each column becomes indices into all templates' distinct keys
-        keys, first = [], []
+        keys = []
         offset = 0
         for t in range(T):
-            # a contiguous copy keeps the sort's gathers and scatters cheap
-            distinct, rows, rank = _distinct(out[:, t].copy())
-            rank += offset
-            out[:, t] = rank
+            distinct, rank = np.unique(out[:, t], return_inverse=True)  # sorts a contiguous copy
+            out[:, t] = rank + offset
             offset += len(distinct)
             keys.append(distinct)
-            first.append(rows * T + t)  # flat position of the first occurrence
-        keys, first = np.concatenate(keys), np.concatenate(first)
+        keys = np.concatenate(keys)
         ids, unseen = self._lookup(keys)
-        # new ids in order of first occurrence, the model file's feature order;
-        # known keys sort last
-        n_new = int(np.count_nonzero(unseen))
-        first[~unseen] = _NO_KEY
-        ids[np.argsort(first)[:n_new]] = np.arange(self._next, self._next + n_new)
-        self._next += n_new
-        del first  # the merge sets the memory peak: free what it does not use
-        keys = keys[unseen]
-        self._insert(keys, ids[unseen])
+        # an id after the merge: 1 + the known keys below (the lookup) + the unseen keys below
+        ids += np.cumsum(unseen) - unseen
+        self._sorted_keys = _merge(self._sorted_keys, keys[unseen])
         for t in range(T):  # a column at a time: a whole-corpus temporary raised peak RSS
             out[:, t] = ids[out[:, t]]
         return self._split(out, sentences)
@@ -280,70 +269,39 @@ class FeatureVocabulary:
         return 0 if unseen[0] else int(ids[0])
 
     def keys(self) -> np.ndarray:
-        """The real features' keys in id order: the key of feature id ``k`` is at ``k - 1``."""
-        out = np.empty(self._next - 1, dtype=np.int64)
-        out[self._sorted_ids[:-1] - 1] = self._sorted_keys[:-1]
-        return out
+        """The real features' keys in id order (ascending): feature ``k``'s is at ``k - 1``."""
+        return self._sorted_keys[:-1].copy()
 
     @classmethod
     def from_keys(cls, keys: np.ndarray) -> "FeatureVocabulary":
-        """A frozen vocabulary whose features 1, 2, ... have ``keys``, in that order.
+        """A frozen vocabulary whose features 1, 2, ... have ``keys``, which must ascend.
 
         ValueError naming the first feature whose key no sentence can
-        produce, or a feature that repeats an earlier one.
+        produce, or whose key is not above the one before it.
         """
         vocab = cls()
         keys = np.asarray(keys, dtype=np.int64)
         bad = np.flatnonzero(~vocab._fireable(keys))
         if len(bad):
             raise ValueError(f"feature {bad[0] + 1} (key {keys[bad[0]]}) matches no template")
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        if (sorted_keys[1:] == sorted_keys[:-1]).any():
-            # a stable sort puts equal keys in id order: name the first repeat
-            # and the occurrence just before it
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
-            k = repeats[np.argmin(order[repeats + 1])]
-            raise ValueError(f"feature {order[k + 1] + 1} repeats feature {order[k] + 1}")
-        vocab._sorted_keys = np.append(sorted_keys, _NO_KEY)
-        vocab._sorted_ids = np.append(order + 1, -1)
-        vocab._next = len(keys) + 1
+        bad = np.flatnonzero(keys[1:] <= keys[:-1])
+        if len(bad):
+            k = bad[0] + 1
+            message = f"feature {k + 1} (key {keys[k]}) is not above feature {k}: keys must ascend"
+            raise ValueError(message)
+        vocab._sorted_keys = np.append(keys, _NO_KEY)
         vocab.freeze()
         return vocab
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What ``np.unique(values, return_index=True, return_inverse=True)`` gives, for 1-d values.
-
-    ``values`` must not be empty. The sort need not be stable: equal values
-    form one run of the sorted array, and the smallest index in the run is
-    the first occurrence.
-    """
-    order = np.argsort(values)
-    ordered = values[order]
-    new_run = np.empty(len(ordered), dtype=bool)
-    new_run[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    rank = np.empty_like(order)
-    rank[order] = np.cumsum(new_run) - 1
-    return ordered[starts], np.minimum.reduceat(order, starts), rank
-
-
-def _merge(
-    keys_a: np.ndarray, ids_a: np.ndarray, keys_b: np.ndarray, ids_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two sorted key arrays with no key in common, and their ids, as one."""
-    n = len(keys_a) + len(keys_b)
+def _merge(keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:
+    """Two sorted key arrays with no key in common, as one."""
     at_b = np.searchsorted(keys_a, keys_b) + np.arange(len(keys_b))  # b's output positions
-    from_a = np.ones(n, dtype=bool)
+    from_a = np.ones(len(keys_a) + len(keys_b), dtype=bool)
     from_a[at_b] = False
-    keys, ids = np.empty(n, dtype=keys_a.dtype), np.empty(n, dtype=ids_a.dtype)
+    keys = np.empty(len(from_a), dtype=keys_a.dtype)
     keys[from_a], keys[at_b] = keys_a, keys_b
-    ids[from_a], ids[at_b] = ids_a, ids_b
-    return keys, ids
+    return keys
 
 
 def _parse_codes(body: str, offsets: tuple[int, ...]) -> list[int] | None:

@@ -65,6 +65,11 @@ class PartialSentence:
         object.__setattr__(self, "boundaries", bounds)
 
 
+def _check_parallel(sentences: list[str], pause_lists: list[list[Pause]]) -> None:
+    if len(pause_lists) != len(sentences):
+        raise LengthMismatch(f"{len(pause_lists)} pause lists for {len(sentences)} sentences")
+
+
 def score_pauses(model: crf.CrfModel, sentence: str, pauses: list[Pause]) -> list[Pause]:
     """Attach the model's boundary probability to each pause (a batch of one)."""
     return score_pause_lists(model, [sentence], [pauses])[0]
@@ -77,8 +82,10 @@ def score_pause_lists(
 
     The corpus is scored in batches; a sentence gets bitwise the same
     probabilities alone or in any batch. A pause outside its sentence
-    raises ``IndexOutOfRange``.
+    raises ``IndexOutOfRange``, and lists of different lengths raise
+    ``LengthMismatch``.
     """
+    _check_parallel(sentences, pause_lists)
     todo = [k for k, pauses in enumerate(pause_lists) if pauses]
     probs = crf.boundary_probabilities_batch([sentences[k] for k in todo], model)
     out: list[list[Pause]] = [[] for _ in pause_lists]
@@ -111,7 +118,11 @@ def filter_to_partials(
     sentences: list[str], pause_lists: list[list[Pause]], threshold: float
 ) -> tuple[list[PartialSentence], int]:
     """A partial sentence per sentence, marking its pauses that ``filter_pauses``
-    keeps at ``threshold``, and the number of pauses kept in all."""
+    keeps at ``threshold``, and the number of pauses kept in all.
+
+    ``LengthMismatch`` unless there is one pause list per sentence.
+    """
+    _check_parallel(sentences, pause_lists)
     partials = []
     kept = 0
     for sentence, pauses in zip(sentences, pause_lists):

@@ -11,6 +11,7 @@ are constants of the tag scheme, not trainable state.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -90,7 +91,10 @@ def parse_tags(tags: str | Sequence[int]) -> tuple[int, ...]:
             return tuple(LABEL_CHARS.index(c) for c in tags)
         except ValueError:
             raise IllegalTagSequence(f"unknown label character in {tags!r}") from None
-    out = tuple(int(t) for t in tags)
+    try:
+        out = tuple(map(operator.index, tags))  # ints, numpy integers and Labels
+    except TypeError:
+        raise IllegalTagSequence(f"label id that is not an integer in {tags!r}") from None
     if any(t < 0 or t >= N_LABELS for t in out):
         raise IllegalTagSequence(f"label id out of range in {out!r}")
     return out

@@ -374,6 +374,13 @@ def test_one_sentence_viterbi_raises_as_the_batched_core_does():
             crf.viterbi_batch([sentence], model, [mask])
 
 
+def test_viterbi_batch_refuses_a_mask_list_of_another_length():
+    model = random_model(31)
+    for masks in ([None], [None, None, None]):
+        with pytest.raises(LengthMismatch, match=f"^{len(masks)} masks for 2 sentences$"):
+            crf.viterbi_batch(["ab", "ba"], model, masks)
+
+
 def test_batch_gradient_is_the_sum_of_per_sentence_gradients():
     rng = np.random.default_rng(11)
     model = random_model(11)

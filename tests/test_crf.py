@@ -395,6 +395,8 @@ class TestGradients:
         m = zero_model()
         with pytest.raises(IllegalTagSequence):
             crf.nll_loss_and_grad([("ab", "BB")], m)
+        with pytest.raises(IllegalTagSequence, match="not an integer"):
+            crf.nll_loss_and_grad([("ab", [3.5, 3])], m)
 
     @settings(max_examples=200, deadline=None)
     @given(tags=st.text("BMESX\u00e9", max_size=6), n=st.integers(0, 6))
@@ -689,13 +691,19 @@ class TestLazyUpdate:
 class PerTemplateUnseenIds(features.FeatureVocabulary):
     """The former numbering: ids 0..T-1 are each template's unseen id, real features follow."""
 
-    def __init__(self):
-        super().__init__()
-        self._next = len(features.TEMPLATES)
+    SHIFT = len(features.TEMPLATES) - 1
+
+    @property
+    def size(self):
+        return super().size + self.SHIFT
+
+    def add_corpus(self, sentences):
+        return [ids + self.SHIFT for ids in super().add_corpus(sentences)]
 
     def encode_corpus(self, sentences):
         ids, unseen = self._lookup(self._keys(sentences))
-        return self._split(np.where(unseen, np.arange(len(features.TEMPLATES)), ids), sentences)
+        unseen_ids = np.arange(len(features.TEMPLATES))
+        return self._split(np.where(unseen, unseen_ids, ids + self.SHIFT), sentences)
 
     def encode(self, sentence):
         return self.encode_corpus([sentence])[0]
@@ -739,10 +747,35 @@ MODEL_TEXT_CHARS = st.one_of(
 )
 
 
-# A format-2 model file, as the model writer of the nine-template feature set
-# wrote it: the vocabulary of "ab" and "b", a few non-zero weights. Files
-# written before and after the feature set became a constant are these bytes.
+# A format-3 model file: the vocabulary of "ab" and "b", its keys ascending,
+# and a few non-zero weights.
 GOLDEN_MODEL_TEXT = (
+    "pauseseg model format 3\n"
+    "template U-2 -2\n"
+    "template U-1 -1\n"
+    "template U0 0\n"
+    "template U+1 1\n"
+    "template U+2 2\n"
+    "template B-2 -2 -1\n"
+    "template B-1 -1 0\n"
+    "template B0 0 1\n"
+    "template B+1 1 2\n"
+    "vocab_size 18\n"
+    "keys AAARAAAAAABhAAAAAAQAAAAAEQAABAAAYQAAAAAIAABiAAAAAAgAAGIAAAAADAAAAQARAAAMAAABABEAABAAAGEA"
+    "AAAgFgAAAAARACAWAABiACAMABgAAGEAAAAgGgAAYgAAACAaAABiACAMABwAAAEAUQwAHAAAAQBRDAAgAAABADEA"
+    "ICIAAA==\n"
+    "emit " + base64.b64encode(np.array(
+        [[0.0] * 4, [0.5, -1.25, 0.0, 2.0]] + [[0.0] * 4] * 6 + [[0.0, 0.0, 0.0, -0.75]]
+        + [[0.0] * 4] * 9, "<f8").tobytes()).decode("ascii") + "\n"
+    "trans AAAAAAAA8P8AAAAAAAD4PwAAAAAAAAAAAAAAAAAA8P8AAAAAAADw/wAAAAAAAAAAAAAAAAAAAAAAAAAAAADw/wAA"
+    "AAAAAAAAAAAAAAAA8P8AAAAAAADw/wAAAAAAAAAAAAAAAAAAAAAAAAAAAADw/wAAAAAAAPD/AAAAAAAAAAA=\n"
+    "start AAAAAAAAAAAAAAAAAADw/wAAAAAAAPD/AAAAAAAA0D8=\n"
+    "end AAAAAAAA8P8AAAAAAADw/wAAAAAAAAjAAAAAAAAAAAA=\n"
+)
+
+# The same model in format 2, as the model writer of the nine-template feature
+# set wrote it, with the keys in order of first occurrence. It is no longer read.
+FORMAT_2_MODEL_TEXT = (
     "pauseseg model format 2\n"
     "template U-2 -2\n"
     "template U-1 -1\n"
@@ -772,15 +805,17 @@ class TestSerialization:
         m = CrfModel.loads(GOLDEN_MODEL_TEXT)
         assert m.dumps() == GOLDEN_MODEL_TEXT
         assert m.vocab.size == 18
-        assert m.emit_w[1].tolist() == [0.5, -1.25, 0.0, 2.0] and m.emit_w[5, 3] == -0.75
+        assert m.emit_w[1].tolist() == [0.5, -1.25, 0.0, 2.0] and m.emit_w[8, 3] == -0.75
+        assert m.vocab.feature_id("U-2=" + features.BOS) == 1
+        assert m.vocab.feature_id("U+2=" + features.EOS) == 8
         assert np.count_nonzero(m.emit_w) == 4
         assert (m.trans[0, 1], m.start[3], m.end[2]) == (1.5, 0.25, -3.0)
         assert m.vocab.encode("ab").tolist() == [
-            [1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 10, 11, 12, 5, 13, 14, 15, 16]]
+            [1, 3, 4, 6, 8, 10, 12, 14, 16], [1, 2, 5, 7, 8, 9, 11, 15, 17]]
         assert m.vocab.encode("ba").tolist() == [
-            [1, 2, 11, 0, 5, 6, 17, 0, 0], [1, 0, 3, 12, 5, 0, 0, 0, 16]]
+            [1, 3, 5, 0, 8, 10, 13, 0, 0], [1, 0, 4, 7, 8, 0, 0, 0, 17]]
         assert m.vocab.encode("bx").tolist() == [
-            [1, 2, 11, 0, 5, 6, 17, 0, 0], [1, 0, 0, 12, 5, 0, 0, 0, 16]]
+            [1, 3, 5, 0, 8, 10, 13, 0, 0], [1, 0, 0, 7, 8, 0, 0, 0, 17]]
 
     def test_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(101)
@@ -838,6 +873,11 @@ class TestSerialization:
     def test_format_1_is_refused_at_line_1(self):
         with pytest.raises(ParseError, match=r"format 1 is no longer read.*\(line 1\)"):
             CrfModel.loads("pauseseg model format 1\ntemplate U0 0\nvocab_size 1\nemit 0 0 0 0 0\n")
+
+    def test_format_2_is_refused_at_line_1(self):
+        message = r"^pauseseg model format 2 is no longer read; retrain the model \(line 1\)$"
+        with pytest.raises(ParseError, match=message):
+            CrfModel.loads(FORMAT_2_MODEL_TEXT)
 
     def test_nan_weights_refused_on_save(self):
         m = zero_model("ab")
@@ -954,7 +994,8 @@ class TestSerialization:
             # "U0=⟨BOS⟩": a character position is never BOS
             ("keys ", with_first_key(2 << 2 * CODE_BITS | features.BOS_CODE),
              "feature 1 .*matches no template"),
-            ("keys ", lambda keys: np.append(keys[:-1], keys[0]), "repeats feature 1"),
+            ("keys ", lambda keys: np.append(keys[:-1], keys[0]),
+             "feature 16 .*is not above feature 15: keys must ascend"),
             ("template B0 ", "template B0 0 1 2", "fixed template line 'template B0 0 1'"),
             ("template U-1 ", "template U-2 -1", "fixed template line 'template U-1 -1'"),
             ("trans ", None, "expected the trans record"),

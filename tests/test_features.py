@@ -1,9 +1,9 @@
 """Feature templates, the integer-keyed vocabulary and emission scores.
 
-``RefVocabulary`` below is the string-keyed vocabulary the integer keys
-replaced: one ``extract_features`` string per character and template,
-looked up in a dict. The real vocabulary must assign exactly its ids, and
-its keys must be the ``feature_key`` of exactly its strings.
+``RefVocabulary`` below is a string-keyed vocabulary: a set of
+``extract_features`` strings, each numbered 1 plus the rank of its
+``feature_key``. The real vocabulary must assign exactly its ids, and its
+keys must be the ``feature_key`` of exactly its strings.
 """
 
 import itertools
@@ -17,28 +17,48 @@ from pauseseg import crf, features
 from pauseseg.features import BOS, EOS, SEP, FeatureVocabulary
 
 
+FEATURE_KEY = FeatureVocabulary().feature_key
+
+
 class RefVocabulary:
     def __init__(self):
-        self.index: dict[str, int] = {}
-        self.size = 1  # id 0: every unseen feature
-        self.frozen = False
+        self.features: set[str] = set()
+        self.index: dict[str, int] | None = None  # feature string -> id, once asked for
+
+    @property
+    def size(self):
+        return len(self.features) + 1  # id 0: every unseen feature
+
+    def add(self, sentences):
+        for sentence in sentences:
+            for i in range(len(sentence)):
+                self.features.update(features.extract_features(sentence, i))
+        self.index = None
 
     def ids(self, sentence):
-        rows = []
-        for i in range(len(sentence)):
-            row = []
-            for t, f in enumerate(features.extract_features(sentence, i)):
-                if f not in self.index and not self.frozen:
-                    self.index[f] = self.size
-                    self.size += 1
-                row.append(self.index.get(f, 0))
-            rows.append(row)
+        """The ids of the sentence's features as the vocabulary stands, 0 for the unseen ones."""
+        if self.index is None:
+            ranked = sorted(self.features, key=FEATURE_KEY)
+            self.index = {f: k for k, f in enumerate(ranked, 1)}
+        rows = [
+            [self.index.get(f, 0) for f in features.extract_features(sentence, i)]
+            for i in range(len(sentence))
+        ]
         return np.array(rows, dtype=np.int64).reshape(len(sentence), len(features.TEMPLATES))
 
-    def keys(self, vocab):
-        """The keys ``vocab`` gives the features, in id order."""
-        features_in_id_order = sorted(self.index, key=self.index.get)
-        return np.array([vocab.feature_key(f) for f in features_in_id_order], dtype=np.int64)
+    def keys(self):
+        """The features' keys in id order."""
+        return np.array(sorted(map(FEATURE_KEY, self.features)), dtype=np.int64)
+
+
+def assert_adds_like_the_reference(vocab, ref, sentences):
+    """``vocab.add_corpus(sentences)`` gives the ids ``ref`` gives after the same add."""
+    got = vocab.add_corpus(sentences)
+    ref.add(sentences)
+    for ids, text in zip(got, sentences, strict=True):
+        np.testing.assert_array_equal(ids, ref.ids(text))
+    assert vocab.size == ref.size
+    np.testing.assert_array_equal(vocab.keys(), ref.keys())
 
 
 # characters that stress the keys: the separator, the sentinels' text,
@@ -120,14 +140,28 @@ def test_vocabulary_growth_and_freeze():
 
 
 def test_add_sentence_returns_the_ids_encode_gives():
+    # the ids of the vocabulary as each add leaves it
     vocab = FeatureVocabulary()
     texts = ["abcab", "b", "", "cax"]
-    added = [vocab.add_sentence(text) for text in texts]
-    vocab.freeze()
-    for text, ids in zip(texts, added):
+    for text in texts:
+        ids = vocab.add_sentence(text)
         assert ids.shape == (len(text), len(features.TEMPLATES))
         assert ids.dtype == np.int64
-        np.testing.assert_array_equal(ids, vocab.encode(text))
+        np.testing.assert_array_equal(ids, FeatureVocabulary.from_keys(vocab.keys()).encode(text))
+    vocab.freeze()
+    np.testing.assert_array_equal(ids, vocab.encode(texts[-1]))
+
+
+def test_a_later_add_renumbers():
+    # "U0=a" has a lower key than "U0=b": adding it moves "U0=b" up one id
+    vocab = FeatureVocabulary()
+    before = vocab.add_sentence("b")
+    vocab.add_sentence("a")
+    vocab.freeze()
+    after = vocab.encode("b")
+    u0 = [name for name, _ in features.TEMPLATES].index("U0")
+    assert after[0, u0] == before[0, u0] + 1 == vocab.feature_id("U0=b")
+    assert (after[0, :u0] == before[0, :u0]).all() and (after[0, u0:] > before[0, u0:]).all()
 
 
 def test_encode_requires_frozen_vocab():
@@ -153,10 +187,16 @@ def test_from_keys_names_the_first_key_it_cannot_hold():
     vocab = FeatureVocabulary()
     vocab.add_sentence("ab")
     keys = vocab.keys()
-    with pytest.raises(ValueError, match="feature 5 repeats feature 2"):
-        FeatureVocabulary.from_keys(np.insert(keys, 4, keys[1]))
-    with pytest.raises(ValueError, match="feature 5 repeats feature 2"):
-        FeatureVocabulary.from_keys(np.insert(keys, [4, 7], keys[1]))
+    for edited, k in [
+        (np.insert(keys, 4, keys[1]), 5),  # a repeat, after higher keys
+        (np.insert(keys, [4, 7], keys[1]), 5),
+        (np.insert(keys, 2, keys[1]), 3),  # a repeat of the key just before it
+        (keys[[0, 1, 3, 2, 4]], 4),  # two keys swapped
+    ]:
+        key = edited[k - 1]
+        message = rf"^feature {k} \(key {key}\) is not above feature {k - 1}: keys must ascend$"
+        with pytest.raises(ValueError, match=message):
+            FeatureVocabulary.from_keys(edited)
     bad = keys.copy()
     bad[[2, 6]] = -1
     with pytest.raises(ValueError, match=r"feature 3 \(key -1\) matches no template"):
@@ -164,7 +204,7 @@ def test_from_keys_names_the_first_key_it_cannot_hold():
 
 
 def test_from_keys_names_the_first_repeat_among_many():
-    # the first feature whose key an earlier one holds, and that earlier one
+    # the first feature whose key is not above the one before it: a repeat or a descent
     vocab = FeatureVocabulary()
     vocab.add_corpus(["".join(chr(0x4E00 + k % 500) for k in range(n, n + 30)) for n in range(400)])
     keys = vocab.keys()
@@ -173,12 +213,8 @@ def test_from_keys_names_the_first_repeat_among_many():
         edited = keys.copy()
         at = rng.choice(len(keys), size=200, replace=False)
         edited[at] = keys[rng.integers(0, len(keys), size=200)]
-        seen: dict[int, int] = {}
-        for j, key in enumerate(edited.tolist()):
-            if key in seen:
-                break
-            seen[key] = j
-        with pytest.raises(ValueError, match=f"^feature {j + 1} repeats feature {seen[key] + 1}$"):
+        j = next(j for j in range(1, len(keys)) if edited[j] <= edited[j - 1])
+        with pytest.raises(ValueError, match=f"^feature {j + 1} .* not above feature {j}: "):
             FeatureVocabulary.from_keys(edited)
 
 
@@ -216,25 +252,25 @@ def test_emission_scores_are_linear_in_weights():
 
 
 def test_scores_survive_id_permutation():
-    # Renumbering the real features (the unseen id 0 stays put) while
-    # permuting the weight rows the same way cannot change any score.
+    # A vocabulary with more features numbers the shared ones differently
+    # (the unseen id 0 stays put); with the weight rows moved by key, no
+    # score of text that fires none of the extra features can change.
     vocab = FeatureVocabulary()
     vocab.add_sentence("abcab")
     vocab.freeze()
+    bigger = FeatureVocabulary()
+    bigger.add_corpus(["0b~", "abcab", "z"])  # keys below, between and above the shared ones
+    bigger.freeze()
+    assert bigger.feature_id("U0=b") != vocab.feature_id("U0=b")
+
     rng = np.random.default_rng(9)
-    perm = np.arange(vocab.size)
-    perm[1:] = 1 + rng.permutation(vocab.size - 1)
-
-    moved_keys = np.empty_like(vocab.keys())
-    moved_keys[perm[1:] - 1] = vocab.keys()
-    shuffled = FeatureVocabulary.from_keys(moved_keys)
-
     w = rng.normal(size=(vocab.size, 4))
-    w_perm = np.empty_like(w)
-    w_perm[perm] = w
+    w_moved = rng.normal(size=(bigger.size, 4))
+    w_moved[0] = w[0]
+    w_moved[1 + np.searchsorted(bigger.keys(), vocab.keys())] = w[1:]
     for text in ["abcab", "bac", "xya"]:
         base = features.emission_scores(vocab.encode(text), w)
-        moved = features.emission_scores(shuffled.encode(text), w_perm)
+        moved = features.emission_scores(bigger.encode(text), w_moved)
         np.testing.assert_array_equal(base, moved)
 
 
@@ -245,19 +281,15 @@ def test_scores_survive_id_permutation():
 )
 def test_ids_match_the_string_keyed_reference(added, probes):
     vocab, ref = FeatureVocabulary(), RefVocabulary()
-    want = [ref.ids(text) for text in added]
-    for text, ids in zip(added, want):
-        np.testing.assert_array_equal(vocab.add_sentence(text), ids)
+    for text in added:
+        ref.add([text])
+        np.testing.assert_array_equal(vocab.add_sentence(text), ref.ids(text))
     assert vocab.size == ref.size
-    np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
+    np.testing.assert_array_equal(vocab.keys(), ref.keys())
 
-    at_once = FeatureVocabulary()
-    for got, ids in zip(at_once.add_corpus(added), want, strict=True):
-        np.testing.assert_array_equal(got, ids)
-    np.testing.assert_array_equal(at_once.keys(), ref.keys(vocab))
+    assert_adds_like_the_reference(FeatureVocabulary(), ref, added)
 
     vocab.freeze()
-    ref.frozen = True
     for text in added + probes:
         np.testing.assert_array_equal(vocab.encode(text), ref.ids(text))
     for text, ids in zip(probes, vocab.encode_corpus(probes)):
@@ -267,17 +299,14 @@ def test_ids_match_the_string_keyed_reference(added, probes):
 @pytest.mark.parametrize("run_chars", [1, 7, features.ADD_CHUNK_CHARS])
 def test_add_corpus_in_runs_numbers_like_the_reference(monkeypatch, run_chars):
     # a key first seen in a late run, or again after the vocabulary already
-    # holds it, keeps the id of its first occurrence
+    # holds it, is numbered by its rank like every other
     monkeypatch.setattr(features, "ADD_CHUNK_CHARS", run_chars)
     rng = np.random.default_rng(5)
     alphabet = list("abcde\U0001F600" + SEP + BOS)
     corpus = ["".join(rng.choice(alphabet, size=rng.integers(0, 9))) for _ in range(300)]
     vocab, ref = FeatureVocabulary(), RefVocabulary()
     for sentences in (corpus[:40], corpus[40:]):
-        for got, text in zip(vocab.add_corpus(sentences), sentences, strict=True):
-            np.testing.assert_array_equal(got, ref.ids(text))
-    assert vocab.size == ref.size
-    np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
+        assert_adds_like_the_reference(vocab, ref, sentences)
 
 
 # tiny alphabets, so that most keys repeat within a sort's column and across runs
@@ -297,10 +326,7 @@ def test_add_corpus_numbers_repeated_keys_like_the_reference(corpus, run_chars, 
     vocab, ref = FeatureVocabulary(), RefVocabulary()
     with mock.patch.object(features, "ADD_CHUNK_CHARS", run_chars):
         for sentences in (corpus[:cut], corpus[cut:]):
-            for got, text in zip(vocab.add_corpus(sentences), sentences, strict=True):
-                np.testing.assert_array_equal(got, ref.ids(text))
-    assert vocab.size == ref.size
-    np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
+            assert_adds_like_the_reference(vocab, ref, sentences)
 
 
 def test_add_corpus_past_a_run_numbers_like_the_reference():
@@ -308,27 +334,7 @@ def test_add_corpus_past_a_run_numbers_like_the_reference():
     rng = np.random.default_rng(8)
     corpus = ["".join(rng.choice(list("abc"), size=rng.integers(0, 40))) for _ in range(400)]
     assert sum(map(len, corpus)) > 3 * features.ADD_CHUNK_CHARS
-    vocab, ref = FeatureVocabulary(), RefVocabulary()
-    for got, text in zip(vocab.add_corpus(corpus), corpus, strict=True):
-        np.testing.assert_array_equal(got, ref.ids(text))
-    np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
-
-
-def test_numbering_does_not_depend_on_the_order_of_equal_keys(monkeypatch):
-    # the default sort is not stable: let it put every run of equal keys
-    # in descending position order, the opposite of a stable sort
-    def ties_reversed(a, *args, **kwargs):
-        return np.lexsort((-np.arange(len(a)), a))
-
-    rng = np.random.default_rng(9)
-    corpus = ["".join(rng.choice(list("ab"), size=rng.integers(0, 9))) for _ in range(60)]
-    ref = RefVocabulary()
-    want = [ref.ids(text) for text in corpus]
-    monkeypatch.setattr(np, "argsort", ties_reversed)
-    vocab = FeatureVocabulary()
-    for got, ids in zip(vocab.add_corpus(corpus), want, strict=True):
-        np.testing.assert_array_equal(got, ids)
-    np.testing.assert_array_equal(vocab.keys(), ref.keys(vocab))
+    assert_adds_like_the_reference(FeatureVocabulary(), RefVocabulary(), corpus)
 
 
 def test_add_corpus_copies_each_feature_log_runs_times(monkeypatch):
@@ -336,9 +342,9 @@ def test_add_corpus_copies_each_feature_log_runs_times(monkeypatch):
     copied = []
     merge = features._merge
 
-    def recorded(keys_a, ids_a, keys_b, ids_b):
+    def recorded(keys_a, keys_b):
         copied.append(len(keys_a) + len(keys_b))
-        return merge(keys_a, ids_a, keys_b, ids_b)
+        return merge(keys_a, keys_b)
 
     monkeypatch.setattr(features, "_merge", recorded)
     monkeypatch.setattr(features, "ADD_CHUNK_CHARS", 64)
@@ -355,13 +361,11 @@ def test_add_corpus_of_nothing_and_of_empty_sentences():
     vocab = FeatureVocabulary()
     assert vocab.add_corpus([]) == []
     assert vocab.size == 1
-    ref = RefVocabulary()
     corpus = ["", "ab", "", "ba", ""]
-    got = vocab.add_corpus(corpus)
-    assert [ids.shape for ids in got] == [(len(s), len(features.TEMPLATES)) for s in corpus]
-    for ids, text in zip(got, corpus, strict=True):
-        np.testing.assert_array_equal(ids, ref.ids(text))
-    assert vocab.size == ref.size
+    assert [ids.shape for ids in vocab.add_corpus(corpus)] == [
+        (len(s), len(features.TEMPLATES)) for s in corpus
+    ]
+    assert_adds_like_the_reference(FeatureVocabulary(), RefVocabulary(), corpus)
     empty = FeatureVocabulary().add_corpus([""])
     assert [ids.shape for ids in empty] == [(0, len(features.TEMPLATES))]
 
@@ -370,19 +374,16 @@ def test_add_corpus_of_nothing_and_of_empty_sentences():
 @given(
     keys=st.sets(st.integers(-(2**62), 2**62)),
     in_a=st.lists(st.booleans(), max_size=64),
-    seed=st.integers(0, 2**16),
 )
-def test_merge_is_a_sorted_concatenation(keys, in_a, seed):
+def test_merge_is_a_sorted_concatenation(keys, in_a):
     # disjoint sorted halves, either of which may be empty
     keys = np.array(sorted(keys), dtype=np.int64)
     side = np.resize(np.array(in_a + [True], dtype=bool), len(keys))
-    ids = np.random.default_rng(seed).permutation(len(keys)).astype(np.int64)
     full = np.ones(len(keys), dtype=bool)
     for a, b in ((side, ~side), (~side, side), (full, ~full), (~full, full)):
-        got_keys, got_ids = features._merge(keys[a], ids[a], keys[b], ids[b])
-        assert got_keys.dtype == got_ids.dtype == np.int64
-        np.testing.assert_array_equal(got_keys, keys)
-        np.testing.assert_array_equal(got_ids, ids)
+        got = features._merge(keys[a], keys[b])
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, keys)
 
 
 def test_encode_corpus_matches_encode():

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from pauseseg import crf, features, mining, tagset
 from pauseseg.alignment import Pause
-from pauseseg.errors import IndexOutOfRange, InvalidConfig, ParseError, PausesegError, UnscoredPause
+from pauseseg.errors import (
+    IndexOutOfRange, InvalidConfig, LengthMismatch, ParseError, PausesegError, UnscoredPause,
+)
 from pauseseg.mining import PartialSentence
 from pauseseg.segments import SegmentedSentence
 from test_alignment import JSON_LAYOUTS
@@ -89,6 +91,15 @@ class TestScoreAndFilter:
     def test_junction_outside_sentence_rejected(self):
         with pytest.raises(IndexOutOfRange):
             mining.score_pauses(zero_model(), "一二", [Pause(5, 10.0)])
+
+    def test_pause_lists_and_sentences_of_different_lengths_are_refused(self):
+        scored = [[Pause(0, 20.0, 0.9)]]
+        for sentences, pause_lists in ((["一二", "三四"], scored), (["一二"], scored * 2)):
+            message = f"^{len(pause_lists)} pause lists for {len(sentences)} sentences$"
+            with pytest.raises(LengthMismatch, match=message):
+                mining.score_pause_lists(zero_model(), sentences, pause_lists)
+            with pytest.raises(LengthMismatch, match=message):
+                mining.filter_to_partials(sentences, pause_lists, 0.5)
 
     def test_filter_threshold_is_inclusive(self):
         pauses = [

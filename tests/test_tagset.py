@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,6 +62,8 @@ def test_tables_are_read_only():
 def test_parse_tags_accepts_strings_and_ints():
     assert tagset.parse_tags("BES") == (0, 2, 3)
     assert tagset.parse_tags([0, 2, 3]) == (0, 2, 3)
+    assert tagset.parse_tags(np.array([0, 2, 3], dtype=np.int8)) == (0, 2, 3)
+    assert tagset.parse_tags([Label.B, Label.E, np.int64(3)]) == (0, 2, 3)
     assert tagset.tags_to_str((0, 2, 3)) == "BES"
 
 
@@ -69,6 +72,9 @@ def test_parse_tags_rejects_unknown_symbols():
         tagset.parse_tags("BXE")
     with pytest.raises(IllegalTagSequence):
         tagset.parse_tags([0, 7])
+    for not_ids in ([1.7, 2], ["3", "3"], [np.float64(3.0)], [None]):
+        with pytest.raises(IllegalTagSequence, match="not an integer"):
+            tagset.parse_tags(not_ids)
 
 
 @pytest.mark.parametrize("bad", ["BB", "SM", "MES", "BMS", "BES"[:2] + "B"])
