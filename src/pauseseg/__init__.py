@@ -11,7 +11,6 @@ from .alignment import (
     CharAlignment,
     Pause,
     detect_pauses,
-    parse_alignment,
     pause_durations,
 )
 from .crf import (
@@ -81,7 +80,6 @@ __all__ = [
     "labels_to_words",
     "log_partition",
     "nll_loss_and_grad",
-    "parse_alignment",
     "partial_nll_loss_and_grad",
     "pause_durations",
     "pause_statistics",

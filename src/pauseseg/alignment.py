@@ -7,12 +7,13 @@ the raw signal this package mines for word boundaries.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass
 
-from .errors import InvalidConfig, NonMonotoneFrames, ParseError, SentenceTooShort
+from .errors import InvalidConfig, NonMonotoneFrames, ParseError
 from .segments import check_utf8, json_records, read_text, split_lines, string_field, write_text
 
 DEFAULT_FRAME_OFFSET_MS = 10.0
@@ -22,7 +23,8 @@ DEFAULT_TIER_NAME = "characters"
 
 def check_frame_offset_ms(frame_offset_ms: float) -> None:
     """``InvalidConfig`` unless ``frame_offset_ms`` is a finite number > 0."""
-    if not (math.isfinite(frame_offset_ms) and frame_offset_ms > 0):
+    if not (type(frame_offset_ms) in (int, float) and math.isfinite(frame_offset_ms)
+            and frame_offset_ms > 0):
         raise InvalidConfig(
             f"frame offset must be a finite number of ms > 0, got {frame_offset_ms!r}"
         )
@@ -30,7 +32,8 @@ def check_frame_offset_ms(frame_offset_ms: float) -> None:
 
 def check_min_pause_ms(min_pause_ms: float) -> None:
     """``InvalidConfig`` unless ``min_pause_ms`` is a finite number >= 0."""
-    if not (math.isfinite(min_pause_ms) and min_pause_ms >= 0):
+    if not (type(min_pause_ms) in (int, float) and math.isfinite(min_pause_ms)
+            and min_pause_ms >= 0):
         raise InvalidConfig(f"min_pause_ms must be finite and >= 0, not {min_pause_ms!r}")
 
 
@@ -66,7 +69,7 @@ class CharAlignment:
                 )
             prev_begin = b
 
-    @property
+    @functools.cached_property
     def sentence(self) -> str:
         return "".join(ch for ch, _, _ in self.chars)
 
@@ -88,10 +91,8 @@ def pause_durations(alignment: CharAlignment) -> list[float]:
 
     A junction i sits between characters i and i+1; its duration is the gap
     between the end of character i and the begin of character i+1. Overlaps
-    count as 0.
+    count as 0. A one-character utterance has no junctions, so no durations.
     """
-    if len(alignment) < 2:
-        raise SentenceTooShort("pauses need at least 2 aligned characters")
     out = []
     for i in range(len(alignment) - 1):
         _, _, e = alignment.chars[i]
@@ -161,28 +162,6 @@ def _alignment_from_obj(obj, line: int) -> CharAlignment:
 def parse_alignments(text: str) -> list[CharAlignment]:
     """Parse alignment JSON as ``segments.json_records`` reads it (lines, array or one object)."""
     return [_alignment_from_obj(obj, line) for line, obj in json_records(text)]
-
-
-def parse_alignment(
-    text: str,
-    utterance_id: str = "utt",
-    tier_name: str = DEFAULT_TIER_NAME,
-    frame_offset_ms: float = DEFAULT_FRAME_OFFSET_MS,
-) -> CharAlignment:
-    """Parse a single-utterance alignment document, JSON or TextGrid.
-
-    JSON documents carry their own utterance id; ``utterance_id`` is only
-    used for TextGrids, which have none.
-    """
-    stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        found = parse_alignments(text)
-        if len(found) != 1:
-            raise ParseError(f"expected one utterance, found {len(found)}")
-        return found[0]
-    if stripped.startswith("File type"):
-        return parse_textgrid(text, utterance_id, tier_name, frame_offset_ms)
-    raise ParseError("unrecognized alignment document (want JSON or TextGrid)")
 
 
 def alignment_to_json_line(alignment: CharAlignment) -> str:

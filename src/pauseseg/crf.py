@@ -949,10 +949,11 @@ class TrainConfig:
                 raise InvalidConfig(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.epochs < 1:
             raise InvalidConfig("epochs must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidConfig(f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
-        if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise InvalidConfig(f"l2 must be finite and >= 0, not {self.l2!r}")
+        lr, l2 = self.learning_rate, self.l2
+        if not (type(lr) in (int, float) and math.isfinite(lr) and lr > 0):
+            raise InvalidConfig(f"learning_rate must be finite and > 0, not {lr!r}")
+        if not (type(l2) in (int, float) and math.isfinite(l2) and l2 >= 0):
+            raise InvalidConfig(f"l2 must be finite and >= 0, not {l2!r}")
         if self.batch_chars < 1:
             raise InvalidConfig(f"batch_chars must be >= 1, not {self.batch_chars!r}")
 

@@ -29,7 +29,7 @@ DEFAULT_THRESHOLD = 0.5
 
 def check_threshold(threshold: float) -> None:
     """``InvalidConfig`` unless ``threshold`` is a finite number in [0, 1]."""
-    if not 0.0 <= threshold <= 1.0:  # NaN fails both comparisons
+    if not (type(threshold) in (int, float) and 0.0 <= threshold <= 1.0):  # NaN fails both
         raise InvalidConfig(f"threshold must be in [0, 1], not {threshold!r}")
 
 
@@ -318,7 +318,14 @@ def read_partial_corpus(path) -> list[PartialSentence]:
 
 
 def write_partial_corpus(path, partials) -> None:
-    write_text(path, "".join(format_partial_line(p) + "\n" for p in partials))
+    partials = list(partials)
+    lines = [format_partial_line(p) + "\n" for p in partials]
+    if lines and lines[0].startswith("\ufeff"):  # write_text refuses it too, without the sentence
+        raise PausesegError(
+            f"sentence {partials[0].chars!r} begins with U+FEFF, which reads as a byte-order mark"
+            " at the start of a partial file"
+        )
+    write_text(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------

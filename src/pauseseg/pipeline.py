@@ -194,12 +194,8 @@ def score_alignments(
 ) -> list[list[alignment.Pause]]:
     """Detect each alignment's pauses and score them: one list per alignment."""
     alignments = list(alignments)
-    sentences = [a.sentence for a in alignments]
-    detected = [
-        alignment.detect_pauses(a, min_pause_ms) if len(s) >= 2 else []
-        for a, s in zip(alignments, sentences)
-    ]
-    return mining.score_pause_lists(model, sentences, detected)
+    detected = [alignment.detect_pauses(a, min_pause_ms) for a in alignments]
+    return mining.score_pause_lists(model, [a.sentence for a in alignments], detected)
 
 
 def mine_partials(
@@ -214,7 +210,6 @@ def mine_partials(
     plus the parallel scored-pause lists for reporting.
     """
     alignments = list(alignments)
-    scored_lists = score_alignments(model, alignments, min_pause_ms)
-    sentences = [a.sentence for a in alignments]
-    partials, _ = mining.filter_to_partials(sentences, scored_lists, threshold)
-    return partials, scored_lists
+    scored = score_alignments(model, alignments, min_pause_ms)
+    partials, _ = mining.filter_to_partials([a.sentence for a in alignments], scored, threshold)
+    return partials, scored

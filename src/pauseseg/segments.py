@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, WhitespaceInWord
+from .errors import ParseError, PausesegError, WhitespaceInWord
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,25 @@ class SegmentedSentence:
 
 
 def read_text(path) -> str:
-    """A data file's text as strict UTF-8, line ends kept; ``ParseError`` names a bad line."""
+    """A data file's text as strict UTF-8, line ends kept; ``ParseError`` names a bad line.
+    One leading U+FEFF is a byte-order mark, not text, and is dropped."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}", line=line) from exc
+    return text.removeprefix("\ufeff")
 
 
 def write_text(path, text: str) -> None:
     """Write a data file as UTF-8. Callers build ``text`` first, and it is checked
-    before the file is opened, so a writer that refuses its input leaves no file."""
+    before the file is opened, so a writer that refuses its input leaves no file.
+    A text that begins with U+FEFF is refused, since ``read_text`` drops it."""
     text.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError here
+    if text.startswith("\ufeff"):
+        raise PausesegError(f"{path}: text begins with U+FEFF, which reads as a byte-order mark")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pauseseg import alignment
 from pauseseg.alignment import CharAlignment
-from pauseseg.errors import InvalidConfig, NonMonotoneFrames, ParseError, SentenceTooShort
+from pauseseg.errors import InvalidConfig, NonMonotoneFrames, ParseError
 
 
 TEXT = "一二三四五六七八九十"
@@ -38,9 +38,10 @@ class TestPauseDurations:
         assert alignment.pause_durations(a) == [100.0]
 
     def test_single_character_raises(self):
+        # one character has no junction, so nothing to measure and no error
         a = CharAlignment("utt", (("一", 0, 5),))
-        with pytest.raises(SentenceTooShort):
-            alignment.pause_durations(a)
+        assert alignment.pause_durations(a) == []
+        assert alignment.detect_pauses(a) == []
 
 
 class TestDetectPauses:
@@ -61,7 +62,7 @@ class TestDetectPauses:
         (p,) = alignment.detect_pauses(a)
         assert p.probability is None
 
-    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -5.0])
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -5.0, "10", None, True])
     def test_floor_that_makes_no_sense_is_refused(self, floor):
         with pytest.raises(InvalidConfig, match="min_pause_ms"):
             alignment.detect_pauses(make_alignment([23]), floor)
@@ -224,7 +225,7 @@ class TestJsonIO:
         bad = json.dumps({"utterance_id": "v", "chars": chars})
         assert_bad_record(good, bad, match="frames", error=NonMonotoneFrames)
 
-    @pytest.mark.parametrize("offset", [float("nan"), 0.0, -10.0, float("inf")])
+    @pytest.mark.parametrize("offset", [float("nan"), 0.0, -10.0, float("inf"), "10", None, True])
     def test_alignment_needs_a_positive_frame_offset(self, offset):
         with pytest.raises(InvalidConfig):
             make_alignment([4], frame_offset_ms=offset)
@@ -296,7 +297,6 @@ class TestJsonIO:
         a = make_alignment([23, 11])
         text = indented(alignment.alignment_to_json_line(a))
         assert text.count("\n") > 10
-        assert alignment.parse_alignment(text) == a
         assert alignment.parse_alignments(text) == [a]
 
     def test_truncated_json_line_names_its_own_line(self):
@@ -518,36 +518,3 @@ class TestRoundTrip:
         path = tmp_path / "u\u2028v.TextGrid"
         path.write_bytes(textgrid_of(a).replace("\n", newline).encode("utf-8"))
         assert alignment.read_textgrid(path) == a
-
-
-class TestParseAlignment:
-    def test_json_object(self):
-        a = alignment.parse_alignment(
-            '{"utterance_id":"u1","chars":[{"c":"有","b":0,"e":12},{"c":"人","b":13,"e":30}]}'
-        )
-        assert a.utterance_id == "u1"
-        assert len(a) == 2
-
-    def test_textgrid_document(self):
-        a = alignment.parse_alignment(TEXTGRID, utterance_id="utt7")
-        assert a.utterance_id == "utt7"
-        assert a.sentence == "一二三"
-
-    def test_multiple_utterances_rejected(self):
-        two = "\n".join(
-            alignment.alignment_to_json_line(make_alignment([g])) for g in (5, 9)
-        )
-        with pytest.raises(ParseError):
-            alignment.parse_alignment(two)
-
-    def test_unrecognized_document_rejected(self):
-        with pytest.raises(ParseError):
-            alignment.parse_alignment("once upon a time")
-
-    def test_decreasing_begins_rejected(self):
-        doc = (
-            '{"utterance_id":"u","chars":'
-            '[{"c":"有","b":20,"e":25},{"c":"人","b":4,"e":30}]}'
-        )
-        with pytest.raises(NonMonotoneFrames):
-            alignment.parse_alignment(doc)

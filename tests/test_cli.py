@@ -174,8 +174,7 @@ class TestMineFilterComplete:
         expected = tmp / "expected.jsonl"
         mining.write_scored_pauses(expected, [
             (a.utterance_id, a.sentence,
-             mining.score_pauses(model, a.sentence, alignment.detect_pauses(a, 10.0))
-             if len(a.sentence) > 1 else [])
+             mining.score_pauses(model, a.sentence, alignment.detect_pauses(a, 10.0)))
             for a in data
         ])
         assert scored.read_bytes() == expected.read_bytes()
@@ -233,6 +232,22 @@ class TestMineFilterComplete:
         assert uid == "u3"
         assert sentence == "一二"
         assert pauses[0].duration_ms == 230.0
+
+    def test_mine_reads_a_lower_case_textgrid_beside_json(self, workspace):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        tg = tmp / "u3.textgrid"  # the extension is matched in any case
+        tg.write_text(TEXTGRID, encoding="utf-8")
+        path = tmp / "alignments.jsonl"
+        alignment.write_alignments(path, [
+            CharAlignment("u1", (("三", 0, 5), ("四", 30, 35))), CharAlignment("u2", (("六", 0, 5),)),
+        ])
+        scored = tmp / "scored.jsonl"
+        assert run("mine", model_path, tg, path, "-o", scored) == 0
+        records = [(uid, s, [p.junction for p in ps])
+                   for uid, s, ps in mining.read_scored_pauses(scored)]
+        assert records == [("u3", "一二", [0]), ("u1", "三四", [0]), ("u2", "六", [])]
 
 
 class TestRecipes:

@@ -549,6 +549,7 @@ class TestTraining:
         ("learning_rate", math.inf), ("l2", -1.0), ("l2", -1e-300), ("l2", math.nan),
         ("l2", math.inf), ("batch_chars", 0), ("batch_chars", -5),
         ("epochs", 2.5), ("batch_chars", 100.0), ("seed", 0.5),
+        ("learning_rate", "0.1"), ("learning_rate", True), ("l2", None), ("l2", "0"),
     ])
     def test_optimizer_settings_that_make_no_sense_are_refused(self, field, value):
         with pytest.raises(InvalidConfig, match=f"^{field} must be"):

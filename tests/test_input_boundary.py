@@ -115,6 +115,33 @@ def test_text_utf8_cannot_hold_is_refused_before_the_file_exists(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         segments.write_gold_corpus(path, [SegmentedSentence.from_words(["一二", "a\ud800"])])
     assert not path.exists()
+    # a leading U+FEFF would read back as a byte-order mark, so it is not written either
+    with pytest.raises(PausesegError, match="U\\+FEFF"):
+        segments.write_gold_corpus(path, [SegmentedSentence.from_words(["\ufeff一二", "三"])])
+    assert not path.exists()
+
+
+# each reader, and the valid file it reads
+READER_FILES = {
+    "gold": (segments.read_gold_corpus, "gold.txt"),
+    "partial": (mining.read_partial_corpus, "partial.txt"),
+    "scored": (mining.read_scored_pauses, "scored.jsonl"),
+    "alignment-json": (alignment.read_alignments, "alignments.jsonl"),
+    "textgrid": (alignment.read_textgrid, "u1.TextGrid"),
+    "model": (lambda path: crf.CrfModel.load(path).dumps(), "model.txt"),
+    "config": (cli._read_config_file, "config.json"),
+}
+
+
+@pytest.mark.parametrize("reader, name", READER_FILES.values(), ids=READER_FILES.keys())
+def test_a_leading_byte_order_mark_is_not_text(valid, tmp_path, reader, name):
+    source = valid.get(name, tmp_path / name)
+    if name == "config.json":
+        source.write_text('{"epochs": 2, "threshold": 0.3}', encoding="utf-8")
+    marked = tmp_path / "marked" / name  # the same name: a TextGrid's id is its file name
+    marked.parent.mkdir()
+    marked.write_bytes("\ufeff".encode("utf-8") + source.read_bytes())
+    assert reader(marked) == reader(source)
 
 
 # (command line, the argument that is replaced by a non-UTF-8 file)

@@ -112,7 +112,7 @@ class TestScoreAndFilter:
         with pytest.raises(UnscoredPause):
             mining.filter_pauses([Pause(0, 50.0)], 0.5)
 
-    @pytest.mark.parametrize("threshold", [float("nan"), 7.0, -3.0])
+    @pytest.mark.parametrize("threshold", [float("nan"), 7.0, -3.0, "0.5", None, True])
     def test_filter_refuses_a_threshold_outside_0_1(self, threshold):
         with pytest.raises(InvalidConfig, match=re.escape("threshold must be in [0, 1]")):
             mining.filter_pauses([Pause(0, 20.0, 0.9)], threshold)

@@ -201,6 +201,7 @@ class TestMinePartials:
         assert partials[1].boundaries == ()
         assert len(scored[0]) == 1 and scored[0][0].junction == 0
         assert scored[1] == []
+        assert pipeline.score_alignments(model, alignments) == scored
 
     def test_threshold_filters(self):
         model = zero_model()
