@@ -73,8 +73,12 @@ class CrfModel:
     """Emission feature weights plus transition/start/end weights.
 
     Illegal transition, start and end entries are exactly -inf and are never
-    updated; all other weights are finite floats.
+    updated; all other weights are finite floats. ``weight_fault`` enforces
+    this for ``train``, ``dumps`` and ``loads``.
     """
+
+    # the legal entries of each weight record; every emit entry is legal
+    _LEGAL = {"emit": np.ones(N, bool), "trans": TRANS_LEGAL, "start": START_LEGAL, "end": END_LEGAL}
 
     def __init__(
         self,
@@ -93,14 +97,22 @@ class CrfModel:
     def emissions(self, sentence: str) -> np.ndarray:
         return feat.emission_scores(self.vocab.encode(sentence), self.emit_w)
 
+    def weights(self) -> dict[str, np.ndarray]:
+        """The weight arrays by record name, in file order."""
+        return {"emit": self.emit_w, "trans": self.trans, "start": self.start, "end": self.end}
+
+    @classmethod
+    def weight_fault(cls, name: str, arr: np.ndarray) -> str | None:
+        """How the weights ``arr`` of record ``name`` break the invariant, or None."""
+        legal = cls._LEGAL[name]
+        if not (np.isfinite(arr) | ~legal).all():
+            return f"{name} record holds a weight that is not finite (NaN or inf)"
+        if not (legal | (arr == NEG_INF)).all():
+            return f"illegal {name} entries must be -inf"
+        return None
+
     def copy(self) -> "CrfModel":
-        return CrfModel(
-            self.vocab,
-            self.emit_w.copy(),
-            self.trans.copy(),
-            self.start.copy(),
-            self.end.copy(),
-        )
+        return CrfModel(self.vocab, *(w.copy() for w in self.weights().values()))
 
     # -- persistence --------------------------------------------------------
     # A short text header (format line, fixed templates, vocabulary size), then
@@ -115,15 +127,12 @@ class CrfModel:
     )
     # (record, dtype) in file order after the vocab_size line
     _RECORDS = (("keys", "<i8"), ("emit", "<f8"), ("trans", "<f8"), ("start", "<f8"), ("end", "<f8"))
-    _LEGAL = {"trans": TRANS_LEGAL, "start": START_LEGAL, "end": END_LEGAL}
 
     def dumps(self) -> str:
-        weights = {"emit": self.emit_w, "trans": self.trans, "start": self.start, "end": self.end}
+        weights = self.weights()
         for name, arr in weights.items():
-            if np.isnan(arr).any():
-                raise ValueError("model contains NaN weights")
-            if name in self._LEGAL and (arr[~self._LEGAL[name]] != NEG_INF).any():
-                raise ValueError(f"illegal {name} entries must be -inf")
+            if fault := self.weight_fault(name, arr):
+                raise ValueError(fault)
         lines = [*self._HEADER, f"vocab_size {self.vocab.size}"]
         arrays = {"keys": self.vocab.keys(), **weights}
         for name, dtype in self._RECORDS:
@@ -143,11 +152,10 @@ class CrfModel:
             if lines[k] != cls._HEADER[k]:
                 message = f"expected the fixed template line {cls._HEADER[k]!r}"
                 raise ParseError(message, line=k + 1)
-        records = [line.partition(" ")[::2] for line in lines]  # (kind, payload)
         k = len(cls._HEADER)  # the index of the next line
 
         def payload(name: str) -> str:
-            kind, rest = records[k]
+            kind, _, rest = lines[k].partition(" ")
             if kind != name:
                 raise ParseError(f"expected the {name} record", line=k + 1)
             return rest
@@ -178,10 +186,8 @@ class CrfModel:
                     vocab = feat.FeatureVocabulary.from_keys(arr)
                 except ValueError as exc:
                     raise ParseError(f"bad key: {exc}", line=k + 1) from exc
-            elif np.isnan(arr).any():
-                raise ParseError(f"{name} record holds a NaN weight", line=k + 1)
-            elif name in cls._LEGAL and (arr[~cls._LEGAL[name]] != NEG_INF).any():
-                raise ParseError(f"illegal {name} entries must be -inf", line=k + 1)
+            elif fault := cls.weight_fault(name, arr):
+                raise ParseError(fault, line=k + 1)
             arrays[name] = arr
             k += 1
         extra = next((j for j in range(k, len(lines)) if lines[j].strip()), None)
@@ -237,11 +243,14 @@ class ConstraintMask:
 
 
 def _allowed_array(mask, n: int) -> np.ndarray | None:
+    """``mask``'s allowed labels; a raw array is checked as ``ConstraintMask`` checks it."""
     if mask is None:
         return None
     allowed = mask.allowed if isinstance(mask, ConstraintMask) else np.asarray(mask, dtype=bool)
     if allowed.shape != (n, N):
         raise LengthMismatch(f"mask shape {allowed.shape} for sentence of length {n}")
+    if n and not isinstance(mask, ConstraintMask):
+        ConstraintMask(allowed)
     return allowed
 
 
@@ -554,9 +563,10 @@ def _corpus_batches(sentences):
     return _batches(order, lengths, INFERENCE_BATCH_CHARS)
 
 
-def _require_paths(log_z: np.ndarray, what: str) -> None:
-    if (log_z == NEG_INF).any():
-        raise NoLegalPath(f"{what} admits no legal tag sequence")
+def _require_paths(feasible: bool) -> None:
+    # masks reach the core admitting a legal path (_allowed_array): a row without one is the model's
+    if not feasible:
+        raise NoLegalPath("the model admits no legal tag sequence")
 
 
 def _boundary_mass(bigram: np.ndarray) -> np.ndarray:
@@ -600,7 +610,7 @@ def log_partition(sentence: str, model: CrfModel, mask=None) -> float:
         *_, log_z = _forward(X, lengths, shift, T, S, F)
     else:
         _, log_z = _log_forward(_label_major(E), lengths, *weights)
-    _require_paths(log_z, "constraint mask")
+    _require_paths(log_z[0] != NEG_INF)
     return float(log_z[0])
 
 
@@ -611,7 +621,7 @@ def _bigram_batch(ids, model: CrfModel) -> tuple[np.ndarray, np.ndarray]:
             raise SentenceTooShort("bigram marginals need at least 2 characters")
     E, lengths, shift, spread = _emission_batch(model, ids)
     fb = _forward_backward(E, lengths, shift, spread, model.trans, model.start, model.end)
-    _require_paths(fb.log_z, "the model")
+    _require_paths((fb.log_z != NEG_INF).all())
     return fb.bigram, lengths
 
 
@@ -697,8 +707,7 @@ def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
     if allowed is not None:
         E[~allowed] = NEG_INF
     path = _viterbi_one(E.tolist(), model.trans.tolist(), model.start.tolist(), model.end.tolist())
-    if path is None:
-        raise NoLegalPath("constraint mask admits no legal tag sequence")
+    _require_paths(path is not None)
     return tagset.tags_to_str(path)
 
 
@@ -717,8 +726,7 @@ def _viterbi_corpus(corpus, model: CrfModel, allowed=None, encode=None) -> list[
         ids = [corpus[k] for k in batch]
         E, lengths, _, _ = _emission_batch(model, ids if encode is None else encode(ids), masks)
         paths, feasible = _viterbi(E, lengths, model.trans, model.start, model.end)
-        if not feasible.all():
-            raise NoLegalPath("constraint mask admits no legal tag sequence")
+        _require_paths(feasible.all())
         for k, path in zip(batch, paths):
             out[k] = tagset.tags_to_str(path)
     return out
@@ -984,15 +992,6 @@ def _dev_f1(model: CrfModel, dev: list[SegmentedSentence], dev_ids) -> float:
     return prf(dev, preds).f1
 
 
-def _finite(model: CrfModel) -> bool:
-    return bool(
-        np.isfinite(model.emit_w).all()
-        and np.isfinite(model.trans[TRANS_LEGAL]).all()
-        and np.isfinite(model.start[START_LEGAL]).all()
-        and np.isfinite(model.end[END_LEGAL]).all()
-    )
-
-
 def _prepare(examples) -> tuple[feat.FeatureVocabulary, list]:
     """A frozen vocabulary of the examples' features, and the examples as ``_loss_and_grad`` items.
 
@@ -1026,7 +1025,8 @@ def train(
 
     Builds a fresh vocabulary from the training sentences, then optimizes
     with a fixed learning rate and per-update L2 decay. Returns the epoch
-    with the best dev F1 when ``dev`` is given, otherwise the final epoch.
+    with the best dev F1 when ``dev`` is given, otherwise the final epoch;
+    an empty ``dev`` raises ``EmptyDataset``.
     Deterministic for a fixed seed. Raises ``TrainingDiverged`` when an
     epoch leaves a weight infinite or NaN.
 
@@ -1049,6 +1049,8 @@ def train(
     examples = list(examples)
     if not examples:
         raise EmptyDataset("no training sentences")
+    if dev is not None and not dev:
+        raise EmptyDataset("no dev sentences")
 
     started = time.perf_counter()
     vocab, prepared = _prepare(examples)
@@ -1089,15 +1091,12 @@ def train(
                     model.emit_w *= scale
                     scale = 1.0
                 counts.scatter(model.emit_w, -lr * inv_b / scale)
-                for w, legal, g in (
-                    (model.trans, TRANS_LEGAL, counts.trans),
-                    (model.start, START_LEGAL, counts.start),
-                    (model.end, END_LEGAL, counts.end),
-                ):
+                for name in ("trans", "start", "end"):
+                    w, g, legal = getattr(model, name), getattr(counts, name), CrfModel._LEGAL[name]
                     w[legal] -= lr * (inv_b * g[legal] + config.l2 * w[legal])
             model.emit_w *= scale
         seconds = time.perf_counter() - started
-        if not _finite(model):
+        if any(model.weight_fault(name, w) for name, w in model.weights().items()):
             raise TrainingDiverged(
                 f"weights became infinite or NaN in epoch {epoch} of {config.epochs}"
                 f" (learning rate {lr:g})"

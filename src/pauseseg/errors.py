@@ -14,7 +14,7 @@ class LengthMismatch(PausesegError):
 
 
 class NoLegalPath(PausesegError):
-    """A constraint mask admits no legal tag sequence."""
+    """A constraint mask, or the model's weights, admit no legal tag sequence."""
 
 
 class SentenceTooShort(PausesegError):

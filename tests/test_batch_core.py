@@ -249,7 +249,7 @@ def test_large_weights_match_the_oracle(scale):
 @pytest.mark.parametrize("scale", [1.5, 300.0])
 @pytest.mark.parametrize("blocked", [0, 2], ids=["first-position", "last-position"])
 def test_raw_mask_without_a_legal_path_raises(scale, blocked):
-    # a dead prefix divides 0 by 0 in scaled space, a dead end takes log(0)
+    # refused as ConstraintMask refuses it, whichever recursion the row would take
     model = random_model(41, scale=scale)
     allowed = np.ones((3, N), dtype=bool)
     allowed[blocked] = [False, True, False, False]  # M cannot start or end a sentence
@@ -257,6 +257,22 @@ def test_raw_mask_without_a_legal_path_raises(scale, blocked):
     assert crf._in_range(lengths, spread, model.trans, model.start, model.end)[0] == (scale < 10)
     with pytest.raises(NoLegalPath):
         crf.log_partition("abc", model, allowed)
+    with pytest.raises(NoLegalPath, match="^constraint mask admits no legal tag sequence$"):
+        crf.partial_nll_loss_and_grad([("abc", allowed)], model)
+
+
+@pytest.mark.parametrize("scale", [1.5, 300.0])
+@pytest.mark.parametrize("dead", ["start", "end"])
+def test_model_without_a_legal_path_raises_naming_the_model(scale, dead):
+    # a dead prefix divides 0 by 0 in scaled space, a dead end takes log(0)
+    model = random_model(41, scale=scale)
+    getattr(model, dead)[:] = NEG_INF
+    _, lengths, _, spread = crf._emission_batch(model, [model.vocab.encode("abc")])
+    assert crf._in_range(lengths, spread, model.trans, model.start, model.end)[0] == (scale < 10)
+    message = "^the model admits no legal tag sequence$"
+    for decode in (crf.log_partition, crf.viterbi, lambda s, m: crf.viterbi_batch([s], m)):
+        with pytest.raises(NoLegalPath, match=message):
+            decode("abc", model)
 
 
 def test_rows_in_and_out_of_the_scaled_range_share_a_batch():

@@ -1,5 +1,7 @@
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from pauseseg import alignment, cli, crf, mining
@@ -624,6 +626,44 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "error[WhitespaceInWord]" in err
         assert "\\u3000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, flags", [
+        ("", []), ("\n \n", []), ("。， ！\n「」\n", ["--strip-punct"]),
+    ], ids=["empty", "blank-lines", "punctuation-only"])
+    def test_empty_dev_set_exits_one(self, workspace, capsys, text, flags):
+        tmp, gold = workspace
+        dev = tmp / "dev.txt"
+        dev.write_text(text, encoding="utf-8")
+        assert run("train", gold, "-o", tmp / "m.txt", "--dev", dev, *flags) == 1
+        assert capsys.readouterr().err.startswith("error[EmptyDataset]: no dev sentences")
+        assert not (tmp / "m.txt").exists()
+
+    @pytest.mark.parametrize("command", ["segment", "mine"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_model_with_a_weight_that_is_not_finite_exits_one(
+        self, workspace, capsys, command, value
+    ):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        lines = model_path.read_text(encoding="utf-8").splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith("emit "))
+        emit = np.frombuffer(base64.b64decode(lines[k][len("emit "):]), "<f8").copy()
+        emit[0] = float(value)
+        lines[k] = "emit " + base64.b64encode(emit.tobytes()).decode("ascii")
+        model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if command == "segment":
+            data = tmp / "raw.txt"
+            data.write_text("一二三\n", encoding="utf-8")
+        else:
+            data = tmp / "alignments.jsonl"
+            alignment.write_alignments(data, [CharAlignment("u1", (("一", 0, 5), ("二", 30, 35)))])
+        out = tmp / "out.txt"
+        assert run(command, model_path, data, "-o", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ParseError]: emit record holds a weight that is not finite")
+        assert err.rstrip().endswith(f"(line {k + 1})")
         assert not out.exists()
 
     def test_unreadable_model_reports_parse_error(self, workspace, capsys):

@@ -492,6 +492,10 @@ class TestTraining:
         with pytest.raises(EmptyDataset):
             crf.train([], TrainConfig())
 
+    def test_empty_dev_set_raises(self):
+        with pytest.raises(EmptyDataset, match="no dev sentences"):
+            crf.train(self.small_corpus(), TrainConfig(epochs=1), dev=[])
+
     def test_dev_selection_returns_a_snapshot(self):
         from pauseseg.segments import SegmentedSentence
         dev = [SegmentedSentence.from_words(["ab", "c"])]
@@ -801,6 +805,25 @@ FORMAT_2_MODEL_TEXT = (
 )
 
 
+# a legal entry of each weight record, set to each value that is not finite
+NON_FINITE_WEIGHTS = [
+    (name, index, value)
+    for name, index in [("emit", (1, 2)), ("trans", (0, 1)), ("start", 3), ("end", 2)]
+    for value in (math.nan, math.inf, -math.inf)
+]
+NON_FINITE_IDS = [f"{name}-{value}" for name, _, value in NON_FINITE_WEIGHTS]
+
+
+def with_entry(index, value):
+    """An edit of a weight array that sets its entry ``index`` to ``value``."""
+
+    def edit(arr):
+        arr[index] = value
+        return arr
+
+    return edit
+
+
 class TestSerialization:
     def test_golden_model_text_reads_and_writes_back_its_bytes(self):
         m = CrfModel.loads(GOLDEN_MODEL_TEXT)
@@ -880,10 +903,11 @@ class TestSerialization:
         with pytest.raises(ParseError, match=message):
             CrfModel.loads(FORMAT_2_MODEL_TEXT)
 
-    def test_nan_weights_refused_on_save(self):
+    @pytest.mark.parametrize("name, index, value", NON_FINITE_WEIGHTS, ids=NON_FINITE_IDS)
+    def test_weight_that_is_not_finite_refused_on_save(self, name, index, value):
         m = zero_model("ab")
-        m.emit_w[0, 0] = float("nan")
-        with pytest.raises(ValueError):
+        m.weights()[name][index] = value
+        with pytest.raises(ValueError, match=f"^{name} record holds a weight that is not finite"):
             m.dumps()
 
     def test_illegal_entry_that_is_not_neg_inf_refused_on_save(self):
@@ -942,7 +966,7 @@ class TestSerialization:
         vocab.freeze()
         assert vocab.size > 10_000
         emit_w = rng.normal(size=(vocab.size, 4)) * 10.0 ** rng.integers(-300, 300, (vocab.size, 4))
-        emit_w[1, :] = [0.0, -0.0, np.inf, 5e-324]
+        emit_w[1, :] = [0.0, -0.0, np.finfo(np.float64).max, 5e-324]
         m = CrfModel(vocab, emit_w)
         text = m.dumps()
         m2 = CrfModel.loads(text)
@@ -1009,10 +1033,14 @@ class TestSerialization:
              "bad end record"),
             ("trans ", lambda trans: np.where(trans == NEG_INF, 0.0, trans), "illegal trans"),
             ("emit ", lambda emit: np.where(emit == 0.0, np.nan, emit), "NaN"),
+        ] + [
+            (name + " ", with_entry(index, value), f"{name} record holds a weight that is not finite")
+            for name, index, value in NON_FINITE_WEIGHTS
         ],
         ids=["no-template", "bos-at-offset-0", "repeated-key", "three-offsets",
              "repeated-template", "missing-record", "wrong-length", "not-base64",
-             "not-ascii", "junk-in-base64", "illegal-transition-not-neg-inf", "nan-weight"],
+             "not-ascii", "junk-in-base64", "illegal-transition-not-neg-inf", "nan-weight"]
+        + NON_FINITE_IDS,
     )
     def test_bad_record_is_named(self, prefix, new_line, message):
         text, line = self.edited(prefix, new_line)
