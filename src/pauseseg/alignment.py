@@ -13,12 +13,18 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidConfig, NonMonotoneFrames, ParseError
 from .segments import check_utf8, json_records, read_text, split_lines, string_field, write_text
 
 DEFAULT_FRAME_OFFSET_MS = 10.0
 DEFAULT_MIN_PAUSE_MS = 10.0
 DEFAULT_TIER_NAME = "characters"
+
+# Frames are below 2**53, so that each is exact as a float and a pause
+# (a frame difference times the frame offset) is a finite number of ms.
+MAX_FRAME = 2**53 - 1
 
 
 def check_frame_offset_ms(frame_offset_ms: float) -> None:
@@ -42,8 +48,8 @@ class CharAlignment:
     """One utterance: characters with begin/end frame indices.
 
     ``chars`` is a non-empty tuple of (character, begin_frame, end_frame).
-    Frames are non-negative integers at ``frame_offset_ms`` (finite, > 0)
-    per frame; ends may touch or overlap the next begin (pause 0), but
+    Frames are integers in [0, ``MAX_FRAME``] at ``frame_offset_ms`` (finite,
+    > 0) per frame; ends may touch or overlap the next begin (pause 0), but
     begins must not decrease.
     """
 
@@ -63,6 +69,8 @@ class CharAlignment:
                 raise NonMonotoneFrames(
                     f"character {ch!r} has frames [{b}, {e}] in {self.utterance_id!r}"
                 )
+            if e > MAX_FRAME:
+                raise ValueError(f"frames of {ch!r} must lie in [0, 2**53)")
             if b < prev_begin:
                 raise NonMonotoneFrames(
                     f"begin frames decrease at {ch!r} in {self.utterance_id!r}"
@@ -86,6 +94,47 @@ class Pause:
     probability: float | None = None
 
 
+def _junction_durations(alignments) -> tuple[np.ndarray, np.ndarray]:
+    """Every junction's silence in ms over a corpus, in one array pass.
+
+    A junction i sits between characters i and i+1; its duration is the gap
+    between the end of character i and the begin of character i+1, times
+    the frame offset, and overlaps count as 0. Returns the durations of
+    every alignment's junctions in order, and ``first`` [len(alignments) + 1]:
+    alignment k's durations are ``durations[first[k]:first[k + 1]]``. Frames
+    are exact in int64 and their differences exact as floats, so each
+    duration is bitwise the per-junction ``max(0.0, (b - e) * ms)``.
+    """
+    chars = [c for a in alignments for c in a.chars]
+    lengths = np.fromiter(map(len, alignments), np.intp, len(alignments))
+    _, begin, end = zip(*chars) if chars else ((), (), ())
+    begin = np.fromiter(begin, np.int64, len(chars))
+    end = np.fromiter(end, np.int64, len(chars))
+    ms = np.fromiter((a.frame_offset_ms for a in alignments), float, len(alignments))
+    # every character but the last of its alignment is followed by a junction
+    at = np.ones(len(chars), dtype=bool)
+    at[np.cumsum(lengths) - 1] = False
+    at = np.flatnonzero(at)
+    with np.errstate(over="ignore"):  # a huge frame offset gives inf ms, as in float arithmetic
+        gaps = (begin[at + 1] - end[at]) * np.repeat(ms, lengths - 1)
+    first = np.zeros(len(alignments) + 1, dtype=np.intp)
+    np.cumsum(lengths - 1, out=first[1:])
+    return np.maximum(0.0, gaps), first
+
+
+def corpus_pauses(alignments, min_pause_ms: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pauses of a corpus as arrays: each one's alignment index, junction and duration.
+
+    Junctions whose silence lasts at least ``min_pause_ms``, alignment by
+    alignment and in junction order.
+    """
+    check_min_pause_ms(min_pause_ms)
+    durations, first = _junction_durations(alignments)
+    at = np.flatnonzero(durations >= min_pause_ms)
+    owner = np.searchsorted(first, at, side="right") - 1
+    return owner, at - first[owner], durations[at]
+
+
 def pause_durations(alignment: CharAlignment) -> list[float]:
     """Inter-character silence in ms for each junction, clamped at 0.
 
@@ -93,24 +142,15 @@ def pause_durations(alignment: CharAlignment) -> list[float]:
     between the end of character i and the begin of character i+1. Overlaps
     count as 0. A one-character utterance has no junctions, so no durations.
     """
-    out = []
-    for i in range(len(alignment) - 1):
-        _, _, e = alignment.chars[i]
-        _, b, _ = alignment.chars[i + 1]
-        out.append(max(0.0, (b - e) * alignment.frame_offset_ms))
-    return out
+    return _junction_durations([alignment])[0].tolist()
 
 
 def detect_pauses(
     alignment: CharAlignment, min_pause_ms: float = DEFAULT_MIN_PAUSE_MS
 ) -> list[Pause]:
     """Junctions whose silence lasts at least ``min_pause_ms``."""
-    check_min_pause_ms(min_pause_ms)
-    return [
-        Pause(i, d)
-        for i, d in enumerate(pause_durations(alignment))
-        if d >= min_pause_ms
-    ]
+    _, junctions, durations = corpus_pauses([alignment], min_pause_ms)
+    return [Pause(j, d) for j, d in zip(junctions.tolist(), durations.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +161,6 @@ def detect_pauses(
 #    "chars": [{"c": "X", "b": 0, "e": 12}, ...],
 #    "frame_offset_ms": 10.0}
 # Files may hold one object, a JSON array of objects, or one object per line.
-
-
-# Frames are below 2**53, so that each is exact as a float and a pause
-# (a frame difference times the frame offset) is a finite number of ms.
-MAX_FRAME = 2**53 - 1
 
 
 def _char_from_obj(obj) -> tuple[str, int, int]:
@@ -193,7 +228,8 @@ def write_alignments(path, alignments) -> None:
 
 
 def _frame_at(value: str, frame_offset_ms: float, lineno: int) -> int:
-    """The frame nearest a time in seconds; ``ParseError`` unless that is a finite number."""
+    """The frame nearest a time in seconds; ``ParseError`` unless that is a finite number
+    no larger than ``MAX_FRAME`` (a negative one is left to ``CharAlignment``)."""
     try:
         frame = float(value) * 1000.0 / frame_offset_ms
     except ValueError:
@@ -203,7 +239,14 @@ def _frame_at(value: str, frame_offset_ms: float, lineno: int) -> int:
             f"time {value.strip()!r} s is not a finite frame at {frame_offset_ms!r} ms per frame",
             line=lineno,
         )
-    return int(math.floor(frame + 0.5))
+    frame = int(math.floor(frame + 0.5))
+    if frame > MAX_FRAME:
+        raise ParseError(
+            f"time {value.strip()!r} s is frame {frame}, above 2**53 - 1, at {frame_offset_ms!r}"
+            " ms per frame",
+            line=lineno,
+        )
+    return frame
 
 
 def _unquote(value: str) -> str:

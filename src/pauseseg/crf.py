@@ -32,6 +32,7 @@ from .errors import (
     InvalidConfig,
     LengthMismatch,
     NoLegalPath,
+    NonFiniteWeights,
     ParseError,
     SentenceTooShort,
     TrainingDiverged,
@@ -74,7 +75,11 @@ class CrfModel:
 
     Illegal transition, start and end entries are exactly -inf and are never
     updated; all other weights are finite floats. ``weight_fault`` enforces
-    this for ``train``, ``dumps`` and ``loads``.
+    this for ``train``, ``dumps`` and ``loads``. A model built or changed in
+    memory is checked by its outputs instead: a NaN or +inf weight makes a
+    best path score or log Z NaN or +inf, which raises ``NonFiniteWeights``.
+    A -inf on a legal entry acts as a hard constraint, which no output check
+    tells from the tag structure's.
     """
 
     # the legal entries of each weight record; every emit entry is legal
@@ -446,9 +451,9 @@ def _log_forward(Et, lengths, trans, start, end):
     """alpha [L, 4, B] and log Z [B] of a label-major batch, in log space."""
     L, _, B = Et.shape
     alpha = np.empty_like(Et)
-    alpha[0] = start[:, None] + Et[0]
     trans_pq = trans[:, :, None]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0); inf - inf for weights not finite
+        alpha[0] = start[:, None] + Et[0]
         for i in range(1, L):
             alpha[i] = Et[i] + _lse(alpha[i - 1][:, None, :] + trans_pq, 0)
         log_z = _lse(alpha[lengths - 1, :, np.arange(B)].T + end[:, None], 0)
@@ -463,7 +468,7 @@ def _log_backward(Et, lengths, trans, end, reduce=_lse):
     beta = np.empty_like(Et)
     beta[L - 1] = end[:, None]
     trans_qp = trans.T[:, :, None]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(L - 2, -1, -1):
             beta[i] = reduce(trans_qp + (Et[i + 1] + beta[i + 1])[:, None, :], 0)
             if i >= first_last:
@@ -475,19 +480,22 @@ def _log_forward_backward(E, lengths, trans, start, end) -> _FB:
     Et = _label_major(E)
     alpha, log_z = _log_forward(Et, lengths, trans, start, end)
     beta = _log_backward(Et, lengths, trans, end)
-    # in place, so that one [L-1, 4, 4, B] array is alive at a time
-    unigram = alpha + beta
-    unigram -= log_z
-    np.exp(unigram, out=unigram)
-    bigram = alpha[:-1, :, None, :] + trans[:, :, None]
-    bigram += (Et[1:] + beta[1:])[:, None, :, :]
-    bigram -= log_z
-    np.exp(bigram, out=bigram)
+    # -inf - -inf in a row without a legal path, as 0 / 0 in the scaled one:
+    # its marginals are NaN, and _require_paths refuses its log Z
+    with np.errstate(invalid="ignore"):
+        # in place, so that one [L-1, 4, 4, B] array is alive at a time
+        unigram = alpha + beta
+        unigram -= log_z
+        np.exp(unigram, out=unigram)
+        bigram = alpha[:-1, :, None, :] + trans[:, :, None]
+        bigram += (Et[1:] + beta[1:])[:, None, :, :]
+        bigram -= log_z
+        np.exp(bigram, out=bigram)
     return _FB(log_z, unigram.transpose(2, 0, 1), bigram.transpose(3, 0, 1, 2))
 
 
 def _viterbi(E, lengths, trans, start, end) -> tuple[list[list[int]], np.ndarray]:
-    """Best label sequence of each row, and whether the row has a legal path.
+    """Best label sequence of each row, and its score (see ``_require_paths``).
 
     The log-space backward with max in place of log-sum-exp, plus the
     emissions, gives delta[i, l, b], the best suffix score from position i
@@ -497,10 +505,11 @@ def _viterbi(E, lengths, trans, start, end) -> tuple[list[list[int]], np.ndarray
     """
     Et = _label_major(E)
     delta = _log_backward(Et, lengths, trans, end, np.maximum.reduce)
-    delta += Et
-    first = start[:, None] + delta[0]
-    # after label p at position i-1, the best label at i: nxt[i-1][p][b]
-    nxt = np.argmax(trans[None, :, :, None] + delta[1:, None, :, :], axis=2).tolist()
+    with np.errstate(invalid="ignore"):  # inf - inf for weights that are not finite
+        delta += Et
+        first = start[:, None] + delta[0]
+        # after label p at position i-1, the best label at i: nxt[i-1][p][b]
+        nxt = np.argmax(trans[None, :, :, None] + delta[1:, None, :, :], axis=2).tolist()
     paths = []
     for b, t in enumerate(np.argmax(first, axis=0).tolist()):
         path = [t]
@@ -508,7 +517,7 @@ def _viterbi(E, lengths, trans, start, end) -> tuple[list[list[int]], np.ndarray
             t = step[t][b]
             path.append(t)
         paths.append(path)
-    return paths, np.max(first, axis=0) > NEG_INF
+    return paths, np.max(first, axis=0)
 
 
 def _emission_batch(model: "CrfModel", ids, allowed=None, scale: float = 1.0):
@@ -563,9 +572,17 @@ def _corpus_batches(sentences):
     return _batches(order, lengths, INFERENCE_BATCH_CHARS)
 
 
-def _require_paths(feasible: bool) -> None:
-    # masks reach the core admitting a legal path (_allowed_array): a row without one is the model's
-    if not feasible:
+def _require_paths(best) -> None:
+    """Refuse unless each best path score, or log Z, of a batch (an array or one float) is finite.
+
+    -inf means no legal path. Masks reach the core admitting one
+    (``_allowed_array``), so that is the model's doing. NaN or +inf comes
+    only from weights that are not finite.
+    """
+    values = best.tolist() if isinstance(best, np.ndarray) else [best]
+    if not all(v < math.inf for v in values):  # NaN fails too
+        raise NonFiniteWeights("the model holds a weight that is not finite (NaN or +inf)")
+    if NEG_INF in values:
         raise NoLegalPath("the model admits no legal tag sequence")
 
 
@@ -610,7 +627,7 @@ def log_partition(sentence: str, model: CrfModel, mask=None) -> float:
         *_, log_z = _forward(X, lengths, shift, T, S, F)
     else:
         _, log_z = _log_forward(_label_major(E), lengths, *weights)
-    _require_paths(log_z[0] != NEG_INF)
+    _require_paths(log_z)
     return float(log_z[0])
 
 
@@ -621,7 +638,7 @@ def _bigram_batch(ids, model: CrfModel) -> tuple[np.ndarray, np.ndarray]:
             raise SentenceTooShort("bigram marginals need at least 2 characters")
     E, lengths, shift, spread = _emission_batch(model, ids)
     fb = _forward_backward(E, lengths, shift, spread, model.trans, model.start, model.end)
-    _require_paths((fb.log_z != NEG_INF).all())
+    _require_paths(fb.log_z)
     return fb.bigram, lengths
 
 
@@ -636,15 +653,55 @@ def boundary_probabilities(sentence: str, model: CrfModel) -> np.ndarray:
     return _boundary_mass(bigram_marginals(sentence, model))
 
 
-def boundary_probabilities_batch(sentences, model: CrfModel) -> list[np.ndarray]:
-    """``boundary_probabilities`` of every sentence, encoded and computed batch by batch."""
-    out: list[np.ndarray] = [None] * len(sentences)  # type: ignore[list-item]
+def _boundary_mass_batches(sentences, model: CrfModel):
+    """(batch, mass, lengths) for each batch of a corpus, encoded as it is reached.
+
+    ``mass[r, i]`` is the boundary probability at junction i of
+    ``sentences[batch[r]]``, which has ``lengths[r]`` characters.
+    """
     for batch in _corpus_batches(sentences):
         ids = model.vocab.encode_corpus([sentences[k] for k in batch])
         bigram, lengths = _bigram_batch(ids, model)
-        mass = _boundary_mass(bigram)
+        yield batch, _boundary_mass(bigram), lengths
+
+
+def boundary_probabilities_batch(sentences, model: CrfModel) -> list[np.ndarray]:
+    """``boundary_probabilities`` of every sentence, encoded and computed batch by batch."""
+    out: list[np.ndarray] = [None] * len(sentences)  # type: ignore[list-item]
+    for batch, mass, lengths in _boundary_mass_batches(sentences, model):
         for k, row, n in zip(batch, mass, lengths):
             out[k] = row[: n - 1]
+    return out
+
+
+def boundary_probabilities_at(sentences, model: CrfModel, rows, junctions) -> np.ndarray:
+    """The boundary probability at junction ``junctions[k]`` of ``sentences[rows[k]]``, for each k.
+
+    Only the sentences that ``rows`` names are scored, batch by batch as in
+    ``boundary_probabilities_batch``, with the same values; each batch's
+    probabilities are gathered with one fancy index. A junction outside its
+    sentence raises ``IndexOutOfRange`` before anything is scored.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    junctions = np.asarray(junctions, dtype=np.intp)
+    n = np.fromiter(map(len, sentences), np.intp, len(sentences))[rows]
+    outside = (junctions < 0) | (junctions >= n - 1)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise IndexOutOfRange(f"junction {junctions[k]} outside sentence of length {n[k]}")
+    named = np.zeros(len(sentences), dtype=bool)
+    named[rows] = True
+    at = (np.cumsum(named) - 1)[rows]  # each pair's sentence among the named ones
+    named = np.flatnonzero(named).tolist()
+    batch_of = np.full(len(named), -1)  # each named sentence's batch, once it is reached
+    row_of = np.empty(len(named), dtype=np.intp)  # and its row there
+    out = np.empty(len(rows))
+    batches = _boundary_mass_batches([sentences[k] for k in named], model)
+    for b, (batch, mass, _) in enumerate(batches):
+        batch_of[batch] = b
+        row_of[batch] = np.arange(len(batch))
+        here = np.flatnonzero(batch_of[at] == b)
+        out[here] = mass[row_of[at[here]], junctions[here]]
     return out
 
 
@@ -655,34 +712,45 @@ def boundary_probability(sentence: str, model: CrfModel, i: int) -> float:
     return float(boundary_probabilities(sentence, model)[i])
 
 
-def _viterbi_one(E: list, trans: list, start: list, end: list) -> list[int] | None:
-    """``_viterbi`` of one sentence on Python floats; None when it has no legal path.
+# each label's two legal successors, in ascending id: the word-initial labels
+# after a word-final one, else the two others (unpacking checks there are two)
+_NEXT_LABELS = tuple((q, r) for q, r in (np.flatnonzero(row).tolist() for row in TRANS_LEGAL))
+
+
+def _viterbi_one(E: list, trans: list, start: list, end: list) -> list[int]:
+    """``_viterbi`` of one sentence on Python floats, its score checked by ``_require_paths``.
 
     ``E`` is the sentence's [n][4] emission rows (-inf where a mask
-    excludes a label), the weights are nested lists. The additions,
-    maxima and first-maximum tie-breaks are those of ``_viterbi``, in the
-    same order, so the path is the same; it only skips the numpy
-    dispatch that dominates a batch of one.
+    excludes a label), the weights are nested lists. After label p it
+    visits only p's two legal successors (``_NEXT_LABELS``), in ascending
+    id, where ``_viterbi`` scans all four labels. The path is the same for
+    any model whose best path score is finite: an illegal transition
+    scores exactly -inf, and every step of a path with a finite score is
+    finite, so a skipped label can neither beat a legal one nor tie with it
+    on that path. Over the legal labels the additions and first-maximum
+    tie-breaks are ``_viterbi``'s, in the same order; only the numpy
+    dispatch that dominates a batch of one, and the illegal labels, are
+    skipped.
     """
     delta = [e + x for e, x in zip(E[-1], end)]
     back = []  # back[k][p]: the best label after p, for positions n-1 down to 1
     for row in reversed(E[:-1]):
         scores = []
         best_next = []
-        for e, tp in zip(row, trans):
-            best, arg = tp[0] + delta[0], 0
-            for q in (1, 2, 3):  # every q, legal or not, as ``_viterbi`` does
-                s = tp[q] + delta[q]
-                if s > best:
-                    best, arg = s, q
-            scores.append(e + best)
-            best_next.append(arg)
+        for e, tp, (q, r) in zip(row, trans, _NEXT_LABELS):
+            x = tp[q] + delta[q]
+            y = tp[r] + delta[r]
+            if y > x:  # ties go to q, the lower id
+                scores.append(e + y)
+                best_next.append(r)
+            else:
+                scores.append(e + x)
+                best_next.append(q)
         delta = scores
         back.append(best_next)
     first = [s + d for s, d in zip(start, delta)]
     best = max(first)
-    if best == NEG_INF:
-        return None
+    _require_paths(best)
     t = first.index(best)
     path = [t]
     for best_next in reversed(back):
@@ -691,24 +759,32 @@ def _viterbi_one(E: list, trans: list, start: list, end: list) -> list[int] | No
     return path
 
 
-def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
-    """Highest-scoring legal sequence respecting ``mask``.
+def viterbi_labels(sentence: str, model: CrfModel, allowed: np.ndarray | None = None) -> list[int]:
+    """The label ids of ``viterbi``'s path, decoded on Python floats (``_viterbi_one``).
 
-    Ties are broken toward the lower label id (B<M<E<S) at the earliest
-    position where tied paths differ, which makes decoding deterministic.
-    One sentence is decoded on Python floats (``_viterbi_one``); corpora
-    go through ``viterbi_batch`` and the batched core, with the same
-    result for each sentence.
+    ``allowed``, when given, is an [n, 4] bool array of the labels each
+    position may take, which the caller knows admits a legal path (it is
+    not checked here, as ``ConstraintMask`` would).
     """
-    allowed = _allowed_array(mask, len(sentence))
     if not sentence:
         raise SentenceTooShort("empty sentence")
     E = model.emissions(sentence)
     if allowed is not None:
         E[~allowed] = NEG_INF
-    path = _viterbi_one(E.tolist(), model.trans.tolist(), model.start.tolist(), model.end.tolist())
-    _require_paths(path is not None)
-    return tagset.tags_to_str(path)
+    return _viterbi_one(E.tolist(), model.trans.tolist(), model.start.tolist(), model.end.tolist())
+
+
+def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
+    """Highest-scoring legal sequence respecting ``mask``.
+
+    Ties are broken toward the lower label id (B<M<E<S) at the earliest
+    position where tied paths differ, which makes decoding deterministic.
+    One sentence is decoded on Python floats (``viterbi_labels``); corpora
+    go through ``viterbi_batch`` and the batched core, with the same
+    result for each sentence.
+    """
+    allowed = _allowed_array(mask, len(sentence))
+    return tagset.tags_to_str(viterbi_labels(sentence, model, allowed))
 
 
 def _viterbi_corpus(corpus, model: CrfModel, allowed=None, encode=None) -> list[str]:
@@ -725,8 +801,8 @@ def _viterbi_corpus(corpus, model: CrfModel, allowed=None, encode=None) -> list[
         masks = None if allowed is None else [allowed[k] for k in batch]
         ids = [corpus[k] for k in batch]
         E, lengths, _, _ = _emission_batch(model, ids if encode is None else encode(ids), masks)
-        paths, feasible = _viterbi(E, lengths, model.trans, model.start, model.end)
-        _require_paths(feasible.all())
+        paths, best = _viterbi(E, lengths, model.trans, model.start, model.end)
+        _require_paths(best)
         for k, path in zip(batch, paths):
             out[k] = tagset.tags_to_str(path)
     return out

@@ -17,6 +17,10 @@ class NoLegalPath(PausesegError):
     """A constraint mask, or the model's weights, admit no legal tag sequence."""
 
 
+class NonFiniteWeights(PausesegError):
+    """A model's weights are not finite (NaN or +inf), so its best path or log Z is not either."""
+
+
 class SentenceTooShort(PausesegError):
     """The operation needs a longer sentence (e.g. at least one junction)."""
 

@@ -18,7 +18,8 @@ import numpy as np
 from . import crf, tagset
 from .alignment import Pause
 from .errors import (
-    IndexOutOfRange, InvalidConfig, LengthMismatch, ParseError, PausesegError, UnscoredPause,
+    IndexOutOfRange, InvalidConfig, LengthMismatch, NonFiniteWeights, ParseError, PausesegError,
+    UnscoredPause,
 )
 from .segments import (
     SegmentedSentence, json_records, read_text, split_lines, string_field, write_text,
@@ -86,24 +87,43 @@ def score_pause_lists(
     ``LengthMismatch``.
     """
     _check_parallel(sentences, pause_lists)
-    todo = [k for k, pauses in enumerate(pause_lists) if pauses]
-    probs = crf.boundary_probabilities_batch([sentences[k] for k in todo], model)
-    out: list[list[Pause]] = [[] for _ in pause_lists]
-    for k, row in zip(todo, probs):
-        n = len(sentences[k])
-        for pause in pause_lists[k]:
-            if not 0 <= pause.junction < n - 1:
-                raise IndexOutOfRange(
-                    f"pause junction {pause.junction} outside sentence of length {n}"
-                )
-            prob = min(1.0, max(0.0, float(row[pause.junction])))
-            out[k].append(Pause(pause.junction, pause.duration_ms, prob))
+    counts = [len(pauses) for pauses in pause_lists]
+    owner = np.repeat(np.arange(len(pause_lists)), counts)
+    pauses = [p for pauses in pause_lists for p in pauses]
+    return score_pause_arrays(
+        model, sentences, owner, [p.junction for p in pauses], [p.duration_ms for p in pauses]
+    )
+
+
+def score_pause_arrays(
+    model: crf.CrfModel, sentences: list[str], owner: np.ndarray, junctions: list, durations: list
+) -> list[list[Pause]]:
+    """``score_pause_lists`` of a corpus's pauses given as parallel columns.
+
+    Pause k lies at junction ``junctions[k]`` of ``sentences[owner[k]]``,
+    with the silence ``durations[k]``, and each sentence's pauses keep their
+    order. Every probability comes from one ``crf.boundary_probabilities_at``
+    call, is clamped into [0, 1] against rounding, and goes into the pause's
+    one ``Pause``. A NaN probability raises ``NonFiniteWeights``.
+    """
+    probs = crf.boundary_probabilities_at(sentences, model, owner, junctions)
+    if np.isnan(probs).any():
+        raise NonFiniteWeights("the model gives a boundary probability that is NaN")
+    probs = np.minimum(1.0, np.maximum(0.0, probs)).tolist()
+    out: list[list[Pause]] = [[] for _ in sentences]
+    for k, junction, duration, prob in zip(owner.tolist(), junctions, durations, probs):
+        out[k].append(Pause(junction, duration, prob))
     return out
 
 
 def filter_pauses(pauses: list[Pause], threshold: float) -> list[Pause]:
     """Keep pauses whose boundary probability is at least ``threshold``."""
     check_threshold(threshold)
+    return _kept(pauses, threshold)
+
+
+def _kept(pauses: list[Pause], threshold: float) -> list[Pause]:
+    """``filter_pauses`` at a threshold already checked."""
     for p in pauses:
         if p.probability is None:
             raise UnscoredPause(f"pause at junction {p.junction} has no probability")
@@ -123,30 +143,45 @@ def filter_to_partials(
     ``LengthMismatch`` unless there is one pause list per sentence.
     """
     _check_parallel(sentences, pause_lists)
+    check_threshold(threshold)
     partials = []
     kept = 0
     for sentence, pauses in zip(sentences, pause_lists):
-        surviving = filter_pauses(pauses, threshold)
+        surviving = _kept(pauses, threshold)
         kept += len(surviving)
         partials.append(pauses_to_partial(sentence, surviving))
     return partials, kept
 
 
-def build_constraint_mask(sentence: str, boundaries) -> crf.ConstraintMask:
-    """Mask encoding known boundaries: end-of-word at i, start-of-word at i+1.
+# label sets as 4-bit codes (bit l: label l), and the [4] bool row of each code
+_BITS = 1 << np.arange(tagset.N_LABELS)
+_ALL_LABELS = int(_BITS.sum())
+_FINAL_LABELS = int(_BITS[tagset.WORD_FINAL].sum())
+_INITIAL_LABELS = int(_BITS[tagset.WORD_INITIAL].sum())
+_ROW_OF_CODE = np.arange(_ALL_LABELS + 1)[:, None] & _BITS > 0
 
-    Junction i forces position i into {E, S} and position i+1 into {B, S};
-    overlapping junctions intersect. The all-S sequence always survives, so
-    the mask always admits a legal path.
+
+def allowed_labels(n: int, boundaries) -> np.ndarray:
+    """[n, 4] allowed labels of a sentence of ``n`` characters with known boundaries.
+
+    Junction i forces position i into {E, S} (word-final) and position i+1
+    into {B, S} (word-initial); overlapping junctions intersect. The all-S
+    sequence always survives, so the rows always admit a legal path.
     """
-    n = len(sentence)
-    allowed = np.ones((n, tagset.N_LABELS), dtype=bool)
-    for b in set(boundaries):
+    at = list(boundaries)
+    for b in at:
         if not 0 <= b < n - 1:
             raise IndexOutOfRange(f"junction {b} outside sentence of length {n}")
-        allowed[b] &= tagset.WORD_FINAL
-        allowed[b + 1] &= tagset.WORD_INITIAL
-    return crf.ConstraintMask(allowed)
+    at = np.array(at, dtype=np.intp)
+    codes = np.full(n, _ALL_LABELS)
+    codes[at] = _FINAL_LABELS
+    codes[at + 1] &= _INITIAL_LABELS
+    return _ROW_OF_CODE[codes]
+
+
+def build_constraint_mask(sentence: str, boundaries) -> crf.ConstraintMask:
+    """Mask encoding known boundaries: ``allowed_labels`` as a checked ``ConstraintMask``."""
+    return crf.ConstraintMask(allowed_labels(len(sentence), boundaries))
 
 
 def partial_to_mask(partial: PartialSentence) -> crf.ConstraintMask:

@@ -108,10 +108,15 @@ def segment_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedS
 def complete_annotation(
     model: crf.CrfModel, partial: PartialSentence
 ) -> SegmentedSentence:
-    """Fill in a partial annotation by decoding under its constraint mask."""
-    mask = mining.partial_to_mask(partial)
-    tags = crf.viterbi(partial.chars, model, mask=mask)
-    return tagset.labels_to_words(tags, partial.chars)
+    """Fill in a partial annotation by decoding under its constraint mask.
+
+    The path is ``crf.viterbi``'s under ``mining.partial_to_mask``, taken as
+    label ids and cut into words: a partial's rows always admit the all-S
+    path and the decoder returns only legal paths, so neither is checked again.
+    """
+    n = len(partial.chars)
+    labels = crf.viterbi_labels(partial.chars, model, mining.allowed_labels(n, partial.boundaries))
+    return tagset.cut_words(labels, partial.chars)
 
 
 def complete_corpus(
@@ -192,10 +197,16 @@ def score_alignments(
     alignments,
     min_pause_ms: float = alignment.DEFAULT_MIN_PAUSE_MS,
 ) -> list[list[alignment.Pause]]:
-    """Detect each alignment's pauses and score them: one list per alignment."""
+    """Detect each alignment's pauses and score them: one list per alignment.
+
+    ``detect_pauses`` and ``score_pause_lists`` of every alignment, with the
+    corpus's durations found in one array pass and each ``Pause`` built once.
+    """
     alignments = list(alignments)
-    detected = [alignment.detect_pauses(a, min_pause_ms) for a in alignments]
-    return mining.score_pause_lists(model, [a.sentence for a in alignments], detected)
+    owner, junctions, durations = alignment.corpus_pauses(alignments, min_pause_ms)
+    return mining.score_pause_arrays(
+        model, [a.sentence for a in alignments], owner, junctions.tolist(), durations.tolist()
+    )
 
 
 def mine_partials(

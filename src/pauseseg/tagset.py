@@ -134,9 +134,15 @@ def labels_to_words(tags: str | Sequence[int], sentence: str) -> SegmentedSenten
         raise LengthMismatch(f"{len(t)} tags for {len(sentence)} characters")
     if not _is_legal(t):
         raise IllegalTagSequence(f"illegal tag sequence {tags_to_str(t)!r}")
+    return cut_words(t, sentence)
+
+
+def cut_words(labels: Sequence[int], sentence: str) -> SegmentedSentence:
+    """``sentence`` cut after every word-final label of ``labels``, a legal
+    sequence of label ids as long as it (not checked: see ``labels_to_words``)."""
     spans = []
     start = 0
-    for i, tag in enumerate(t):
+    for i, tag in enumerate(labels):
         if tag in _LEGAL_LAST:  # word-final
             spans.append((start, i + 1))
             start = i + 1

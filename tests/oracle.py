@@ -41,8 +41,14 @@ def legal_sequences(n: int, allowed: np.ndarray | None = None):
     return [t for t in seqs if all(allowed[i][t[i]] for i in range(n))]
 
 
-def path_score(model: crf.CrfModel, sentence: str, t) -> float:
-    E = model.emissions(sentence)
+def path_score(model: crf.CrfModel, sentence: str, t, E=None) -> float:
+    """The score of path ``t``; ``E``, when given, is ``model.emissions(sentence)``.
+
+    Callers that score many paths pass the table computed once per call of
+    their own: the weights may change between calls (``finite_difference_grad``).
+    """
+    if E is None:
+        E = model.emissions(sentence)
     s = model.start[t[0]] + E[0, t[0]]
     for i in range(1, len(t)):
         s += model.trans[t[i - 1], t[i]] + E[i, t[i]]
@@ -50,8 +56,9 @@ def path_score(model: crf.CrfModel, sentence: str, t) -> float:
 
 
 def log_partition(model: crf.CrfModel, sentence: str, allowed=None) -> float:
+    E = model.emissions(sentence)
     scores = [
-        path_score(model, sentence, t)
+        path_score(model, sentence, t, E)
         for t in legal_sequences(len(sentence), allowed)
     ]
     scores = [s for s in scores if s != float("-inf")]
@@ -64,9 +71,10 @@ def log_partition(model: crf.CrfModel, sentence: str, allowed=None) -> float:
 def bigram_marginals(model: crf.CrfModel, sentence: str, allowed=None) -> np.ndarray:
     n = len(sentence)
     log_z = log_partition(model, sentence, allowed)
+    E = model.emissions(sentence)
     out = np.zeros((n - 1, N, N))
     for t in legal_sequences(n, allowed):
-        p = math.exp(path_score(model, sentence, t) - log_z)
+        p = math.exp(path_score(model, sentence, t, E) - log_z)
         for i in range(n - 1):
             out[i, t[i], t[i + 1]] += p
     return out
@@ -83,9 +91,10 @@ def viterbi(model: crf.CrfModel, sentence: str, allowed=None):
     legal_sequences yields tuples in lexicographic order, so the first
     sequence attaining the maximum is the tie-break winner.
     """
+    E = model.emissions(sentence)
     best_t, best_s = None, float("-inf")
     for t in legal_sequences(len(sentence), allowed):
-        s = path_score(model, sentence, t)
+        s = path_score(model, sentence, t, E)
         if s > best_s:
             best_t, best_s = t, s
     return best_t, best_s

@@ -358,19 +358,24 @@ def test_one_sentence_viterbi_equals_the_batched_core(data):
     assert crf.viterbi_batch([sentence], model, [mask]) == [want]
 
 
-def test_one_sentence_viterbi_scans_illegal_transitions_like_the_core():
-    # finite illegal entries, larger than the legal ones: the best paths use them
+def test_one_sentence_viterbi_visits_only_legal_successors():
+    # finite illegal entries, larger than the legal ones: the core's best paths
+    # use them, while the one-sentence decoder never takes an illegal transition
     model = random_model(29, grid=0.25)
     model.trans = np.where(crf.TRANS_LEGAL, model.trans, 0.5)
     model.start = np.where(crf.START_LEGAL, model.start, 0.25)
     model.end = np.where(crf.END_LEGAL, model.end, 0.25)
     rng = np.random.default_rng(29)
     sentences = [oracle.random_sentence(rng, n, ALPHABET) for n in (1, 2, 3, 4, 7, 12)]
-    want = [ref_viterbi(model.emissions(s), model.trans, model.start, model.end)
+    scanned = [ref_viterbi(model.emissions(s), model.trans, model.start, model.end)
+               for s in sentences]
+    assert not all(tagset.is_legal(t) for t in scanned)
+    assert crf.viterbi_batch(sentences, model) == scanned
+    legal_trans = np.where(crf.TRANS_LEGAL, model.trans, NEG_INF)
+    want = [ref_viterbi(model.emissions(s), legal_trans, model.start, model.end)
             for s in sentences]
-    assert not all(tagset.is_legal(t) for t in want)
+    assert want != scanned
     assert [crf.viterbi(s, model) for s in sentences] == want
-    assert crf.viterbi_batch(sentences, model) == want
 
 
 def test_one_sentence_viterbi_raises_as_the_batched_core_does():

@@ -236,6 +236,16 @@ class TestConstraintMask:
         assert crf.log_partition(s, m, mask) == crf.log_partition(s, m)
         assert crf.viterbi(s, m, mask) == crf.viterbi(s, m)
 
+    def test_log_space_row_without_a_path_raises_no_legal_path(self):
+        # scale 300 puts the row out of the scaled range; with no end label
+        # legal, alpha + beta - log Z meets inf - inf before log Z is checked
+        m = oracle.make_model(np.random.default_rng(41), ["abcdefgh"], scale=300)
+        m.end[:] = -np.inf
+        with pytest.raises(NoLegalPath):
+            crf.bigram_marginals("abcdefgh", m)
+        with pytest.raises(NoLegalPath):
+            crf.log_partition("abcdefgh", m)
+
     def test_impossible_mask_rejected_at_construction(self):
         allowed = np.ones((3, 4), dtype=bool)
         allowed[0] = [False, True, False, False]  # sentence cannot start with M

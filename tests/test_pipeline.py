@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pauseseg import crf, features, mining, pipeline
+import oracle
+from pauseseg import alignment, crf, features, mining, pipeline, tagset
 from pauseseg.alignment import CharAlignment
 from pauseseg.crf import TrainConfig
-from pauseseg.errors import EmptyDataset
+from pauseseg.errors import EmptyDataset, NonFiniteWeights
 from pauseseg.mining import PartialSentence
 from pauseseg.segments import SegmentedSentence
 
@@ -216,3 +218,92 @@ def test_segment_corpus_drops_whitespace():
     # the all-zero model prefers one word; whitespace is not part of it
     out = pipeline.segment_corpus(zero_model(), ["一二 三四", " 五\t六　"])
     assert [s.words for s in out] == [["一二三四"], ["五六"]]
+
+
+# ---------------------------------------------------------------------------
+# The corpus passes against the public per-alignment and per-sentence calls
+
+ALPHABET = "abcdefgh"
+MINING_MODELS = [
+    oracle.make_model(np.random.default_rng(seed), [ALPHABET], scale=scale)
+    for seed, scale in ((3, 1.0), (8, 2.5))
+]
+
+
+@st.composite
+def alignments(draw):
+    """Alignments whose frames touch, overlap or leave gaps, at 10 or 7.5 ms per frame.
+
+    A 1-frame gap at 10 ms and a 4-frame gap at 7.5 ms are exactly 10 and 30 ms.
+    """
+    chars = []
+    begin = draw(st.integers(0, 5))
+    for c in draw(st.text(alphabet=ALPHABET, min_size=1, max_size=8)):
+        end = begin + draw(st.integers(0, 4))
+        chars.append((c, begin, end))
+        begin = draw(st.integers(begin, end + 5))  # the next begin: overlap, touch or gap
+    ms = draw(st.sampled_from([10.0, 7.5]))
+    return CharAlignment(f"u{draw(st.integers(0, 99))}", tuple(chars), ms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    corpus=st.lists(alignments(), max_size=6),
+    model=st.sampled_from(MINING_MODELS),
+    min_pause_ms=st.sampled_from([0.0, 10.0, 30.0, 12.5]),
+    threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+def test_mining_equals_the_per_alignment_calls(corpus, model, min_pause_ms, threshold):
+    scored = [
+        mining.score_pauses(model, a.sentence, alignment.detect_pauses(a, min_pause_ms))
+        for a in corpus
+    ]
+    partials = [
+        mining.pauses_to_partial(a.sentence, mining.filter_pauses(pauses, threshold))
+        for a, pauses in zip(corpus, scored)
+    ]
+    assert pipeline.score_alignments(model, corpus, min_pause_ms) == scored
+    assert pipeline.mine_partials(model, corpus, threshold, min_pause_ms) == (partials, scored)
+    for a, pauses in zip(corpus, scored):
+        durations = alignment.pause_durations(a)
+        assert [p.duration_ms for p in pauses] == [d for d in durations if d >= min_pause_ms]
+        for p in pauses:
+            assert (type(p.junction), type(p.duration_ms), type(p.probability)) == (int, float, float)
+            assert 0.0 <= p.probability <= 1.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_one_sentence_completion_equals_the_batch_and_the_checked_path(data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    chars = data.draw(st.text(alphabet=ALPHABET, min_size=1, max_size=12))
+    # normal weights: non-dyadic, so that sums round
+    model = oracle.make_model(np.random.default_rng(seed), [ALPHABET], scale=1.5)
+    junctions = st.integers(0, len(chars) - 2) if len(chars) > 1 else st.nothing()
+    partial = PartialSentence(chars, tuple(data.draw(st.lists(junctions, max_size=len(chars) - 1))))
+    mask = mining.build_constraint_mask(partial.chars, partial.boundaries)
+    checked = tagset.labels_to_words(crf.viterbi(partial.chars, model, mask), partial.chars)
+    assert pipeline.complete_annotation(model, partial) == checked
+    assert pipeline.complete_corpus(model, [partial]) == [checked]
+
+
+@pytest.mark.parametrize("weights", ["emit", "trans"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_every_decode_and_score_refuses_weights_that_are_not_finite(weights, value):
+    model = oracle.make_model(np.random.default_rng(5), [ALPHABET])
+    if weights == "emit":
+        model.emit_w[:] = value
+    else:
+        model.trans[crf.TRANS_LEGAL] = value
+    partial = PartialSentence("abcd", (1,))
+    calls = [
+        lambda: crf.viterbi("abcd", model),
+        lambda: crf.viterbi_batch(["abcd", "ef"], model),
+        lambda: pipeline.complete_annotation(model, partial),
+        lambda: pipeline.complete_corpus(model, [partial]),
+        lambda: pipeline.segment_corpus(model, ["abcd"]),
+        lambda: mining.score_pauses(model, "abcd", [alignment.Pause(1, 20.0)]),
+    ]
+    for call in calls:
+        with pytest.raises(NonFiniteWeights, match="not finite"):
+            call()
