@@ -275,7 +275,8 @@ def _allowed_array(mask, n: int) -> np.ndarray | None:
 # sentence gets bitwise the same result alone (B = 1) or in any batch:
 # each sum over labels is an ``np.add.reduce`` over a leading axis of 4,
 # which adds in label order whatever B is (a BLAS matmul would not), and
-# each sum over positions is a ``cumsum``.
+# each sum over positions is a ``cumsum``. An emission score adds its nine
+# template weights in template order too (``features.emission_scores``).
 #
 # Forward-backward runs in scaled probability space (Rabiner 1989, §V.A;
 # CRFsuite's crf1d_context). The emissions become X = exp(E - shift), where
@@ -494,30 +495,29 @@ def _log_forward_backward(E, lengths, trans, start, end) -> _FB:
     return _FB(log_z, unigram.transpose(2, 0, 1), bigram.transpose(3, 0, 1, 2))
 
 
-def _viterbi(E, lengths, trans, start, end) -> tuple[list[list[int]], np.ndarray]:
-    """Best label sequence of each row, and its score (see ``_require_paths``).
+def _viterbi(E, lengths, trans, start, end) -> tuple[np.ndarray, np.ndarray]:
+    """[B, L] labels, row b beginning with row b's best path, and its score (``_require_paths``).
 
     The log-space backward with max in place of log-sum-exp, plus the
     emissions, gives delta[i, l, b], the best suffix score from position i
-    with label l. A greedy forward pass then picks each label with argmax,
-    which takes the first (lowest-id) maximum: ties go to the lower label
-    id at the earliest position where tied paths differ.
+    with label l. A greedy forward pass over all rows then picks each label
+    with argmax, which takes the first (lowest-id) maximum: ties go to the
+    lower label id at the earliest position where tied paths differ.
     """
     Et = _label_major(E)
+    L, _, B = Et.shape
     delta = _log_backward(Et, lengths, trans, end, np.maximum.reduce)
     with np.errstate(invalid="ignore"):  # inf - inf for weights that are not finite
         delta += Et
         first = start[:, None] + delta[0]
-        # after label p at position i-1, the best label at i: nxt[i-1][p][b]
-        nxt = np.argmax(trans[None, :, :, None] + delta[1:, None, :, :], axis=2).tolist()
-    paths = []
-    for b, t in enumerate(np.argmax(first, axis=0).tolist()):
-        path = [t]
-        for step in nxt[: lengths[b] - 1]:
-            t = step[t][b]
-            path.append(t)
-        paths.append(path)
-    return paths, np.max(first, axis=0)
+        # after label p at position i-1, the best label at i: nxt[i-1, p * B + b]
+        nxt = np.argmax(trans[None, :, :, None] + delta[1:, None, :, :], axis=2).reshape(L - 1, N * B)
+    paths = np.empty((L, B), dtype=np.intp)
+    paths[0] = np.argmax(first, axis=0)
+    rows = np.arange(B)
+    for i in range(1, L):
+        paths[i] = nxt[i - 1].take(paths[i - 1] * B + rows)
+    return paths.T, np.max(first, axis=0)
 
 
 def _emission_batch(model: "CrfModel", ids, allowed=None, scale: float = 1.0):
@@ -771,6 +771,11 @@ def viterbi_labels(sentence: str, model: CrfModel, allowed: np.ndarray | None = 
     E = model.emissions(sentence)
     if allowed is not None:
         E[~allowed] = NEG_INF
+    # _viterbi_one's comparisons drop a NaN that only some paths meet: refuse what
+    # the batched core refuses, a NaN or +inf in an unmasked emission or any weight
+    top = np.maximum.reduce(np.concatenate((E.ravel(), model.trans.ravel(), model.start, model.end)))
+    if not top < math.inf:
+        raise NonFiniteWeights("the model holds a weight that is not finite (NaN or +inf)")
     return _viterbi_one(E.tolist(), model.trans.tolist(), model.start.tolist(), model.end.tolist())
 
 
@@ -780,32 +785,27 @@ def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
     Ties are broken toward the lower label id (B<M<E<S) at the earliest
     position where tied paths differ, which makes decoding deterministic.
     One sentence is decoded on Python floats (``viterbi_labels``); corpora
-    go through ``viterbi_batch`` and the batched core, with the same
-    result for each sentence.
+    go through the batched core (``viterbi_batch``, ``viterbi_words``),
+    with the same result for each sentence.
     """
     allowed = _allowed_array(mask, len(sentence))
     return tagset.tags_to_str(viterbi_labels(sentence, model, allowed))
 
 
-def _viterbi_corpus(corpus, model: CrfModel, allowed=None, encode=None) -> list[str]:
-    """Tag strings of a corpus decoded in length-sorted batches.
-
-    The corpus holds encoded sentences, or sentences that ``encode`` turns
-    into a batch's ids as that batch is decoded.
-    """
-    for x in corpus:
-        if not len(x):
-            raise SentenceTooShort("empty sentence")
-    out: list[str] = [""] * len(corpus)
-    for batch in _corpus_batches(corpus):
+def _viterbi_corpus(sentences, model: CrfModel, allowed=None, ids=None):
+    """(batch, ``_viterbi``'s labels, lengths) of each length-sorted batch of a corpus, under
+    ``allowed[k]`` (the labels each position of sentence k may take) when given. ``ids``
+    are the sentences' feature ids, or None to encode each batch as it is reached."""
+    if not all(sentences):
+        raise SentenceTooShort("empty sentence")
+    for batch in _corpus_batches(sentences):
         masks = None if allowed is None else [allowed[k] for k in batch]
-        ids = [corpus[k] for k in batch]
-        E, lengths, _, _ = _emission_batch(model, ids if encode is None else encode(ids), masks)
-        paths, best = _viterbi(E, lengths, model.trans, model.start, model.end)
+        chosen = [sentences[k] for k in batch]
+        x = model.vocab.encode_corpus(chosen) if ids is None else [ids[k] for k in batch]
+        E, lengths, _, _ = _emission_batch(model, x, masks)
+        labels, best = _viterbi(E, lengths, model.trans, model.start, model.end)
         _require_paths(best)
-        for k, path in zip(batch, paths):
-            out[k] = tagset.tags_to_str(path)
-    return out
+        yield batch, labels, lengths
 
 
 def viterbi_batch(sentences, model: CrfModel, masks=None) -> list[str]:
@@ -818,7 +818,27 @@ def viterbi_batch(sentences, model: CrfModel, masks=None) -> list[str]:
         if len(masks) != len(sentences):
             raise LengthMismatch(f"{len(masks)} masks for {len(sentences)} sentences")
         allowed = [_allowed_array(mask, len(s)) for mask, s in zip(masks, sentences)]
-    return _viterbi_corpus(sentences, model, allowed, model.vocab.encode_corpus)
+    out: list[str] = [""] * len(sentences)
+    for batch, labels, lengths in _viterbi_corpus(sentences, model, allowed):
+        for k, path, n in zip(batch, labels.tolist(), lengths.tolist()):
+            out[k] = tagset.tags_to_str(path[:n])
+    return out
+
+
+def viterbi_words(sentences, model: CrfModel, allowed=None, ids=None) -> list[SegmentedSentence]:
+    """``labels_to_words`` of each sentence's ``viterbi`` path, with ``_viterbi_corpus``'s
+    arguments (a mask given here is not checked, as in ``viterbi_labels``). A batch's words
+    end where a label is word-final; the decoder's paths are legal, so they are not rechecked."""
+    out: list[SegmentedSentence] = [None] * len(sentences)  # type: ignore[list-item]
+    for batch, labels, lengths in _viterbi_corpus(sentences, model, allowed, ids):
+        inside = np.arange(labels.shape[1]) < lengths[:, None]
+        rows, ends = np.nonzero(tagset.WORD_FINAL[labels] & inside)
+        ends = (ends + 1).tolist()
+        stops = np.cumsum(np.bincount(rows, minlength=len(batch))).tolist()
+        for k, start, stop in zip(batch, [0] + stops, stops):
+            cut = ends[start:stop]
+            out[k] = SegmentedSentence(sentences[k], tuple(zip([0] + cut[:-1], cut)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1061,11 +1081,7 @@ class PartialExample:
 def _dev_f1(model: CrfModel, dev: list[SegmentedSentence], dev_ids) -> float:
     from .evaluate import prf  # local import: evaluate does not import crf
 
-    preds = [
-        tagset.labels_to_words(tags, s.chars)
-        for tags, s in zip(_viterbi_corpus(dev_ids, model), dev)
-    ]
-    return prf(dev, preds).f1
+    return prf(dev, viterbi_words([s.chars for s in dev], model, ids=dev_ids)).f1
 
 
 def _prepare(examples) -> tuple[feat.FeatureVocabulary, list]:

@@ -334,6 +334,8 @@ def emission_scores(ids: np.ndarray, emit_w: np.ndarray) -> np.ndarray:
 
     ``ids`` are encoded feature ids of shape [n, len(TEMPLATES)]; the score of
     label l at position i is the sum of the weights of the features active
-    there.
+    there, added in template order: ``w[ids[:, 0]] + w[ids[:, 1]] + ...``
+    left to right. One ``take`` gathers the weights template-major, [9, n, 4],
+    and a reduction over that leading axis adds its rows in that order.
     """
-    return emit_w[ids].sum(axis=1)
+    return np.add.reduce(emit_w.take(ids.T, axis=0), axis=0)

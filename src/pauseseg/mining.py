@@ -168,14 +168,12 @@ def allowed_labels(n: int, boundaries) -> np.ndarray:
     into {B, S} (word-initial); overlapping junctions intersect. The all-S
     sequence always survives, so the rows always admit a legal path.
     """
-    at = list(boundaries)
-    for b in at:
+    codes = [_ALL_LABELS] * n
+    for b in boundaries:
         if not 0 <= b < n - 1:
             raise IndexOutOfRange(f"junction {b} outside sentence of length {n}")
-    at = np.array(at, dtype=np.intp)
-    codes = np.full(n, _ALL_LABELS)
-    codes[at] = _FINAL_LABELS
-    codes[at + 1] &= _INITIAL_LABELS
+        codes[b] &= _FINAL_LABELS
+        codes[b + 1] &= _INITIAL_LABELS
     return _ROW_OF_CODE[codes]
 
 

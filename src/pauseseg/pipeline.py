@@ -91,8 +91,7 @@ def train_baseline(
 
 def self_train_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedSentence]:
     """Segment raw sentences with the model's unconstrained decode, in batches."""
-    tags = crf.viterbi_batch(sentences, model)
-    return [tagset.labels_to_words(t, s) for t, s in zip(tags, sentences)]
+    return crf.viterbi_words(sentences, model)
 
 
 def segment_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedSentence]:
@@ -123,10 +122,8 @@ def complete_corpus(
     model: crf.CrfModel, partials: list[PartialSentence]
 ) -> list[SegmentedSentence]:
     """``complete_annotation`` for every partial sentence, decoded in batches."""
-    sentences = [p.chars for p in partials]
-    masks = [mining.partial_to_mask(p) for p in partials]
-    tags = crf.viterbi_batch(sentences, model, masks)
-    return [tagset.labels_to_words(t, s) for t, s in zip(tags, sentences)]
+    allowed = [mining.allowed_labels(len(p.chars), p.boundaries) for p in partials]
+    return crf.viterbi_words([p.chars for p in partials], model, allowed)
 
 
 @dataclass

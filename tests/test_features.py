@@ -237,6 +237,26 @@ def test_emission_scores_sum_feature_weights():
     assert E[1, 0] == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_emission_scores_add_the_templates_left_to_right(data):
+    # weights of mixed sign from 1e-300 to 1e300: any other order of the
+    # additions would round differently
+    T = len(features.TEMPLATES)
+    size = data.draw(st.integers(1, T - 1))  # fewer ids than templates: some repeat in every row
+    magnitude = st.floats(min_value=1e-300, max_value=1e300)
+    weight = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+    w = np.array(data.draw(st.lists(weight, min_size=4 * size, max_size=4 * size))).reshape(size, 4)
+    n = data.draw(st.integers(1, 6))
+    ids = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=n * T, max_size=n * T)))
+    ids = ids.reshape(n, T)
+    ids[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, T - 1))] = 0
+    want = w[ids[:, 0]]
+    for t in range(1, T):
+        want = want + w[ids[:, t]]
+    assert features.emission_scores(ids, w).tobytes() == want.tobytes()
+
+
 def test_emission_scores_are_linear_in_weights():
     vocab = FeatureVocabulary()
     vocab.add_sentence("abcab")

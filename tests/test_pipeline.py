@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from pauseseg import alignment, crf, features, mining, pipeline, tagset
+from pauseseg import alignment, crf, evaluate, features, mining, pipeline, tagset
 from pauseseg.alignment import CharAlignment
 from pauseseg.crf import TrainConfig
 from pauseseg.errors import EmptyDataset, NonFiniteWeights
@@ -307,3 +307,60 @@ def test_every_decode_and_score_refuses_weights_that_are_not_finite(weights, val
     for call in calls:
         with pytest.raises(NonFiniteWeights, match="not finite"):
             call()
+
+
+def test_one_sentence_decode_refuses_a_nan_wherever_the_batched_core_does():
+    # a NaN that only some paths meet: Python's comparisons, on their own, lose it
+    model = oracle.make_model(np.random.default_rng(5), [ALPHABET])
+    s = "abcd"
+    ids = model.vocab.encode(s)
+    E = int(tagset.Label.E)
+    broken = []
+    for f in np.unique(ids).tolist():
+        nan_model = model.copy()
+        nan_model.emit_w[f, E] = np.nan
+        # E excluded wherever the feature fires: the NaN is masked away
+        allowed = np.ones((len(s), tagset.N_LABELS), dtype=bool)
+        allowed[(ids == f).any(axis=1), E] = False
+        mask = crf.ConstraintMask(allowed)
+        masked = crf.viterbi(s, nan_model, mask)
+        assert masked == crf.viterbi_batch([s], nan_model, [mask])[0] == crf.viterbi(s, model, mask)
+        broken.append(nan_model)
+    for name in ("trans", "start", "end"):
+        for index in np.ndindex(getattr(model, name).shape):  # illegal entries too
+            nan_model = model.copy()
+            getattr(nan_model, name)[index] = np.nan
+            broken.append(nan_model)
+    for nan_model in broken:
+        with pytest.raises(NonFiniteWeights, match="not finite"):
+            crf.viterbi_batch([s], nan_model)
+        with pytest.raises(NonFiniteWeights, match="not finite"):
+            crf.viterbi(s, nan_model)
+        with pytest.raises(NonFiniteWeights, match="not finite"):
+            crf.viterbi_labels(s, nan_model)
+
+
+@pytest.mark.parametrize("seed, grid", [(31, None), (32, 0.25), (33, None)])
+def test_corpus_decodes_cut_each_sentence_as_it_is_decoded_alone(seed, grid):
+    rng = np.random.default_rng(seed)
+    model = oracle.make_model(rng, [ALPHABET], scale=1.5, grid=grid)
+    sentences = [oracle.random_sentence(rng, int(n), ALPHABET) for n in rng.integers(1, 41, 350)]
+    assert sum(map(len, sentences)) > 3 * crf.INFERENCE_BATCH_CHARS
+    partials = []
+    for s in sentences:
+        junctions = rng.integers(0, len(s) - 1, rng.integers(0, 4)) if len(s) > 1 else []
+        partials.append(PartialSentence(s, tuple(sorted(set(np.asarray(junctions).tolist())))))
+    masks = [mining.build_constraint_mask(p.chars, p.boundaries) for p in partials]
+    free_tags = [crf.viterbi(s, model) for s in sentences]
+    masked_tags = [crf.viterbi(s, model, m) for s, m in zip(sentences, masks)]
+    free = [tagset.labels_to_words(t, s) for t, s in zip(free_tags, sentences)]
+    masked = [tagset.labels_to_words(t, s) for t, s in zip(masked_tags, sentences)]
+
+    assert crf.viterbi_batch(sentences, model) == free_tags
+    assert crf.viterbi_batch(sentences, model, masks) == masked_tags
+    assert pipeline.segment_corpus(model, sentences) == free
+    assert pipeline.self_train_corpus(model, sentences) == free
+    assert pipeline.complete_corpus(model, partials) == masked
+    gold = [SegmentedSentence.from_words(list(s)) for s in sentences]
+    dev_ids = model.vocab.encode_corpus(sentences)
+    assert crf._dev_f1(model, gold, dev_ids) == evaluate.prf(gold, free).f1
