@@ -654,19 +654,19 @@ def boundary_probabilities(sentence: str, model: CrfModel) -> np.ndarray:
 
 
 def _boundary_mass_batches(sentences, model: CrfModel):
-    """(batch, mass, lengths) for each batch of a corpus, encoded as it is reached.
+    """(batch, mass, lengths) for each batch of a corpus, encoded at once.
 
     ``mass[r, i]`` is the boundary probability at junction i of
     ``sentences[batch[r]]``, which has ``lengths[r]`` characters.
     """
+    ids = model.vocab.encode_corpus(sentences)
     for batch in _corpus_batches(sentences):
-        ids = model.vocab.encode_corpus([sentences[k] for k in batch])
-        bigram, lengths = _bigram_batch(ids, model)
+        bigram, lengths = _bigram_batch([ids[k] for k in batch], model)
         yield batch, _boundary_mass(bigram), lengths
 
 
 def boundary_probabilities_batch(sentences, model: CrfModel) -> list[np.ndarray]:
-    """``boundary_probabilities`` of every sentence, encoded and computed batch by batch."""
+    """``boundary_probabilities`` of every sentence, encoded at once and computed batch by batch."""
     out: list[np.ndarray] = [None] * len(sentences)  # type: ignore[list-item]
     for batch, mass, lengths in _boundary_mass_batches(sentences, model):
         for k, row, n in zip(batch, mass, lengths):
@@ -795,14 +795,14 @@ def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
 def _viterbi_corpus(sentences, model: CrfModel, allowed=None, ids=None):
     """(batch, ``_viterbi``'s labels, lengths) of each length-sorted batch of a corpus, under
     ``allowed[k]`` (the labels each position of sentence k may take) when given. ``ids``
-    are the sentences' feature ids, or None to encode each batch as it is reached."""
+    are the sentences' feature ids, or None to encode the corpus at once."""
     if not all(sentences):
         raise SentenceTooShort("empty sentence")
+    if ids is None:
+        ids = model.vocab.encode_corpus(sentences)
     for batch in _corpus_batches(sentences):
         masks = None if allowed is None else [allowed[k] for k in batch]
-        chosen = [sentences[k] for k in batch]
-        x = model.vocab.encode_corpus(chosen) if ids is None else [ids[k] for k in batch]
-        E, lengths, _, _ = _emission_batch(model, x, masks)
+        E, lengths, _, _ = _emission_batch(model, [ids[k] for k in batch], masks)
         labels, best = _viterbi(E, lengths, model.trans, model.start, model.end)
         _require_paths(best)
         yield batch, labels, lengths
@@ -828,10 +828,25 @@ def viterbi_batch(sentences, model: CrfModel, masks=None) -> list[str]:
 def viterbi_words(sentences, model: CrfModel, allowed=None, ids=None) -> list[SegmentedSentence]:
     """``labels_to_words`` of each sentence's ``viterbi`` path, with ``_viterbi_corpus``'s
     arguments (a mask given here is not checked, as in ``viterbi_labels``). A batch's words
-    end where a label is word-final; the decoder's paths are legal, so they are not rechecked."""
+    end where a label is word-final.
+
+    The batched core takes a model's illegal start, transition and end
+    entries as they are, so a model whose entries there are finite (which
+    ``CrfModel.loads`` refuses) can decode to an illegal path: each batch's
+    paths are checked, and the first illegal one raises ``IllegalTagSequence``.
+    """
     out: list[SegmentedSentence] = [None] * len(sentences)  # type: ignore[list-item]
     for batch, labels, lengths in _viterbi_corpus(sentences, model, allowed, ids):
         inside = np.arange(labels.shape[1]) < lengths[:, None]
+        last = labels[np.arange(len(batch)), lengths - 1]
+        illegal = ~START_LEGAL[labels[:, 0]] | ~END_LEGAL[last]
+        illegal |= (~TRANS_LEGAL[labels[:, :-1], labels[:, 1:]] & inside[:, 1:]).any(axis=1)
+        if illegal.any():
+            r = int(np.argmax(illegal))
+            tags = tagset.tags_to_str(labels[r, : lengths[r]].tolist())
+            raise IllegalTagSequence(
+                f"the model decodes sentence {batch[r]} to the illegal tag sequence {tags!r}"
+            )
         rows, ends = np.nonzero(tagset.WORD_FINAL[labels] & inside)
         ends = (ends + 1).tolist()
         stops = np.cumsum(np.bincount(rows, minlength=len(batch))).tolist()

@@ -7,8 +7,13 @@ positions outside the sentence contribute the sentinels ``⟨BOS⟩`` /
 ``⟨EOS⟩``. Inside the package a feature is one int64 key that packs the
 template index and the code points at its one or two offsets in 21-bit
 fields, with BOS and EOS as the codes just past the last Unicode code
-point. Keys are computed for whole sentences or corpora at once, and a
-vocabulary numbers its features by the rank of their keys.
+point. A vocabulary numbers its features by the rank of their keys.
+
+A corpus is keyed with two sorts: a unigram reads the code at one offset
+and a bigram the adjacent pair from its first offset, so the corpus's
+distinct codes and distinct pairs, behind each template's index, are
+every key it can fire (``FeatureVocabulary._corpus_keys``). One sentence
+alone is keyed directly, one row per character (``_keys``).
 
 Feature strings, ``"<template name>=<chars>"`` with the characters of a
 bigram joined by U+001F, are only read, by ``FeatureVocabulary.feature_key``;
@@ -44,9 +49,6 @@ BOS_CODE = 0x110000
 EOS_CODE = 0x110001
 _CODE_MASK = (1 << CODE_BITS) - 1
 _NO_KEY = np.iinfo(np.int64).max  # above every key: ends the sorted key array
-# add_corpus keys a corpus in runs of about this many characters, which keeps
-# the keying's temporaries small; the numbering then takes the corpus at once
-ADD_CHUNK_CHARS = 2048
 
 _TEMPLATE_INDEX = {name: t for t, (name, _) in enumerate(TEMPLATES)}
 
@@ -115,29 +117,50 @@ class FeatureVocabulary:
 
     # -- keys ---------------------------------------------------------------
 
-    def _keys(self, sentences: list[str]) -> np.ndarray:
-        """Keys [characters, templates] of the sentences' characters, concatenated."""
-        codes = np.frombuffer("".join(sentences).encode("utf-32-le", "surrogatepass"), "<u4")
-        if len(sentences) == 1:
-            # half the array operations of the general path, for the
-            # per-sentence encode of every crf.viterbi call
-            n = len(codes)
-            padded = np.empty(n + 2, dtype=np.int64)
-            padded[0], padded[1:-1], padded[-1] = BOS_CODE, codes, EOS_CODE
-            slot, first, last = np.arange(1, n + 1), 0, n + 1
-        else:
-            # each sentence sits between its own BOS and EOS slot
-            lens = np.fromiter(map(len, sentences), np.int64, len(sentences))
-            bos = np.cumsum(lens + 2) - lens - 2
-            padded = np.full(len(codes) + 2 * len(sentences), EOS_CODE, dtype=np.int64)
-            padded[bos] = BOS_CODE
-            slot = np.arange(len(codes)) + np.repeat(2 * np.arange(len(sentences)) + 1, lens)
-            padded[slot] = codes
-            first = np.repeat(bos, lens)[:, None]
-            last = first + np.repeat(lens + 1, lens)[:, None]
+    def _keys(self, sentence: str) -> np.ndarray:
+        """Keys [characters, templates] of one sentence's characters."""
+        codes = np.frombuffer(sentence.encode("utf-32-le", "surrogatepass"), "<u4")
+        n = len(codes)
+        padded = np.empty(n + 2, dtype=np.int64)
+        padded[0], padded[1:-1], padded[-1] = BOS_CODE, codes, EOS_CODE
         # the code at every distinct offset, sentinels past the sentence ends
-        window = padded[np.minimum(np.maximum(slot[:, None] + _OFFSETS, first), last)]
+        window = padded[np.minimum(np.maximum(np.arange(1, n + 1)[:, None] + _OFFSETS, 0), n + 1)]
         return window @ _PACK + _BASE
+
+    def _corpus_keys(self, sentences: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """A corpus's candidate keys, ascending, and the candidate each position fires.
+
+        Returns ``keys`` and ``fired`` [templates, characters]: the feature of
+        template t at the corpus's i-th character has key ``keys[fired[t, i]]``.
+        Each sentence is laid out as BOS BOS c... EOS EOS, so every window
+        reads inside its own sentence's slots. A unigram reads the code at
+        one offset and a bigram the pair of codes from its first offset, so
+        the corpus's distinct codes and its distinct adjacent pairs, with a
+        template's index on top, are every key it can fire: two sorts key the
+        corpus. The template is a key's top field, so the candidates ascend.
+        Candidates no position fires, such as the EOS-BOS pair between two
+        sentences, are left in.
+        """
+        codes = np.frombuffer("".join(sentences).encode("utf-32-le", "surrogatepass"), "<u4")
+        lens = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        # character slots: each sentence starts 2 slots after the 4 sentinels before it
+        slot = np.arange(len(codes)) + np.repeat(4 * np.arange(len(sentences)) + 2, lens)
+        padded = np.full(len(codes) + 4 * len(sentences), EOS_CODE, dtype=np.int64)
+        bos = np.cumsum(lens + 4) - lens - 4
+        padded[bos] = padded[bos + 1] = BOS_CODE
+        padded[slot] = codes
+        pairs = padded[:-1] << CODE_BITS
+        pairs |= padded[1:]
+        by_width = (np.unique(padded, return_inverse=True), np.unique(pairs, return_inverse=True))
+        del padded, pairs
+        keys, fired, base = [], np.empty((len(TEMPLATES), len(codes)), dtype=np.int64), 0
+        for t, (_, offsets) in enumerate(TEMPLATES):
+            distinct, rank = by_width[len(offsets) - 1]
+            keys.append(distinct | _BASE[t])
+            np.take(rank, slot + offsets[0], out=fired[t])
+            fired[t] += base
+            base += len(distinct)
+        return np.concatenate(keys), fired
 
     @staticmethod
     def _fireable(keys: np.ndarray) -> np.ndarray:
@@ -163,15 +186,6 @@ class FeatureVocabulary:
         pos = np.searchsorted(self._sorted_keys, keys)
         return pos + 1, self._sorted_keys[pos] != keys
 
-    def _split(self, ids: np.ndarray, sentences: list[str]) -> list[np.ndarray]:
-        ids = ids.reshape(-1, len(TEMPLATES))
-        out, start = [], 0
-        for sentence in sentences:
-            end = start + len(sentence)
-            out.append(ids[start:end])
-            start = end
-        return out
-
     # -- building -----------------------------------------------------------
 
     def add_sentence(self, sentence: str) -> np.ndarray:
@@ -183,11 +197,9 @@ class FeatureVocabulary:
         return self.add_corpus([sentence])[0]
 
     def add_corpus(self, sentences: list[str]) -> list[np.ndarray]:
-        """``add_sentence`` of all the sentences at once, with one sort per template.
+        """``add_sentence`` of all the sentences at once, keyed by ``_corpus_keys``.
 
-        The corpus is keyed (in runs) into one [characters, templates] array.
-        The template index is a key's top field, so each column's distinct
-        keys, concatenated, are all distinct keys in ascending order: they are
+        Only the candidate keys some position fires are numbered: they are
         looked up once, and the unseen ones join the vocabulary in one merge.
         """
         if self.frozen:
@@ -195,31 +207,17 @@ class FeatureVocabulary:
         sentences = list(sentences)
         if not sentences:
             return []
-        T = len(TEMPLATES)
-        out = np.empty((sum(map(len, sentences)), T), dtype=np.int64)
-        row = start = chars = 0
-        for end, sentence in enumerate(sentences, 1):
-            chars += len(sentence)
-            if chars >= ADD_CHUNK_CHARS or end == len(sentences):
-                out[row : row + chars] = self._keys(sentences[start:end])
-                row += chars
-                start, chars = end, 0
-        # each column becomes indices into all templates' distinct keys
-        keys = []
-        offset = 0
-        for t in range(T):
-            distinct, rank = np.unique(out[:, t], return_inverse=True)  # sorts a contiguous copy
-            out[:, t] = rank + offset
-            offset += len(distinct)
-            keys.append(distinct)
-        keys = np.concatenate(keys)
+        keys, fired = self._corpus_keys(sentences)
+        used = np.zeros(len(keys), dtype=bool)
+        used[fired] = True
+        keys = keys[used]
         ids, unseen = self._lookup(keys)
         # an id after the merge: 1 + the known keys below (the lookup) + the unseen keys below
         ids += np.cumsum(unseen) - unseen
         self._sorted_keys = _merge(self._sorted_keys, keys[unseen])
-        for t in range(T):  # a column at a time: a whole-corpus temporary raised peak RSS
-            out[:, t] = ids[out[:, t]]
-        return self._split(out, sentences)
+        candidate_ids = np.zeros(len(used), dtype=np.int64)
+        candidate_ids[used] = ids
+        return _per_sentence(candidate_ids, fired, sentences)
 
     # -- lookup -------------------------------------------------------------
 
@@ -227,21 +225,20 @@ class FeatureVocabulary:
         """Feature ids as an int array of shape [len(sentence), len(TEMPLATES)]."""
         if not self.frozen:
             raise RuntimeError("freeze the vocabulary before encoding")
-        ids, unseen = self._lookup(self._keys([sentence]))
+        ids, unseen = self._lookup(self._keys(sentence))
         return np.where(unseen, 0, ids)
 
     def encode_corpus(self, sentences: list[str]) -> list[np.ndarray]:
-        """``encode`` of each sentence, keyed at once and looked up by its distinct keys."""
+        """``encode`` of each sentence, keyed at once by ``_corpus_keys``."""
         if not self.frozen:
             raise RuntimeError("freeze the vocabulary before encoding")
         sentences = list(sentences)
         if not sentences:
             return []
-        # ravel first: np.unique's inverse takes the input's shape in some numpy versions
-        keys, inverse = np.unique(self._keys(sentences).ravel(), return_inverse=True)
+        keys, fired = self._corpus_keys(sentences)
         ids, unseen = self._lookup(keys)
         ids[unseen] = 0
-        return self._split(ids[inverse.ravel()], sentences)
+        return _per_sentence(ids, fired, sentences)
 
     # -- feature strings and keys --------------------------------------------
 
@@ -292,6 +289,18 @@ class FeatureVocabulary:
         vocab._sorted_keys = np.append(keys, _NO_KEY)
         vocab.freeze()
         return vocab
+
+
+def _per_sentence(candidate_ids: np.ndarray, fired: np.ndarray, sentences) -> list[np.ndarray]:
+    """Each sentence's ids [characters, templates], given the id of every candidate.
+
+    Writes the ids over ``fired``, one template's row at a time, and returns
+    views of it.
+    """
+    for row in fired:
+        row[:] = candidate_ids.take(row)
+    ends = np.cumsum([len(s) for s in sentences])
+    return [fired[:, a:b].T for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())]
 
 
 def _merge(keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from pauseseg import crf, features, mining, tagset
+from pauseseg import crf, features, mining, pipeline, tagset
 from pauseseg.crf import ConstraintMask
-from pauseseg.errors import LengthMismatch, NoLegalPath, SentenceTooShort
+from pauseseg.errors import IllegalTagSequence, LengthMismatch, NoLegalPath, SentenceTooShort
 
 NEG_INF = float("-inf")
 N = tagset.N_LABELS
@@ -378,6 +378,27 @@ def test_one_sentence_viterbi_visits_only_legal_successors():
     assert [crf.viterbi(s, model) for s in sentences] == want
 
 
+def test_corpus_decoding_refuses_an_illegal_best_path():
+    # the model above, through the pipeline: where the core's best path is
+    # illegal, corpus decoding raises a PausesegError naming the sentence
+    model = random_model(29, grid=0.25)
+    model.trans = np.where(crf.TRANS_LEGAL, model.trans, 0.5)
+    model.start = np.where(crf.START_LEGAL, model.start, 0.25)
+    model.end = np.where(crf.END_LEGAL, model.end, 0.25)
+    rng = np.random.default_rng(29)
+    sentences = [oracle.random_sentence(rng, n, ALPHABET) for n in (1, 2, 3, 4, 7, 12)]
+    scanned = [ref_viterbi(model.emissions(s), model.trans, model.start, model.end)
+               for s in sentences]
+    bad = [k for k, tags in enumerate(scanned) if not tagset.is_legal(tags)]
+    assert bad
+    named = f"sentence {bad[0]} to the illegal tag sequence '{scanned[bad[0]]}'"
+    with pytest.raises(IllegalTagSequence, match=named):
+        pipeline.segment_corpus(model, sentences)
+    partials = [mining.PartialSentence(s, ()) for s in sentences]
+    with pytest.raises(IllegalTagSequence, match=named):
+        pipeline.complete_corpus(model, partials)
+
+
 def test_one_sentence_viterbi_raises_as_the_batched_core_does():
     model = random_model(31)
     blocked = np.ones((3, N), dtype=bool)
@@ -473,12 +494,12 @@ def test_results_do_not_depend_on_batch_composition_or_order(data):
     assert all(np.array_equal(a, b) for a, b in zip(probs, want_probs))
 
 
-def test_corpus_entry_points_encode_one_batch_at_a_time(monkeypatch):
+def test_corpus_entry_points_encode_the_corpus_once(monkeypatch):
+    # one encode of the whole corpus, sliced into its many batches
     rng = np.random.default_rng(17)
     sentences = [oracle.random_sentence(rng, int(n), ALPHABET) for n in rng.integers(2, 9, 40)]
     monkeypatch.setattr(crf, "INFERENCE_BATCH_CHARS", 16)
-    batches = [[sentences[k] for k in batch] for batch in crf._corpus_batches(sentences)]
-    assert len(batches) > 5
+    assert len(list(crf._corpus_batches(sentences))) > 5
     calls = []
     encode_corpus = features.FeatureVocabulary.encode_corpus
 
@@ -489,10 +510,18 @@ def test_corpus_entry_points_encode_one_batch_at_a_time(monkeypatch):
     monkeypatch.setattr(features.FeatureVocabulary, "encode_corpus", recorded)
     model = random_model(17)
     tags = crf.viterbi_batch(sentences, model)
-    assert calls == batches
+    assert calls == [sentences]
     calls.clear()
     probs = crf.boundary_probabilities_batch(sentences, model)
-    assert calls == batches
+    assert calls == [sentences]
+    calls.clear()
+    at = crf.boundary_probabilities_at(sentences, model, [3, 1, 3], [0, 0, 1])
+    assert calls == [[sentences[1], sentences[3]]]
+    calls.clear()
+    words = crf.viterbi_words(sentences, model)
+    assert calls == [sentences]
     assert tags == [crf.viterbi(s, model) for s in sentences]
+    assert words == [tagset.labels_to_words(t, s) for s, t in zip(sentences, tags)]
     for s, p in zip(sentences, probs):
         assert np.array_equal(p, crf.boundary_probabilities(s, model))
+    assert at.tolist() == [probs[3][0], probs[1][0], probs[3][1]]

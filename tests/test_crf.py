@@ -529,12 +529,18 @@ class TestTraining:
         from pauseseg.segments import SegmentedSentence
         keyed = []
         keys = features.FeatureVocabulary._keys
+        corpus_keys = features.FeatureVocabulary._corpus_keys
 
-        def counted(self, sentences):
+        def counted(self, sentence):
+            keyed.append(len(sentence))
+            return keys(self, sentence)
+
+        def corpus_counted(self, sentences):
             keyed.append(sum(len(s) for s in sentences))
-            return keys(self, sentences)
+            return corpus_keys(self, sentences)
 
         monkeypatch.setattr(features.FeatureVocabulary, "_keys", counted)
+        monkeypatch.setattr(features.FeatureVocabulary, "_corpus_keys", corpus_counted)
         examples = list(self.small_corpus())
         examples.append(PartialExample("abde", mining.build_constraint_mask("abde", [1])))
         dev = [SegmentedSentence.from_words(w) for w in (["ab", "c"], ["xy", "ab"])]
@@ -716,12 +722,11 @@ class PerTemplateUnseenIds(features.FeatureVocabulary):
         return [ids + self.SHIFT for ids in super().add_corpus(sentences)]
 
     def encode_corpus(self, sentences):
-        ids, unseen = self._lookup(self._keys(sentences))
-        unseen_ids = np.arange(len(features.TEMPLATES))
-        return self._split(np.where(unseen, unseen_ids, ids + self.SHIFT), sentences)
+        return [self.encode(sentence) for sentence in sentences]
 
     def encode(self, sentence):
-        return self.encode_corpus([sentence])[0]
+        ids, unseen = self._lookup(self._keys(sentence))
+        return np.where(unseen, np.arange(len(features.TEMPLATES)), ids + self.SHIFT)
 
 
 @pytest.mark.parametrize("l2", [0.01, 2.0])  # 2.0: decay below 0, so the scale turns negative

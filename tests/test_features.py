@@ -7,13 +7,13 @@ keys must be the ``feature_key`` of exactly its strings.
 """
 
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pauseseg import crf, features
+import oracle
+from pauseseg import crf, features, tagset
 from pauseseg.features import BOS, EOS, SEP, FeatureVocabulary
 
 
@@ -316,49 +316,57 @@ def test_ids_match_the_string_keyed_reference(added, probes):
         np.testing.assert_array_equal(ids, ref.ids(text))
 
 
-@pytest.mark.parametrize("run_chars", [1, 7, features.ADD_CHUNK_CHARS])
-def test_add_corpus_in_runs_numbers_like_the_reference(monkeypatch, run_chars):
-    # a key first seen in a late run, or again after the vocabulary already
-    # holds it, is numbered by its rank like every other
-    monkeypatch.setattr(features, "ADD_CHUNK_CHARS", run_chars)
+def runs_of(sentences, run_chars):
+    """Consecutive runs of ``sentences``, each closed once it holds ``run_chars`` characters."""
+    run, chars = [], 0
+    for text in sentences:
+        run.append(text)
+        chars += len(text)
+        if chars >= run_chars:
+            yield run
+            run, chars = [], 0
+    if run:
+        yield run
+
+
+@pytest.mark.parametrize("run_chars", [1, 7, 2048])
+def test_add_corpus_in_runs_numbers_like_the_reference(run_chars):
+    # one call of 40 sentences, then one call per run of the rest: a key first
+    # seen in a later call, or again after the vocabulary already holds it, is
+    # numbered by its rank like every other
     rng = np.random.default_rng(5)
     alphabet = list("abcde\U0001F600" + SEP + BOS)
     corpus = ["".join(rng.choice(alphabet, size=rng.integers(0, 9))) for _ in range(300)]
     vocab, ref = FeatureVocabulary(), RefVocabulary()
-    for sentences in (corpus[:40], corpus[40:]):
+    for sentences in [corpus[:40], *runs_of(corpus[40:], run_chars)]:
         assert_adds_like_the_reference(vocab, ref, sentences)
 
 
-# tiny alphabets, so that most keys repeat within a sort's column and across runs
+# tiny alphabets, so that most keys repeat within a template and across calls
 REPEATING_TEXTS = st.sampled_from(["a", "ab", "ab" + SEP + chr(0x1F600)]).flatmap(
     lambda alphabet: st.lists(st.text(st.sampled_from(alphabet), max_size=12), max_size=40)
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    corpus=REPEATING_TEXTS,
-    run_chars=st.sampled_from([1, 5, 16, features.ADD_CHUNK_CHARS]),
-    cut=st.integers(0, 40),
-)
-def test_add_corpus_numbers_repeated_keys_like_the_reference(corpus, run_chars, cut):
+@given(corpus=REPEATING_TEXTS, cut=st.integers(0, 40))
+def test_add_corpus_numbers_repeated_keys_like_the_reference(corpus, cut):
     # the second call meets keys the first one numbered
     vocab, ref = FeatureVocabulary(), RefVocabulary()
-    with mock.patch.object(features, "ADD_CHUNK_CHARS", run_chars):
-        for sentences in (corpus[:cut], corpus[cut:]):
-            assert_adds_like_the_reference(vocab, ref, sentences)
+    for sentences in (corpus[:cut], corpus[cut:]):
+        assert_adds_like_the_reference(vocab, ref, sentences)
 
 
 def test_add_corpus_past_a_run_numbers_like_the_reference():
-    # thousands of equal keys per column, keyed in several runs
+    # thousands of equal keys per template: the numbering goes on past long runs of one key
     rng = np.random.default_rng(8)
     corpus = ["".join(rng.choice(list("abc"), size=rng.integers(0, 40))) for _ in range(400)]
-    assert sum(map(len, corpus)) > 3 * features.ADD_CHUNK_CHARS
+    assert min(map("".join(corpus).count, "abc")) > 2000
     assert_adds_like_the_reference(FeatureVocabulary(), RefVocabulary(), corpus)
 
 
 def test_add_corpus_copies_each_feature_log_runs_times(monkeypatch):
-    # merging every run into the whole vocabulary would copy it once per run
+    # one merge per call: the vocabulary is copied once, however long the corpus
     copied = []
     merge = features._merge
 
@@ -367,14 +375,14 @@ def test_add_corpus_copies_each_feature_log_runs_times(monkeypatch):
         return merge(keys_a, keys_b)
 
     monkeypatch.setattr(features, "_merge", recorded)
-    monkeypatch.setattr(features, "ADD_CHUNK_CHARS", 64)
     rng = np.random.default_rng(6)
     alphabet = [chr(0x4E00 + k) for k in range(3000)]
     corpus = ["".join(rng.choice(alphabet, size=20)) for _ in range(1000)]
     vocab = FeatureVocabulary()
-    vocab.add_corpus(corpus)
-    runs = len(corpus) * 20 // 64
-    assert sum(copied) <= vocab.size * (np.log2(runs) + 2)
+    vocab.add_corpus(corpus[:600])
+    assert copied == [vocab.size]
+    vocab.add_corpus(corpus[600:])
+    assert copied[1:] == [vocab.size]
 
 
 def test_add_corpus_of_nothing_and_of_empty_sentences():
@@ -425,6 +433,61 @@ def test_encode_corpus_matches_encode():
             assert ids.dtype == np.int64
             np.testing.assert_array_equal(ids, v.encode(text))
     assert not np.concatenate(unigrams.encode_corpus(["xyz", "zyx", "q"])).any()
+
+
+def corpora(min_pieces=0, min_size=0):
+    """Corpora of sentences of ``min_pieces``..3 pieces over an alphabet of 1 to 4 pieces.
+
+    A small alphabet repeats characters within sentences and across their
+    breaks; the pieces are those of ``texts``, SEP, BOS and EOS text and
+    lone surrogates among them.
+    """
+    piece = st.one_of(st.sampled_from(SPECIAL + LONE_SURROGATES), st.characters())
+    return st.lists(piece, min_size=1, max_size=4, unique=True).flatmap(
+        lambda alphabet: st.lists(
+            st.lists(st.sampled_from(alphabet), min_size=min_pieces, max_size=3).map("".join),
+            min_size=min_size,
+            max_size=30,
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=corpora(), probes=corpora())
+def test_corpus_keys_number_and_encode_like_the_reference(corpus, probes):
+    vocab, ref = FeatureVocabulary(), RefVocabulary()
+    assert_adds_like_the_reference(vocab, ref, corpus)
+    assert vocab._fireable(vocab.keys()).all()
+    vocab.freeze()
+    texts_in = corpus + probes
+    for ids, text in zip(vocab.encode_corpus(texts_in), texts_in, strict=True):
+        assert ids.shape == (len(text), len(features.TEMPLATES)) and ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, vocab.encode(text))
+        np.testing.assert_array_equal(ids, ref.ids(text))
+
+
+@settings(max_examples=5, deadline=None)
+@given(base=corpora(min_pieces=2, min_size=1), seed=st.integers(0, 2**16))
+def test_a_corpus_past_two_batches_decodes_as_its_sentences_do(base, seed):
+    # the corpus is encoded at once and sliced into batches: every row's
+    # result is the one-sentence result, bitwise
+    rng = np.random.default_rng(seed)
+    reps = -(-(2 * crf.INFERENCE_BATCH_CHARS + 1) // sum(map(len, base)))
+    sentences = [base[k] for k in rng.permutation(len(base) * reps) % len(base)]
+    assert sum(map(len, sentences)) > 2 * crf.INFERENCE_BATCH_CHARS
+    model = oracle.make_model(rng, base[: len(base) // 2 + 1], grid=0.25)
+    tags = {s: crf.viterbi(s, model) for s in base}
+    probs = {s: crf.boundary_probabilities(s, model) for s in base}
+
+    got = crf.viterbi_words(sentences, model)
+    assert got == [tagset.labels_to_words(tags[s], s) for s in sentences]
+    for s, p in zip(sentences, crf.boundary_probabilities_batch(sentences, model), strict=True):
+        assert p.tobytes() == probs[s].tobytes()
+    rows = rng.integers(0, len(sentences), size=50)
+    junctions = [int(rng.integers(0, len(sentences[r]) - 1)) for r in rows]
+    at = crf.boundary_probabilities_at(sentences, model, rows, junctions)
+    want = np.array([probs[sentences[r]][j] for r, j in zip(rows, junctions)])
+    assert at.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
