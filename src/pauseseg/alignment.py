@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -48,9 +49,9 @@ class CharAlignment:
     """One utterance: characters with begin/end frame indices.
 
     ``chars`` is a non-empty tuple of (character, begin_frame, end_frame).
-    Frames are integers in [0, ``MAX_FRAME``] at ``frame_offset_ms`` (finite,
-    > 0) per frame; ends may touch or overlap the next begin (pause 0), but
-    begins must not decrease.
+    Frames are integers (not bools; numpy integers are accepted) in [0,
+    ``MAX_FRAME``] at ``frame_offset_ms`` (finite, > 0) per frame; ends may
+    touch or overlap the next begin (pause 0), but begins must not decrease.
     """
 
     utterance_id: str
@@ -65,6 +66,11 @@ class CharAlignment:
         for ch, b, e in self.chars:
             if len(ch) != 1:
                 raise ValueError(f"alignment entries hold single characters, got {ch!r}")
+            # exact ints pass without the slow ABC check of numbers.Integral
+            if (type(b) is not int or type(e) is not int) and not all(
+                isinstance(f, numbers.Integral) and not isinstance(f, bool) for f in (b, e)
+            ):
+                raise ValueError(f"frames {b!r}, {e!r} of {ch!r} are not integers")
             if b < 0 or e < b:
                 raise NonMonotoneFrames(
                     f"character {ch!r} has frames [{b}, {e}] in {self.utterance_id!r}"

@@ -9,6 +9,11 @@ recursion serves (constrained) decoding: over batches for corpora, and on
 Python floats for one sentence. Forward-backward runs in scaled
 probability space, and in log space for a sentence whose weights span
 too wide a range for that; batched Viterbi is the log-space backward with max.
+
+One rule holds for every model, read from a file or changed in memory:
+inference reads illegal entries as -inf; a NaN or +inf anywhere is refused
+(``NonFiniteWeights``). Every operation reads the transition, start and end
+weights through ``_inference_weights``.
 """
 
 from __future__ import annotations
@@ -51,6 +56,12 @@ END_LEGAL = _TABLE.legal_end
 
 _BOUNDARY_PAIRS = sorted((int(a), int(b)) for a, b in tagset.boundary_bigrams())
 
+# 0 on the legal entries of trans, start and end, -inf on the illegal ones: a
+# new model's weights, and what inference adds to a model's
+_TRANS_0, _START_0, _END_0 = (
+    np.where(legal, 0.0, NEG_INF) for legal in (TRANS_LEGAL, START_LEGAL, END_LEGAL)
+)
+
 
 # Stands in for the max of an all -inf slice when shifting log-sum-exp:
 # below every finite score the models produce, and exp(-inf - _FLOOR) is 0.
@@ -73,13 +84,11 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
 class CrfModel:
     """Emission feature weights plus transition/start/end weights.
 
-    Illegal transition, start and end entries are exactly -inf and are never
-    updated; all other weights are finite floats. ``weight_fault`` enforces
-    this for ``train``, ``dumps`` and ``loads``. A model built or changed in
-    memory is checked by its outputs instead: a NaN or +inf weight makes a
-    best path score or log Z NaN or +inf, which raises ``NonFiniteWeights``.
-    A -inf on a legal entry acts as a hard constraint, which no output check
-    tells from the tag structure's.
+    ``train``, ``dumps`` and ``loads`` keep illegal transition, start and end
+    entries at exactly -inf and every other weight finite (``weight_fault``).
+    Inference reads illegal entries as -inf whatever they hold, and refuses
+    a NaN or +inf weight with ``NonFiniteWeights``. A -inf on a legal entry
+    acts as a hard constraint.
     """
 
     # the legal entries of each weight record; every emit entry is legal
@@ -95,9 +104,9 @@ class CrfModel:
     ):
         self.vocab = vocab
         self.emit_w = np.zeros((vocab.size, N)) if emit_w is None else emit_w
-        self.trans = np.where(TRANS_LEGAL, 0.0, NEG_INF) if trans is None else trans
-        self.start = np.where(START_LEGAL, 0.0, NEG_INF) if start is None else start
-        self.end = np.where(END_LEGAL, 0.0, NEG_INF) if end is None else end
+        self.trans = _TRANS_0.copy() if trans is None else trans
+        self.start = _START_0.copy() if start is None else start
+        self.end = _END_0.copy() if end is None else end
 
     def emissions(self, sentence: str) -> np.ndarray:
         return feat.emission_scores(self.vocab.encode(sentence), self.emit_w)
@@ -211,15 +220,6 @@ class CrfModel:
 # ---------------------------------------------------------------------------
 # Constraint masks
 
-_LABEL_BITS = 1 << np.arange(N)
-_START_BITS = int(_LABEL_BITS[START_LEGAL].sum())
-_END_BITS = int(_LABEL_BITS[END_LEGAL].sum())
-# _SUCCESSORS[s]: the labels a legal transition reaches from label set s
-_SUCCESSORS = [
-    int(_LABEL_BITS[TRANS_LEGAL[_LABEL_BITS & s > 0].any(axis=0)].sum()) for s in range(1 << N)
-]
-
-
 class ConstraintMask:
     """Per-position allowed-label sets encoding a partial annotation.
 
@@ -239,12 +239,12 @@ class ConstraintMask:
         return len(self.allowed)
 
     def _has_legal_path(self) -> bool:
-        # label sets as 4-bit ints: bit l is set when label l is allowed/reachable
-        rows = (self.allowed @ _LABEL_BITS).tolist()
-        reach = _START_BITS & rows[0]
+        # label sets as tagset's 4-bit codes: the allowed, then the reachable labels
+        rows = (self.allowed @ tagset._LABEL_BITS).tolist()
+        reach = tagset._INITIAL_LABELS & rows[0]
         for bits in rows[1:]:
-            reach = _SUCCESSORS[reach] & bits
-        return bool(reach & _END_BITS)
+            reach = tagset._SUCCESSORS[reach] & bits
+        return bool(reach & tagset._FINAL_LABELS)
 
 
 def _allowed_array(mask, n: int) -> np.ndarray | None:
@@ -586,6 +586,25 @@ def _require_paths(best) -> None:
         raise NoLegalPath("the model admits no legal tag sequence")
 
 
+def _refuse_non_finite(E, trans, start, end) -> None:
+    """``NonFiniteWeights`` if emissions ``E`` or the weights hold a NaN or +inf."""
+    top = np.maximum.reduce(np.concatenate((E.ravel(), trans.ravel(), start, end)))
+    if not top < math.inf:  # NaN fails too
+        raise NonFiniteWeights("the model holds a weight that is not finite (NaN or +inf)")
+
+
+def _inference_weights(model: CrfModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``model``'s (trans, start, end) as every inference operation reads them.
+
+    The arrays plus 0 on legal entries and -inf on illegal ones: a finite
+    illegal entry reads as -inf, a NaN or +inf one as NaN (inf + -inf),
+    which the output checks refuse. A model that keeps the invariant of
+    ``weight_fault`` reads bitwise as it is (x + 0.0 == x).
+    """
+    with np.errstate(invalid="ignore"):
+        return model.trans + _TRANS_0, model.start + _START_0, model.end + _END_0
+
+
 def _boundary_mass(bigram: np.ndarray) -> np.ndarray:
     """Sum of the boundary bigrams' marginals, over the last two axes."""
     out = np.zeros(bigram.shape[:-2])
@@ -606,13 +625,20 @@ def _path_score(E, t, trans, start, end) -> float:
 
 
 def score_sequence(sentence: str, tags, model: CrfModel) -> float:
-    """Unnormalized path score; -inf iff any start/transition/end is illegal."""
+    """Unnormalized path score; -inf iff any start/transition/end is illegal.
+
+    Inference reads illegal entries as -inf; a NaN or +inf anywhere (in the
+    sentence's emissions or the weights) is refused with ``NonFiniteWeights``.
+    """
     t = tagset.parse_tags(tags)
     if len(t) != len(sentence):
         raise LengthMismatch(f"{len(t)} tags for {len(sentence)} characters")
     if not t:
         raise SentenceTooShort("empty sentence")
-    return _path_score(model.emissions(sentence), t, model.trans, model.start, model.end)
+    E = model.emissions(sentence)
+    weights = _inference_weights(model)
+    _refuse_non_finite(E, *weights)
+    return _path_score(E, t, *weights)
 
 
 def log_partition(sentence: str, model: CrfModel, mask=None) -> float:
@@ -621,7 +647,7 @@ def log_partition(sentence: str, model: CrfModel, mask=None) -> float:
         raise SentenceTooShort("empty sentence")
     allowed = _allowed_array(mask, len(sentence))
     E, lengths, shift, spread = _emission_batch(model, [model.vocab.encode(sentence)], [allowed])
-    weights = (model.trans, model.start, model.end)
+    weights = _inference_weights(model)
     if _in_range(lengths, spread, *weights)[0]:
         X, T, S, F = _exponentiate(E, shift, *weights)
         *_, log_z = _forward(X, lengths, shift, T, S, F)
@@ -637,7 +663,7 @@ def _bigram_batch(ids, model: CrfModel) -> tuple[np.ndarray, np.ndarray]:
         if len(x) < 2:
             raise SentenceTooShort("bigram marginals need at least 2 characters")
     E, lengths, shift, spread = _emission_batch(model, ids)
-    fb = _forward_backward(E, lengths, shift, spread, model.trans, model.start, model.end)
+    fb = _forward_backward(E, lengths, shift, spread, *_inference_weights(model))
     _require_paths(fb.log_z)
     return fb.bigram, lengths
 
@@ -653,23 +679,13 @@ def boundary_probabilities(sentence: str, model: CrfModel) -> np.ndarray:
     return _boundary_mass(bigram_marginals(sentence, model))
 
 
-def _boundary_mass_batches(sentences, model: CrfModel):
-    """(batch, mass, lengths) for each batch of a corpus, encoded at once.
-
-    ``mass[r, i]`` is the boundary probability at junction i of
-    ``sentences[batch[r]]``, which has ``lengths[r]`` characters.
-    """
-    ids = model.vocab.encode_corpus(sentences)
-    for batch in _corpus_batches(sentences):
-        bigram, lengths = _bigram_batch([ids[k] for k in batch], model)
-        yield batch, _boundary_mass(bigram), lengths
-
-
 def boundary_probabilities_batch(sentences, model: CrfModel) -> list[np.ndarray]:
     """``boundary_probabilities`` of every sentence, encoded at once and computed batch by batch."""
     out: list[np.ndarray] = [None] * len(sentences)  # type: ignore[list-item]
-    for batch, mass, lengths in _boundary_mass_batches(sentences, model):
-        for k, row, n in zip(batch, mass, lengths):
+    ids = model.vocab.encode_corpus(sentences)
+    for batch in _corpus_batches(sentences):
+        bigram, lengths = _bigram_batch([ids[k] for k in batch], model)
+        for k, row, n in zip(batch, _boundary_mass(bigram), lengths):
             out[k] = row[: n - 1]
     return out
 
@@ -677,10 +693,10 @@ def boundary_probabilities_batch(sentences, model: CrfModel) -> list[np.ndarray]
 def boundary_probabilities_at(sentences, model: CrfModel, rows, junctions) -> np.ndarray:
     """The boundary probability at junction ``junctions[k]`` of ``sentences[rows[k]]``, for each k.
 
-    Only the sentences that ``rows`` names are scored, batch by batch as in
-    ``boundary_probabilities_batch``, with the same values; each batch's
-    probabilities are gathered with one fancy index. A junction outside its
-    sentence raises ``IndexOutOfRange`` before anything is scored.
+    Only the sentences that ``rows`` names are scored, by
+    ``boundary_probabilities_batch``, and their probabilities are gathered
+    with one fancy index. A junction outside its sentence raises
+    ``IndexOutOfRange`` before anything is scored.
     """
     rows = np.asarray(rows, dtype=np.intp)
     junctions = np.asarray(junctions, dtype=np.intp)
@@ -692,17 +708,9 @@ def boundary_probabilities_at(sentences, model: CrfModel, rows, junctions) -> np
     named = np.zeros(len(sentences), dtype=bool)
     named[rows] = True
     at = (np.cumsum(named) - 1)[rows]  # each pair's sentence among the named ones
-    named = np.flatnonzero(named).tolist()
-    batch_of = np.full(len(named), -1)  # each named sentence's batch, once it is reached
-    row_of = np.empty(len(named), dtype=np.intp)  # and its row there
-    out = np.empty(len(rows))
-    batches = _boundary_mass_batches([sentences[k] for k in named], model)
-    for b, (batch, mass, _) in enumerate(batches):
-        batch_of[batch] = b
-        row_of[batch] = np.arange(len(batch))
-        here = np.flatnonzero(batch_of[at] == b)
-        out[here] = mass[row_of[at[here]], junctions[here]]
-    return out
+    mass = boundary_probabilities_batch([sentences[k] for k in np.flatnonzero(named)], model)
+    first = np.cumsum([0] + [len(m) for m in mass])  # where each one's junctions begin
+    return np.concatenate([np.empty(0), *mass])[first[at] + junctions]
 
 
 def boundary_probability(sentence: str, model: CrfModel, i: int) -> float:
@@ -721,16 +729,11 @@ def _viterbi_one(E: list, trans: list, start: list, end: list) -> list[int]:
     """``_viterbi`` of one sentence on Python floats, its score checked by ``_require_paths``.
 
     ``E`` is the sentence's [n][4] emission rows (-inf where a mask
-    excludes a label), the weights are nested lists. After label p it
-    visits only p's two legal successors (``_NEXT_LABELS``), in ascending
-    id, where ``_viterbi`` scans all four labels. The path is the same for
-    any model whose best path score is finite: an illegal transition
-    scores exactly -inf, and every step of a path with a finite score is
-    finite, so a skipped label can neither beat a legal one nor tie with it
-    on that path. Over the legal labels the additions and first-maximum
-    tie-breaks are ``_viterbi``'s, in the same order; only the numpy
-    dispatch that dominates a batch of one, and the illegal labels, are
-    skipped.
+    excludes a label), the weights are ``_inference_weights`` as nested
+    lists. After label p it visits only p's two legal successors
+    (``_NEXT_LABELS``), in ascending id, where ``_viterbi`` scans all four:
+    the others read -inf, so the additions, the path and its first-maximum
+    tie-breaks are ``_viterbi``'s.
     """
     delta = [e + x for e, x in zip(E[-1], end)]
     back = []  # back[k][p]: the best label after p, for positions n-1 down to 1
@@ -771,12 +774,11 @@ def viterbi_labels(sentence: str, model: CrfModel, allowed: np.ndarray | None = 
     E = model.emissions(sentence)
     if allowed is not None:
         E[~allowed] = NEG_INF
+    trans, start, end = _inference_weights(model)
     # _viterbi_one's comparisons drop a NaN that only some paths meet: refuse what
     # the batched core refuses, a NaN or +inf in an unmasked emission or any weight
-    top = np.maximum.reduce(np.concatenate((E.ravel(), model.trans.ravel(), model.start, model.end)))
-    if not top < math.inf:
-        raise NonFiniteWeights("the model holds a weight that is not finite (NaN or +inf)")
-    return _viterbi_one(E.tolist(), model.trans.tolist(), model.start.tolist(), model.end.tolist())
+    _refuse_non_finite(E, trans, start, end)
+    return _viterbi_one(E.tolist(), trans.tolist(), start.tolist(), end.tolist())
 
 
 def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
@@ -800,10 +802,11 @@ def _viterbi_corpus(sentences, model: CrfModel, allowed=None, ids=None):
         raise SentenceTooShort("empty sentence")
     if ids is None:
         ids = model.vocab.encode_corpus(sentences)
+    weights = _inference_weights(model)
     for batch in _corpus_batches(sentences):
         masks = None if allowed is None else [allowed[k] for k in batch]
         E, lengths, _, _ = _emission_batch(model, [ids[k] for k in batch], masks)
-        labels, best = _viterbi(E, lengths, model.trans, model.start, model.end)
+        labels, best = _viterbi(E, lengths, *weights)
         _require_paths(best)
         yield batch, labels, lengths
 
@@ -829,24 +832,10 @@ def viterbi_words(sentences, model: CrfModel, allowed=None, ids=None) -> list[Se
     """``labels_to_words`` of each sentence's ``viterbi`` path, with ``_viterbi_corpus``'s
     arguments (a mask given here is not checked, as in ``viterbi_labels``). A batch's words
     end where a label is word-final.
-
-    The batched core takes a model's illegal start, transition and end
-    entries as they are, so a model whose entries there are finite (which
-    ``CrfModel.loads`` refuses) can decode to an illegal path: each batch's
-    paths are checked, and the first illegal one raises ``IllegalTagSequence``.
     """
     out: list[SegmentedSentence] = [None] * len(sentences)  # type: ignore[list-item]
     for batch, labels, lengths in _viterbi_corpus(sentences, model, allowed, ids):
         inside = np.arange(labels.shape[1]) < lengths[:, None]
-        last = labels[np.arange(len(batch)), lengths - 1]
-        illegal = ~START_LEGAL[labels[:, 0]] | ~END_LEGAL[last]
-        illegal |= (~TRANS_LEGAL[labels[:, :-1], labels[:, 1:]] & inside[:, 1:]).any(axis=1)
-        if illegal.any():
-            r = int(np.argmax(illegal))
-            tags = tagset.tags_to_str(labels[r, : lengths[r]].tolist())
-            raise IllegalTagSequence(
-                f"the model decodes sentence {batch[r]} to the illegal tag sequence {tags!r}"
-            )
         rows, ends = np.nonzero(tagset.WORD_FINAL[labels] & inside)
         ends = (ends + 1).tolist()
         stops = np.cumsum(np.bincount(rows, minlength=len(batch))).tolist()
@@ -980,7 +969,8 @@ def _loss_and_grad(model: CrfModel, items, emit_scale: float = 1.0) -> tuple[flo
     E, lengths, shift, spread = _emission_batch(
         model, rows, [None] * B + [items[b][2] for b in part], emit_scale
     )
-    fb = _forward_backward(E, lengths, shift, spread, model.trans, model.start, model.end)
+    trans, start, end = _inference_weights(model)
+    fb = _forward_backward(E, lengths, shift, spread, trans, start, end)
     lengths = lengths[:B]
     ids = np.concatenate(rows[:B])
     row = np.repeat(np.arange(B), lengths)
@@ -1003,9 +993,9 @@ def _loss_and_grad(model: CrfModel, items, emit_scale: float = 1.0) -> tuple[flo
         loss += float(
             np.sum(fb.log_z[full])
             - E[frow, fcol, gold].sum()
-            - model.trans[prev, cur].sum()
-            - model.start[gold[first]].sum()
-            - model.end[gold[last]].sum()
+            - trans[prev, cur].sum()
+            - start[gold[first]].sum()
+            - end[gold[last]].sum()
         )
         unigram[frow, fcol, gold] -= 1.0
         bigram[frow[step], fcol[step] - 1, prev, cur] -= 1.0

@@ -153,14 +153,6 @@ def filter_to_partials(
     return partials, kept
 
 
-# label sets as 4-bit codes (bit l: label l), and the [4] bool row of each code
-_BITS = 1 << np.arange(tagset.N_LABELS)
-_ALL_LABELS = int(_BITS.sum())
-_FINAL_LABELS = int(_BITS[tagset.WORD_FINAL].sum())
-_INITIAL_LABELS = int(_BITS[tagset.WORD_INITIAL].sum())
-_ROW_OF_CODE = np.arange(_ALL_LABELS + 1)[:, None] & _BITS > 0
-
-
 def allowed_labels(n: int, boundaries) -> np.ndarray:
     """[n, 4] allowed labels of a sentence of ``n`` characters with known boundaries.
 
@@ -168,13 +160,13 @@ def allowed_labels(n: int, boundaries) -> np.ndarray:
     into {B, S} (word-initial); overlapping junctions intersect. The all-S
     sequence always survives, so the rows always admit a legal path.
     """
-    codes = [_ALL_LABELS] * n
+    codes = [tagset._ALL_LABELS] * n  # label sets as tagset's 4-bit codes
     for b in boundaries:
         if not 0 <= b < n - 1:
             raise IndexOutOfRange(f"junction {b} outside sentence of length {n}")
-        codes[b] &= _FINAL_LABELS
-        codes[b + 1] &= _INITIAL_LABELS
-    return _ROW_OF_CODE[codes]
+        codes[b] &= tagset._FINAL_LABELS
+        codes[b + 1] &= tagset._INITIAL_LABELS
+    return tagset._ROW_OF_CODE[codes]
 
 
 def build_constraint_mask(sentence: str, boundaries) -> crf.ConstraintMask:

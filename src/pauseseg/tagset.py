@@ -63,6 +63,17 @@ _BOUNDARY_BIGRAMS = frozenset(
 )
 
 
+# Label sets as 4-bit codes, bit l for label l, for the masks of crf and mining:
+# every label, the word-initial (start-legal) and the word-final (end-legal)
+# ones, _SUCCESSORS[c] (the labels a legal transition reaches from set c) and
+# _ROW_OF_CODE[c] (set c as a [4] bool row).
+_LABEL_BITS = 1 << np.arange(N_LABELS)
+_ALL_LABELS = int(_LABEL_BITS.sum())
+_INITIAL_LABELS = int(_LABEL_BITS[WORD_INITIAL].sum())
+_FINAL_LABELS = int(_LABEL_BITS[WORD_FINAL].sum())
+_ROW_OF_CODE = _frozen(np.arange(_ALL_LABELS + 1)[:, None] & _LABEL_BITS > 0)
+_SUCCESSORS = [int(_LABEL_BITS[_TABLE.legal[row].any(axis=0)].sum()) for row in _ROW_OF_CODE]
+
 # The table as sets of label ids, for checking a parsed sequence in Python.
 _LEGAL_PAIRS = frozenset(zip(*(ids.tolist() for ids in np.nonzero(_TABLE.legal))))
 _LEGAL_FIRST = frozenset(np.flatnonzero(_TABLE.legal_start).tolist())

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -109,6 +110,18 @@ class TestCharAlignment:
     def test_rejects_no_characters(self):
         with pytest.raises(ValueError, match="no characters"):
             CharAlignment("utt", ())
+
+    @pytest.mark.parametrize("b, e", [
+        (0, 2.5), (3.7, 5), (0.0, 2), (np.float64(1), 2), (True, 2), (0, np.bool_(True)), ("0", 2),
+    ])
+    def test_rejects_frames_that_are_not_integers(self, b, e):
+        # the duration pass reads frames as int64: a float would be truncated
+        with pytest.raises(ValueError, match="are not integers"):
+            CharAlignment("utt", (("一", b, e), ("二", 9, 10)))
+
+    def test_accepts_numpy_integer_frames(self):
+        a = CharAlignment("utt", (("一", np.int64(0), np.int32(2)), ("二", np.uint8(3), 5)))
+        assert alignment.pause_durations(a) == [10.0]
 
 
 def assert_bad_record(good: str, bad: str, match=None, error=ParseError):

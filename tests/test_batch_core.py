@@ -9,14 +9,17 @@ Gradients sum their counts in a different order, so they agree to a
 tolerance.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from pauseseg import crf, features, mining, pipeline, tagset
+from pauseseg.alignment import Pause
 from pauseseg.crf import ConstraintMask
-from pauseseg.errors import IllegalTagSequence, LengthMismatch, NoLegalPath, SentenceTooShort
+from pauseseg.errors import LengthMismatch, NoLegalPath, NonFiniteWeights, SentenceTooShort
 
 NEG_INF = float("-inf")
 N = tagset.N_LABELS
@@ -358,45 +361,183 @@ def test_one_sentence_viterbi_equals_the_batched_core(data):
     assert crf.viterbi_batch([sentence], model, [mask]) == [want]
 
 
-def test_one_sentence_viterbi_visits_only_legal_successors():
-    # finite illegal entries, larger than the legal ones: the core's best paths
-    # use them, while the one-sentence decoder never takes an illegal transition
+ILLEGAL = {"trans": ~crf.TRANS_LEGAL, "start": ~crf.START_LEGAL, "end": ~crf.END_LEGAL}
+N_ILLEGAL = sum(int(where.sum()) for where in ILLEGAL.values())
+CLEAN_MODELS = {(seed, scale): random_model(seed, scale=scale, grid=grid)
+                for seed, scale, grid in [(29, 1.5, 0.25), (37, 1.5, None), (41, 300.0, None)]}
+
+
+def with_illegal_entries(model, values):
+    """A copy of ``model`` whose illegal trans, start and end entries hold ``values``, in turn."""
+    dirty = model.copy()
+    values = iter(values)
+    for name, where in ILLEGAL.items():
+        weights = getattr(dirty, name)
+        weights[where] = [next(values) for _ in range(int(where.sum()))]
+    return dirty
+
+
+def inference_outputs(model, sentences, partials, tags):
+    """Every inference output of ``model`` over a corpus, as bytes, strings and segmentations.
+
+    ``tags`` are a legal tag sequence per sentence.
+    """
+    masks = [mining.partial_to_mask(p) for p in partials]
+    pairs = [s for s in sentences if len(s) > 1]
+    pauses = [[Pause(j, 10.0) for j in p.boundaries] for p in partials]
+    rows = [k for k, p in enumerate(partials) for _ in p.boundaries]
+    junctions = [j for p in partials for j in p.boundaries]
+
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    def gradient(loss, g):
+        return bits(loss) + b"".join(bits(w) for w in (g.emit, g.trans, g.start, g.end))
+
+    return {
+        "viterbi": [crf.viterbi(s, model) for s in sentences],
+        "viterbi masked": [crf.viterbi(s, model, m) for s, m in zip(sentences, masks)],
+        "viterbi_labels": [crf.viterbi_labels(s, model) for s in sentences],
+        "viterbi_labels masked": [crf.viterbi_labels(s, model, m.allowed)
+                                  for s, m in zip(sentences, masks)],
+        "viterbi_batch": crf.viterbi_batch(sentences, model),
+        "viterbi_batch masked": crf.viterbi_batch(sentences, model, masks),
+        "segment_corpus": pipeline.segment_corpus(model, sentences),
+        "self_train_corpus": pipeline.self_train_corpus(model, sentences),
+        "complete_annotation": [pipeline.complete_annotation(model, p) for p in partials],
+        "complete_corpus": pipeline.complete_corpus(model, partials),
+        "log_partition": bits([crf.log_partition(s, model) for s in sentences]),
+        "log_partition masked": bits([crf.log_partition(s, model, m)
+                                      for s, m in zip(sentences, masks)]),
+        "bigram_marginals": [bits(crf.bigram_marginals(s, model)) for s in pairs],
+        "boundary_probabilities_batch": [bits(p) for p in
+                                         crf.boundary_probabilities_batch(pairs, model)],
+        "boundary_probabilities_at": bits(
+            crf.boundary_probabilities_at(sentences, model, rows, junctions)),
+        "score_pauses": [mining.score_pauses(model, s, ps) for s, ps in zip(sentences, pauses)],
+        "score_sequence": bits([crf.score_sequence(s, t, model) for s, t in zip(sentences, tags)]),
+        "nll_loss_and_grad": gradient(*crf.nll_loss_and_grad(list(zip(sentences, tags)), model)),
+        "partial_nll_loss_and_grad": gradient(
+            *crf.partial_nll_loss_and_grad(list(zip(sentences, masks)), model)),
+    }
+
+
+def illegal_entries_model():
+    """Model 29 with finite illegal entries, larger than its legal ones."""
     model = random_model(29, grid=0.25)
     model.trans = np.where(crf.TRANS_LEGAL, model.trans, 0.5)
     model.start = np.where(crf.START_LEGAL, model.start, 0.25)
     model.end = np.where(crf.END_LEGAL, model.end, 0.25)
+    return model
+
+
+def test_one_sentence_viterbi_visits_only_legal_successors():
+    # the raw arrays' best paths use the finite illegal entries, while every
+    # decoder, one sentence or batched, takes only legal transitions
+    model = illegal_entries_model()
     rng = np.random.default_rng(29)
     sentences = [oracle.random_sentence(rng, n, ALPHABET) for n in (1, 2, 3, 4, 7, 12)]
     scanned = [ref_viterbi(model.emissions(s), model.trans, model.start, model.end)
                for s in sentences]
     assert not all(tagset.is_legal(t) for t in scanned)
-    assert crf.viterbi_batch(sentences, model) == scanned
     legal_trans = np.where(crf.TRANS_LEGAL, model.trans, NEG_INF)
-    want = [ref_viterbi(model.emissions(s), legal_trans, model.start, model.end)
+    legal_start = np.where(crf.START_LEGAL, model.start, NEG_INF)
+    legal_end = np.where(crf.END_LEGAL, model.end, NEG_INF)
+    want = [ref_viterbi(model.emissions(s), legal_trans, legal_start, legal_end)
             for s in sentences]
     assert want != scanned
+    assert all(tagset.is_legal(t) for t in want)
     assert [crf.viterbi(s, model) for s in sentences] == want
+    assert crf.viterbi_batch(sentences, model) == want
 
 
 def test_corpus_decoding_refuses_an_illegal_best_path():
-    # the model above, through the pipeline: where the core's best path is
-    # illegal, corpus decoding raises a PausesegError naming the sentence
-    model = random_model(29, grid=0.25)
-    model.trans = np.where(crf.TRANS_LEGAL, model.trans, 0.5)
-    model.start = np.where(crf.START_LEGAL, model.start, 0.25)
-    model.end = np.where(crf.END_LEGAL, model.end, 0.25)
+    # the model above, through the pipeline: where the raw arrays' best path is
+    # illegal, corpus decoding returns the best legal path's words instead
+    model = illegal_entries_model()
     rng = np.random.default_rng(29)
     sentences = [oracle.random_sentence(rng, n, ALPHABET) for n in (1, 2, 3, 4, 7, 12)]
     scanned = [ref_viterbi(model.emissions(s), model.trans, model.start, model.end)
                for s in sentences]
-    bad = [k for k, tags in enumerate(scanned) if not tagset.is_legal(tags)]
-    assert bad
-    named = f"sentence {bad[0]} to the illegal tag sequence '{scanned[bad[0]]}'"
-    with pytest.raises(IllegalTagSequence, match=named):
-        pipeline.segment_corpus(model, sentences)
+    assert any(not tagset.is_legal(t) for t in scanned)
+    legal = [crf.viterbi(s, model) for s in sentences]
+    words = [tagset.labels_to_words(t, s) for t, s in zip(legal, sentences)]
+    assert pipeline.segment_corpus(model, sentences) == words
     partials = [mining.PartialSentence(s, ()) for s in sentences]
-    with pytest.raises(IllegalTagSequence, match=named):
-        pipeline.complete_corpus(model, partials)
+    assert pipeline.complete_corpus(model, partials) == words
+
+
+@st.composite
+def partial_corpora(draw):
+    """Partial sentences of 1 to 12 characters, each with up to 3 known boundaries."""
+    sentences = draw(st.lists(st.text(ALPHABET, min_size=1, max_size=12), min_size=1, max_size=6))
+    return [mining.PartialSentence(s, tuple(draw(st.sets(st.integers(0, len(s) - 2), max_size=3))
+                                            if len(s) > 1 else ())) for s in sentences]
+
+
+# sentences on which the example's model, its finite illegal entries read as they
+# were, decoded illegal paths, plus "eeb"
+_RNG = np.random.default_rng(29)
+FOUND_SENTENCES = [oracle.random_sentence(_RNG, n, ALPHABET) for n in (1, 2, 3, 4, 7, 12)] + ["eeb"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.sampled_from(list(CLEAN_MODELS)),
+    values=st.lists(st.one_of(st.floats(-1e3, 1e3), st.just(NEG_INF)),
+                    min_size=N_ILLEGAL, max_size=N_ILLEGAL),
+    partials=partial_corpora(),
+    inf_at=st.integers(0, N_ILLEGAL - 1),
+)
+@example(key=(29, 1.5), values=[0.5] * 8 + [0.25] * 4,
+         partials=[mining.PartialSentence(s, ()) for s in FOUND_SENTENCES], inf_at=0)
+def test_inference_reads_illegal_entries_as_minus_infinity(key, values, partials, inf_at):
+    # whatever a model holds on its illegal entries, finite or -inf, every
+    # output is bitwise the clean model's, and every decode is a legal path
+    clean = CLEAN_MODELS[key]
+    dirty = with_illegal_entries(clean, values)
+    sentences = [p.chars for p in partials]
+    tags = crf.viterbi_batch(sentences, clean)
+    want = inference_outputs(clean, sentences, partials, tags)
+    got = inference_outputs(dirty, sentences, partials, tags)
+    for name in want:
+        assert got[name] == want[name], name
+    assert all(tagset.is_legal(t) for t in got["viterbi"] + got["viterbi masked"])
+    # the one-sentence decoder, which visits only legal successors, against the
+    # max-sum reference over the legal entries
+    legal_trans = np.where(crf.TRANS_LEGAL, dirty.trans, NEG_INF)
+    legal_start = np.where(crf.START_LEGAL, dirty.start, NEG_INF)
+    legal_end = np.where(crf.END_LEGAL, dirty.end, NEG_INF)
+    assert got["viterbi"] == [ref_viterbi(dirty.emissions(s), legal_trans, legal_start, legal_end)
+                              for s in sentences]
+    # an illegal path scores -inf, whatever its entries hold
+    for s, t in zip(sentences, tags):
+        illegal = "M" + t[1:]
+        assert crf.score_sequence(s, illegal, dirty) == NEG_INF
+        assert crf.score_sequence(s, illegal, clean) == NEG_INF
+
+    # +inf on an illegal entry reads as NaN, refused (not a RuntimeWarning)
+    inf_model = with_illegal_entries(
+        clean, [math.inf if j == inf_at else v for j, v in enumerate(values)])
+    s = max(sentences, key=len) + "ab"
+    partial = mining.PartialSentence(s, (0,))
+    refusing = [
+        lambda: crf.viterbi(s, inf_model),
+        lambda: crf.viterbi_labels(s, inf_model),
+        lambda: crf.viterbi_batch([s], inf_model),
+        lambda: pipeline.segment_corpus(inf_model, [s]),
+        lambda: pipeline.complete_annotation(inf_model, partial),
+        lambda: pipeline.complete_corpus(inf_model, [partial]),
+        lambda: crf.log_partition(s, inf_model),
+        lambda: crf.bigram_marginals(s, inf_model),
+        lambda: crf.boundary_probabilities_batch([s], inf_model),
+        lambda: crf.boundary_probabilities_at([s], inf_model, [0], [0]),
+        lambda: mining.score_pauses(inf_model, s, [Pause(0, 10.0)]),
+        lambda: crf.score_sequence(s, crf.viterbi(s, clean), inf_model),
+    ]
+    for call in refusing:
+        with pytest.raises(NonFiniteWeights, match="not finite"):
+            call()
 
 
 def test_one_sentence_viterbi_raises_as_the_batched_core_does():
