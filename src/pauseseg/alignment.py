@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +30,13 @@ MAX_FRAME = 2**53 - 1
 
 
 def check_frame_offset_ms(frame_offset_ms: float) -> None:
-    """``InvalidConfig`` unless ``frame_offset_ms`` is a finite number > 0."""
-    if not (type(frame_offset_ms) in (int, float) and math.isfinite(frame_offset_ms)
-            and frame_offset_ms > 0):
+    """``InvalidConfig`` unless ``frame_offset_ms`` is a number > 0 and ``MAX_FRAME``
+    frames of it are a finite number of ms."""
+    top = sys.float_info.max / MAX_FRAME  # the largest such offset; an int compares exactly
+    if not (type(frame_offset_ms) in (int, float) and 0 < frame_offset_ms <= top):
         raise InvalidConfig(
-            f"frame offset must be a finite number of ms > 0, got {frame_offset_ms!r}"
+            f"frame offset must be a number of ms > 0 and at most {top!r}, so that"
+            f" 2**53 - 1 frames are a finite number of ms, got {frame_offset_ms!r}"
         )
 
 
@@ -50,8 +53,9 @@ class CharAlignment:
 
     ``chars`` is a non-empty tuple of (character, begin_frame, end_frame).
     Frames are integers (not bools; numpy integers are accepted) in [0,
-    ``MAX_FRAME``] at ``frame_offset_ms`` (finite, > 0) per frame; ends may
-    touch or overlap the next begin (pause 0), but begins must not decrease.
+    ``MAX_FRAME``] at ``frame_offset_ms`` per frame (see
+    ``check_frame_offset_ms``); ends may touch or overlap the next begin
+    (pause 0), but begins must not decrease.
     """
 
     utterance_id: str
@@ -71,12 +75,12 @@ class CharAlignment:
                 isinstance(f, numbers.Integral) and not isinstance(f, bool) for f in (b, e)
             ):
                 raise ValueError(f"frames {b!r}, {e!r} of {ch!r} are not integers")
-            if b < 0 or e < b:
+            if not (0 <= b <= MAX_FRAME and 0 <= e <= MAX_FRAME):
+                raise ValueError(f"frames of {ch!r} must lie in [0, 2**53)")
+            if e < b:
                 raise NonMonotoneFrames(
                     f"character {ch!r} has frames [{b}, {e}] in {self.utterance_id!r}"
                 )
-            if e > MAX_FRAME:
-                raise ValueError(f"frames of {ch!r} must lie in [0, 2**53)")
             if b < prev_begin:
                 raise NonMonotoneFrames(
                     f"begin frames decrease at {ch!r} in {self.utterance_id!r}"
@@ -121,8 +125,7 @@ def _junction_durations(alignments) -> tuple[np.ndarray, np.ndarray]:
     at = np.ones(len(chars), dtype=bool)
     at[np.cumsum(lengths) - 1] = False
     at = np.flatnonzero(at)
-    with np.errstate(over="ignore"):  # a huge frame offset gives inf ms, as in float arithmetic
-        gaps = (begin[at + 1] - end[at]) * np.repeat(ms, lengths - 1)
+    gaps = (begin[at + 1] - end[at]) * np.repeat(ms, lengths - 1)
     first = np.zeros(len(alignments) + 1, dtype=np.intp)
     np.cumsum(lengths - 1, out=first[1:])
     return np.maximum(0.0, gaps), first
@@ -170,15 +173,11 @@ def detect_pauses(
 
 
 def _char_from_obj(obj) -> tuple[str, int, int]:
-    ch, b, e = obj["c"], obj["b"], obj["e"]
-    if type(ch) is not str or len(ch) != 1:
+    """A JSON frame entry as a ``CharAlignment`` character, which checks the rest."""
+    ch = obj["c"]
+    if type(ch) is not str:
         raise ValueError(f"character {ch!r} is not a one-character string")
-    if type(b) is not int or type(e) is not int:
-        raise ValueError(f"frames {b!r}, {e!r} of {ch!r} are not integers")
-    for frame in (b, e):
-        if not 0 <= frame <= MAX_FRAME:
-            raise ValueError(f"frames of {ch!r} must lie in [0, 2**53)")
-    return check_utf8(ch), b, e
+    return check_utf8(ch), obj["b"], obj["e"]
 
 
 def _alignment_from_obj(obj, line: int) -> CharAlignment:
@@ -187,8 +186,7 @@ def _alignment_from_obj(obj, line: int) -> CharAlignment:
             raise ValueError(f"record is not a JSON object: {str(obj)[:40]}")
         chars = tuple(_char_from_obj(c) for c in obj["chars"])
         frame_offset_ms = obj.get("frame_offset_ms", DEFAULT_FRAME_OFFSET_MS)
-        if type(frame_offset_ms) not in (int, float):
-            raise ValueError(f"frame_offset_ms {frame_offset_ms!r} is not a number")
+        check_frame_offset_ms(frame_offset_ms)  # before float() meets a 400-digit integer
         return CharAlignment(
             utterance_id=string_field(obj, "utterance_id"),
             chars=chars,
@@ -321,6 +319,8 @@ def parse_textgrid(
         return CharAlignment(utterance_id, tuple(chars), frame_offset_ms)
     except NonMonotoneFrames as exc:
         raise NonMonotoneFrames(str(exc), line=tier_line) from exc
+    except ValueError as exc:  # a negative time
+        raise ParseError(str(exc), line=tier_line) from exc
 
 
 def read_textgrid(

@@ -232,19 +232,11 @@ class ConstraintMask:
         if allowed.ndim != 2 or allowed.shape[1] != N or allowed.shape[0] == 0:
             raise ValueError(f"mask must be [n, {N}], got {allowed.shape}")
         self.allowed = allowed
-        if not self._has_legal_path():
+        if not tagset.admits_legal_path(allowed):
             raise NoLegalPath("constraint mask admits no legal tag sequence")
 
     def __len__(self) -> int:
         return len(self.allowed)
-
-    def _has_legal_path(self) -> bool:
-        # label sets as tagset's 4-bit codes: the allowed, then the reachable labels
-        rows = (self.allowed @ tagset._LABEL_BITS).tolist()
-        reach = tagset._INITIAL_LABELS & rows[0]
-        for bits in rows[1:]:
-            reach = tagset._SUCCESSORS[reach] & bits
-        return bool(reach & tagset._FINAL_LABELS)
 
 
 def _allowed_array(mask, n: int) -> np.ndarray | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +37,7 @@ def check_threshold(threshold: float) -> None:
 PROBABILITY_BIN_EDGES = (0.1, 0.9, 1.0)
 PROBABILITY_BIN_NAMES = ("[0.0, 0.1)", "[0.1, 0.9)", "[0.9, 1.0)", "1.0")
 DURATION_BIN_EDGES_MS = (50.0, 150.0, 500.0)
-DURATION_BIN_NAMES = ("[10, 50)", "[50, 150)", "[150, 500)", "[500, inf)")
+DURATION_BIN_NAMES = ("[0, 50)", "[50, 150)", "[150, 500)", "[500, inf)")
 
 _ONE_SNAP = 1e-12
 
@@ -66,45 +66,29 @@ class PartialSentence:
         object.__setattr__(self, "boundaries", bounds)
 
 
-def _check_parallel(sentences: list[str], pause_lists: list[list[Pause]]) -> None:
-    if len(pause_lists) != len(sentences):
-        raise LengthMismatch(f"{len(pause_lists)} pause lists for {len(sentences)} sentences")
-
-
 def score_pauses(model: crf.CrfModel, sentence: str, pauses: list[Pause]) -> list[Pause]:
-    """Attach the model's boundary probability to each pause (a batch of one)."""
-    return score_pause_lists(model, [sentence], [pauses])[0]
-
-
-def score_pause_lists(
-    model: crf.CrfModel, sentences: list[str], pause_lists: list[list[Pause]]
-) -> list[list[Pause]]:
-    """Attach the model's boundary probability to each pause of every sentence.
-
-    The corpus is scored in batches; a sentence gets bitwise the same
-    probabilities alone or in any batch. A pause outside its sentence
-    raises ``IndexOutOfRange``, and lists of different lengths raise
-    ``LengthMismatch``.
-    """
-    _check_parallel(sentences, pause_lists)
-    counts = [len(pauses) for pauses in pause_lists]
-    owner = np.repeat(np.arange(len(pause_lists)), counts)
-    pauses = [p for pauses in pause_lists for p in pauses]
+    """Attach the model's boundary probability to each pause: ``score_pause_arrays``
+    of one sentence."""
+    owner = np.zeros(len(pauses), dtype=np.intp)
     return score_pause_arrays(
-        model, sentences, owner, [p.junction for p in pauses], [p.duration_ms for p in pauses]
-    )
+        model, [sentence], owner, [p.junction for p in pauses], [p.duration_ms for p in pauses]
+    )[0]
 
 
 def score_pause_arrays(
     model: crf.CrfModel, sentences: list[str], owner: np.ndarray, junctions: list, durations: list
 ) -> list[list[Pause]]:
-    """``score_pause_lists`` of a corpus's pauses given as parallel columns.
+    """Attach the model's boundary probability to each pause of a corpus, given
+    as parallel columns; one list of scored pauses per sentence.
 
     Pause k lies at junction ``junctions[k]`` of ``sentences[owner[k]]``,
     with the silence ``durations[k]``, and each sentence's pauses keep their
     order. Every probability comes from one ``crf.boundary_probabilities_at``
     call, is clamped into [0, 1] against rounding, and goes into the pause's
-    one ``Pause``. A NaN probability raises ``NonFiniteWeights``.
+    one ``Pause``. The corpus is scored in batches; a sentence gets bitwise
+    the same probabilities alone or in any batch. A pause outside its
+    sentence raises ``IndexOutOfRange``, and a NaN probability
+    ``NonFiniteWeights``.
     """
     probs = crf.boundary_probabilities_at(sentences, model, owner, junctions)
     if np.isnan(probs).any():
@@ -119,11 +103,6 @@ def score_pause_arrays(
 def filter_pauses(pauses: list[Pause], threshold: float) -> list[Pause]:
     """Keep pauses whose boundary probability is at least ``threshold``."""
     check_threshold(threshold)
-    return _kept(pauses, threshold)
-
-
-def _kept(pauses: list[Pause], threshold: float) -> list[Pause]:
-    """``filter_pauses`` at a threshold already checked."""
     for p in pauses:
         if p.probability is None:
             raise UnscoredPause(f"pause at junction {p.junction} has no probability")
@@ -142,36 +121,21 @@ def filter_to_partials(
 
     ``LengthMismatch`` unless there is one pause list per sentence.
     """
-    _check_parallel(sentences, pause_lists)
-    check_threshold(threshold)
+    if len(pause_lists) != len(sentences):
+        raise LengthMismatch(f"{len(pause_lists)} pause lists for {len(sentences)} sentences")
+    check_threshold(threshold)  # refused even when there is no pause list to filter
     partials = []
     kept = 0
     for sentence, pauses in zip(sentences, pause_lists):
-        surviving = _kept(pauses, threshold)
+        surviving = filter_pauses(pauses, threshold)
         kept += len(surviving)
         partials.append(pauses_to_partial(sentence, surviving))
     return partials, kept
 
 
-def allowed_labels(n: int, boundaries) -> np.ndarray:
-    """[n, 4] allowed labels of a sentence of ``n`` characters with known boundaries.
-
-    Junction i forces position i into {E, S} (word-final) and position i+1
-    into {B, S} (word-initial); overlapping junctions intersect. The all-S
-    sequence always survives, so the rows always admit a legal path.
-    """
-    codes = [tagset._ALL_LABELS] * n  # label sets as tagset's 4-bit codes
-    for b in boundaries:
-        if not 0 <= b < n - 1:
-            raise IndexOutOfRange(f"junction {b} outside sentence of length {n}")
-        codes[b] &= tagset._FINAL_LABELS
-        codes[b + 1] &= tagset._INITIAL_LABELS
-    return tagset._ROW_OF_CODE[codes]
-
-
 def build_constraint_mask(sentence: str, boundaries) -> crf.ConstraintMask:
-    """Mask encoding known boundaries: ``allowed_labels`` as a checked ``ConstraintMask``."""
-    return crf.ConstraintMask(allowed_labels(len(sentence), boundaries))
+    """Mask encoding known boundaries: ``tagset.allowed_labels`` as a ``ConstraintMask``."""
+    return crf.ConstraintMask(tagset.allowed_labels(len(sentence), boundaries))
 
 
 def partial_to_mask(partial: PartialSentence) -> crf.ConstraintMask:
@@ -387,7 +351,7 @@ def _pause_from_json(obj, sentence: str) -> Pause:
     junction, duration, probability = obj["junction"], obj["duration_ms"], obj.get("probability")
     if type(junction) is not int or not 0 <= junction < len(sentence) - 1:
         raise ValueError(f"junction {junction!r} is not an integer in 0..{len(sentence) - 2}")
-    if type(duration) not in (int, float) or not 0 <= duration < math.inf:
+    if type(duration) not in (int, float) or not 0 <= duration <= sys.float_info.max:
         raise ValueError(f"duration_ms {duration!r} is not a finite number >= 0")
     if not (probability is None or type(probability) in (int, float) and 0 <= probability <= 1):
         raise ValueError(f"probability {probability!r} is not null or a number in [0, 1]")

@@ -114,7 +114,7 @@ def complete_annotation(
     path and the decoder returns only legal paths, so neither is checked again.
     """
     n = len(partial.chars)
-    labels = crf.viterbi_labels(partial.chars, model, mining.allowed_labels(n, partial.boundaries))
+    labels = crf.viterbi_labels(partial.chars, model, tagset.allowed_labels(n, partial.boundaries))
     return tagset.cut_words(labels, partial.chars)
 
 
@@ -122,7 +122,7 @@ def complete_corpus(
     model: crf.CrfModel, partials: list[PartialSentence]
 ) -> list[SegmentedSentence]:
     """``complete_annotation`` for every partial sentence, decoded in batches."""
-    allowed = [mining.allowed_labels(len(p.chars), p.boundaries) for p in partials]
+    allowed = [tagset.allowed_labels(len(p.chars), p.boundaries) for p in partials]
     return crf.viterbi_words([p.chars for p in partials], model, allowed)
 
 
@@ -196,7 +196,7 @@ def score_alignments(
 ) -> list[list[alignment.Pause]]:
     """Detect each alignment's pauses and score them: one list per alignment.
 
-    ``detect_pauses`` and ``score_pause_lists`` of every alignment, with the
+    ``detect_pauses`` and ``score_pauses`` of every alignment, with the
     corpus's durations found in one array pass and each ``Pause`` built once.
     """
     alignments = list(alignments)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IllegalTagSequence, LengthMismatch
+from .errors import IllegalTagSequence, IndexOutOfRange, LengthMismatch
 from .segments import SegmentedSentence
 
 
@@ -63,10 +63,10 @@ _BOUNDARY_BIGRAMS = frozenset(
 )
 
 
-# Label sets as 4-bit codes, bit l for label l, for the masks of crf and mining:
-# every label, the word-initial (start-legal) and the word-final (end-legal)
-# ones, _SUCCESSORS[c] (the labels a legal transition reaches from set c) and
-# _ROW_OF_CODE[c] (set c as a [4] bool row).
+# Label sets as 4-bit codes, bit l for label l, for allowed_labels and
+# admits_legal_path: every label, the word-initial (start-legal) and the
+# word-final (end-legal) ones, _SUCCESSORS[c] (the labels a legal transition
+# reaches from set c) and _ROW_OF_CODE[c] (set c as a [4] bool row).
 _LABEL_BITS = 1 << np.arange(N_LABELS)
 _ALL_LABELS = int(_LABEL_BITS.sum())
 _INITIAL_LABELS = int(_LABEL_BITS[WORD_INITIAL].sum())
@@ -78,6 +78,32 @@ _SUCCESSORS = [int(_LABEL_BITS[_TABLE.legal[row].any(axis=0)].sum()) for row in 
 _LEGAL_PAIRS = frozenset(zip(*(ids.tolist() for ids in np.nonzero(_TABLE.legal))))
 _LEGAL_FIRST = frozenset(np.flatnonzero(_TABLE.legal_start).tolist())
 _LEGAL_LAST = frozenset(np.flatnonzero(_TABLE.legal_end).tolist())
+
+
+def allowed_labels(n: int, boundaries) -> np.ndarray:
+    """[n, 4] allowed labels of a sentence of ``n`` characters with known boundaries.
+
+    Junction i forces position i into {E, S} (word-final) and position i+1
+    into {B, S} (word-initial); overlapping junctions intersect. The all-S
+    sequence always survives, so the rows always admit a legal path.
+    """
+    codes = [_ALL_LABELS] * n
+    for b in boundaries:
+        if not 0 <= b < n - 1:
+            raise IndexOutOfRange(f"junction {b} outside sentence of length {n}")
+        codes[b] &= _FINAL_LABELS
+        codes[b + 1] &= _INITIAL_LABELS
+    return _ROW_OF_CODE[codes]
+
+
+def admits_legal_path(allowed: np.ndarray) -> bool:
+    """Whether some legal label sequence keeps to ``allowed``, an [n, 4] bool
+    array with n >= 1: the labels each position may take."""
+    rows = (allowed @ _LABEL_BITS).tolist()  # the allowed labels, then the reachable ones
+    reach = _INITIAL_LABELS & rows[0]
+    for bits in rows[1:]:
+        reach = _SUCCESSORS[reach] & bits
+    return bool(reach & _FINAL_LABELS)
 
 
 def legal_transitions() -> TransitionTable:

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -222,7 +224,9 @@ class TestJsonIO:
             path.write_bytes(text.encode("utf-8"))
             assert alignment.read_alignments(path) == alignment.parse_alignments(text) == data
 
-    @pytest.mark.parametrize("offset", ["NaN", "0", "-10", "Infinity"])
+    @pytest.mark.parametrize("offset", [
+        "NaN", "0", "-10", "Infinity", "1e308", pytest.param("1" * 400, id="400-digits"),
+    ])
     def test_bad_frame_offset_rejected_naming_the_line(self, offset):
         good = alignment.alignment_to_json_line(make_alignment([4]))
         bad = good.replace('"frame_offset_ms": 10.0', f'"frame_offset_ms": {offset}')
@@ -242,6 +246,17 @@ class TestJsonIO:
     def test_alignment_needs_a_positive_frame_offset(self, offset):
         with pytest.raises(InvalidConfig):
             make_alignment([4], frame_offset_ms=offset)
+
+    def test_frame_offset_keeps_the_longest_pause_finite(self):
+        # a pause of MAX_FRAME frames is a finite number of ms at the largest
+        # offset accepted, and one offset more is refused
+        top = sys.float_info.max / alignment.MAX_FRAME
+        last = alignment.MAX_FRAME
+        a = CharAlignment("utt", (("一", 0, 0), ("二", last, last)), top)
+        assert alignment.pause_durations(a) == [last * top]
+        assert math.isfinite(last * top)
+        with pytest.raises(InvalidConfig, match=re.escape(f"at most {top!r}")):
+            make_alignment([4], frame_offset_ms=math.nextafter(top, math.inf))
 
     def test_default_frame_offset_applied(self):
         (a,) = alignment.parse_alignments(
@@ -439,6 +454,13 @@ class TestTextGrid:
         assert TEXTGRID.count(old) == 1
         with pytest.raises(NonMonotoneFrames, match="frames") as exc:
             alignment.parse_textgrid(TEXTGRID.replace(old, new), "utt1")
+        assert exc.value.line == line_of(TEXTGRID, 'name = "characters"')
+
+    def test_negative_time_rejected_naming_the_tier(self):
+        bad = TEXTGRID.replace("xmin = 0.28", "xmin = -0.28")
+        assert bad != TEXTGRID
+        with pytest.raises(ParseError, match=re.escape("[0, 2**53)")) as exc:
+            alignment.parse_textgrid(bad, "utt1")
         assert exc.value.line == line_of(TEXTGRID, 'name = "characters"')
 
     def test_all_silence_tier_rejected_naming_the_tier(self):

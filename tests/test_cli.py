@@ -336,6 +336,22 @@ class TestReporting:
         assert run("stats", scored) == 0
         assert "pauses: 1" in capsys.readouterr().out
 
+    def test_stats_first_duration_bin_holds_every_pause_below_50_ms(self, workspace, capsys):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        path = tmp / "alignments.jsonl"
+        # pauses of 10 ms and 0 ms
+        alignment.write_alignments(
+            path, [CharAlignment("u1", (("一", 0, 5), ("二", 6, 35), ("三", 35, 45)))]
+        )
+        scored = tmp / "scored.jsonl"
+        assert run("mine", model_path, path, "-o", scored, "--min-pause-ms", "0") == 0
+        capsys.readouterr()
+        assert run("stats", scored) == 0
+        first_row = capsys.readouterr().out.splitlines()[1].split()
+        assert first_row[:2] == ["[0,", "50)"] and first_row[-1] == "2"
+
     def test_stats_with_gold_reports_accuracy(self, workspace, capsys):
         tmp, gold = workspace
         scored = tmp / "scored.jsonl"
@@ -515,9 +531,10 @@ class TestErrorHandling:
         assert not (tmp / "m.txt").exists()
 
     @pytest.mark.parametrize("name, offset", [
-        *(pytest.param("u1.TextGrid", offset, id=offset) for offset in ("0", "-10", "nan")),
+        *(pytest.param("u1.TextGrid", offset, id=offset)
+          for offset in ("0", "-10", "nan", "1e308")),
         *(pytest.param("alignments.jsonl", offset, id=f"jsonl-{offset}")
-          for offset in ("0", "-10", "nan")),
+          for offset in ("0", "-10", "nan", "1e308")),
     ])
     def test_bad_frame_offset_flag_exits_one(self, workspace, capsys, name, offset):
         tmp, gold = workspace
@@ -569,6 +586,40 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "error[ParseError]" in err
         assert "line 1" in err
+
+    def test_frame_offset_past_a_finite_pause_in_alignment_file_exits_one(
+        self, workspace, capsys
+    ):
+        # mine once wrote "duration_ms": Infinity here, which filter then refused
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        path = tmp / "alignments.jsonl"
+        record = {"utterance_id": "u1", "frame_offset_ms": 1e308, "chars": [
+            {"c": "一", "b": 0, "e": 5}, {"c": "二", "b": 7, "e": 35}, {"c": "三", "b": 35, "e": 45},
+        ]}
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        scored = tmp / "scored.jsonl"
+        assert run("mine", model_path, path, "-o", scored) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ParseError]: ") and "frame offset" in err
+        assert err.rstrip().endswith("(line 1)")
+        assert not scored.exists()
+
+    def test_mine_of_a_textgrid_with_a_negative_time_exits_one_naming_the_tier(
+        self, workspace, capsys
+    ):
+        tmp, gold = workspace
+        model_path = tmp / "model.txt"
+        run("train", gold, "-o", model_path, "--epochs", "1")
+        tg = tmp / "u1.TextGrid"
+        tg.write_text(TEXTGRID.replace("xmin = 0.28", "xmin = -0.28"), encoding="utf-8")
+        scored = tmp / "scored.jsonl"
+        assert run("mine", model_path, tg, "-o", scored) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ParseError]: ") and "[0, 2**53)" in err
+        assert err.rstrip().endswith("(line 6)")  # the tier's line
+        assert not scored.exists()
 
     @pytest.mark.parametrize("name, text", [
         ("alignments.jsonl", '{"utterance_id": "u", "chars": []}\n'),

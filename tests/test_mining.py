@@ -97,8 +97,6 @@ class TestScoreAndFilter:
         for sentences, pause_lists in ((["一二", "三四"], scored), (["一二"], scored * 2)):
             message = f"^{len(pause_lists)} pause lists for {len(sentences)} sentences$"
             with pytest.raises(LengthMismatch, match=message):
-                mining.score_pause_lists(zero_model(), sentences, pause_lists)
-            with pytest.raises(LengthMismatch, match=message):
                 mining.filter_to_partials(sentences, pause_lists, 0.5)
 
     def test_filter_threshold_is_inclusive(self):
@@ -375,6 +373,7 @@ class TestScoredPauseIO:
         {"junction": 0, "duration_ms": float("nan"), "probability": 0.5},
         {"junction": 0, "duration_ms": -5.0, "probability": 0.5},
         {"junction": 0, "duration_ms": "230", "probability": 0.5},
+        {"junction": 0, "duration_ms": 10**400, "probability": 0.5},  # no float holds it
     ])
     def test_bad_pause_field_reports_line(self, tmp_path, pause):
         path = tmp_path / "scored.jsonl"

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracle
 from pauseseg import tagset
 from pauseseg.errors import IllegalTagSequence, LengthMismatch
 from pauseseg.segments import SegmentedSentence
@@ -169,8 +172,6 @@ def test_legal_sequences_biject_with_segmentations():
     # For each n the legal tag sequences are exactly the segmentations of an
     # n-char sentence: one sequence per choice of boundary at each of the
     # n-1 junctions, so 2**(n-1) of them, all decoding distinctly.
-    import itertools
-
     chars = "abcdefgh"
     for n in range(1, 9):
         text = chars[:n]
@@ -196,3 +197,21 @@ def test_boundary_junctions_match_labels():
     for i in range(len(tags) - 1):
         pair = (tagset.parse_tags(tags)[i], tagset.parse_tags(tags)[i + 1])
         assert (i in junctions) == (pair in boundary)
+
+
+def test_admits_legal_path_matches_enumeration():
+    # every mask of up to three positions, rows that allow no label included
+    for n in range(1, 4):
+        for cells in itertools.product((False, True), repeat=4 * n):
+            allowed = np.array(cells).reshape(n, 4)
+            assert tagset.admits_legal_path(allowed) == bool(oracle.legal_sequences(n, allowed))
+    rng = np.random.default_rng(11)
+    seen = set()
+    for n in range(4, 9):
+        for density in (0.3, 0.5, 0.7, 0.9):
+            for _ in range(50):
+                allowed = rng.random((n, 4)) < density
+                admits = tagset.admits_legal_path(allowed)
+                assert admits == bool(oracle.legal_sequences(n, allowed))
+                seen.add(admits)
+    assert seen == {False, True}
