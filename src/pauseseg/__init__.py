@@ -7,12 +7,7 @@ partial annotations (:mod:`pauseseg.mining`); constrained decoding turns
 those into full segmentations for retraining (:mod:`pauseseg.pipeline`).
 """
 
-from .alignment import (
-    CharAlignment,
-    Pause,
-    detect_pauses,
-    pause_durations,
-)
+from .alignment import CharAlignment, Pause, detect_pauses
 from .crf import (
     ConstraintMask,
     CrfModel,
@@ -20,7 +15,6 @@ from .crf import (
     PartialExample,
     TrainConfig,
     boundary_probabilities,
-    boundary_probabilities_batch,
     boundary_probability,
     bigram_marginals,
     log_partition,
@@ -29,7 +23,6 @@ from .crf import (
     score_sequence,
     train,
     viterbi,
-    viterbi_batch,
 )
 from .evaluate import PrfScore, prf, single_char_word_rate
 from .mining import (
@@ -46,7 +39,6 @@ from .pipeline import (
     run_ctt,
     run_partial_crf,
     segment_corpus,
-    self_train_corpus,
     train_baseline,
 )
 from .segments import SegmentedSentence, read_gold_corpus, write_gold_corpus
@@ -70,7 +62,6 @@ __all__ = [
     "__version__",
     "bigram_marginals",
     "boundary_probabilities",
-    "boundary_probabilities_batch",
     "boundary_probability",
     "build_constraint_mask",
     "complete_annotation",
@@ -81,7 +72,6 @@ __all__ = [
     "log_partition",
     "nll_loss_and_grad",
     "partial_nll_loss_and_grad",
-    "pause_durations",
     "pause_statistics",
     "prf",
     "read_gold_corpus",
@@ -90,12 +80,10 @@ __all__ = [
     "score_pauses",
     "score_sequence",
     "segment_corpus",
-    "self_train_corpus",
     "single_char_word_rate",
     "train",
     "train_baseline",
     "viterbi",
-    "viterbi_batch",
     "words_to_labels",
     "write_gold_corpus",
 ]

@@ -144,16 +144,6 @@ def corpus_pauses(alignments, min_pause_ms: float) -> tuple[np.ndarray, np.ndarr
     return owner, at - first[owner], durations[at]
 
 
-def pause_durations(alignment: CharAlignment) -> list[float]:
-    """Inter-character silence in ms for each junction, clamped at 0.
-
-    A junction i sits between characters i and i+1; its duration is the gap
-    between the end of character i and the begin of character i+1. Overlaps
-    count as 0. A one-character utterance has no junctions, so no durations.
-    """
-    return _junction_durations([alignment])[0].tolist()
-
-
 def detect_pauses(
     alignment: CharAlignment, min_pause_ms: float = DEFAULT_MIN_PAUSE_MS
 ) -> list[Pause]:

@@ -193,10 +193,11 @@ def _cmd_recipe(args) -> int:
             self_training=args.command == "selftrain",
         )
         model = result.model
-        if args.baseline_out:
-            result.baseline.save(args.baseline_out)
+        # first of the files: a completion the gold format refuses leaves none written
         if args.completed_out:
             write_gold_corpus(args.completed_out, result.completed)
+        if args.baseline_out:
+            result.baseline.save(args.baseline_out)
         print(f"completed {result.used} target sentences, skipped {result.skipped}")
     model.save(args.model_out)
     print(f"wrote model to {args.model_out}")

@@ -671,23 +671,12 @@ def boundary_probabilities(sentence: str, model: CrfModel) -> np.ndarray:
     return _boundary_mass(bigram_marginals(sentence, model))
 
 
-def boundary_probabilities_batch(sentences, model: CrfModel) -> list[np.ndarray]:
-    """``boundary_probabilities`` of every sentence, encoded at once and computed batch by batch."""
-    out: list[np.ndarray] = [None] * len(sentences)  # type: ignore[list-item]
-    ids = model.vocab.encode_corpus(sentences)
-    for batch in _corpus_batches(sentences):
-        bigram, lengths = _bigram_batch([ids[k] for k in batch], model)
-        for k, row, n in zip(batch, _boundary_mass(bigram), lengths):
-            out[k] = row[: n - 1]
-    return out
-
-
 def boundary_probabilities_at(sentences, model: CrfModel, rows, junctions) -> np.ndarray:
     """The boundary probability at junction ``junctions[k]`` of ``sentences[rows[k]]``, for each k.
 
-    Only the sentences that ``rows`` names are scored, by
-    ``boundary_probabilities_batch``, and their probabilities are gathered
-    with one fancy index. A junction outside its sentence raises
+    Only the sentences that ``rows`` names are scored: they are encoded at
+    once, their marginals computed batch by batch, and the probabilities
+    gathered with one fancy index. A junction outside its sentence raises
     ``IndexOutOfRange`` before anything is scored.
     """
     rows = np.asarray(rows, dtype=np.intp)
@@ -700,7 +689,13 @@ def boundary_probabilities_at(sentences, model: CrfModel, rows, junctions) -> np
     named = np.zeros(len(sentences), dtype=bool)
     named[rows] = True
     at = (np.cumsum(named) - 1)[rows]  # each pair's sentence among the named ones
-    mass = boundary_probabilities_batch([sentences[k] for k in np.flatnonzero(named)], model)
+    scored = [sentences[k] for k in np.flatnonzero(named)]
+    ids = model.vocab.encode_corpus(scored)
+    mass: list[np.ndarray] = [None] * len(scored)  # type: ignore[list-item]
+    for batch in _corpus_batches(scored):
+        bigram, lengths = _bigram_batch([ids[k] for k in batch], model)
+        for k, row, length in zip(batch, _boundary_mass(bigram), lengths):
+            mass[k] = row[: length - 1]
     first = np.cumsum([0] + [len(m) for m in mass])  # where each one's junctions begin
     return np.concatenate([np.empty(0), *mass])[first[at] + junctions]
 
@@ -779,8 +774,8 @@ def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
     Ties are broken toward the lower label id (B<M<E<S) at the earliest
     position where tied paths differ, which makes decoding deterministic.
     One sentence is decoded on Python floats (``viterbi_labels``); corpora
-    go through the batched core (``viterbi_batch``, ``viterbi_words``),
-    with the same result for each sentence.
+    go through the batched core (``viterbi_words``), with the same path for
+    each sentence.
     """
     allowed = _allowed_array(mask, len(sentence))
     return tagset.tags_to_str(viterbi_labels(sentence, model, allowed))
@@ -803,27 +798,10 @@ def _viterbi_corpus(sentences, model: CrfModel, allowed=None, ids=None):
         yield batch, labels, lengths
 
 
-def viterbi_batch(sentences, model: CrfModel, masks=None) -> list[str]:
-    """``viterbi`` of every sentence (under ``masks[k]`` when given), in batches.
-
-    ``LengthMismatch`` if ``masks`` is not one mask per sentence.
-    """
-    allowed = None
-    if masks is not None:
-        if len(masks) != len(sentences):
-            raise LengthMismatch(f"{len(masks)} masks for {len(sentences)} sentences")
-        allowed = [_allowed_array(mask, len(s)) for mask, s in zip(masks, sentences)]
-    out: list[str] = [""] * len(sentences)
-    for batch, labels, lengths in _viterbi_corpus(sentences, model, allowed):
-        for k, path, n in zip(batch, labels.tolist(), lengths.tolist()):
-            out[k] = tagset.tags_to_str(path[:n])
-    return out
-
-
 def viterbi_words(sentences, model: CrfModel, allowed=None, ids=None) -> list[SegmentedSentence]:
-    """``labels_to_words`` of each sentence's ``viterbi`` path, with ``_viterbi_corpus``'s
-    arguments (a mask given here is not checked, as in ``viterbi_labels``). A batch's words
-    end where a label is word-final.
+    """The corpus decode: ``labels_to_words`` of each sentence's ``viterbi`` path, with
+    ``_viterbi_corpus``'s arguments (``allowed[k]`` is an [n, 4] bool array or None, not
+    checked, as in ``viterbi_labels``). A batch's words end where a label is word-final.
     """
     out: list[SegmentedSentence] = [None] * len(sentences)  # type: ignore[list-item]
     for batch, labels, lengths in _viterbi_corpus(sentences, model, allowed, ids):

@@ -68,7 +68,8 @@ class PartialSentence:
 
 def score_pauses(model: crf.CrfModel, sentence: str, pauses: list[Pause]) -> list[Pause]:
     """Attach the model's boundary probability to each pause: ``score_pause_arrays``
-    of one sentence."""
+    of one sentence. Kept for the README's one-utterance example and for the timer
+    that ``perfbench/run.py --trace 1`` wraps around it."""
     owner = np.zeros(len(pauses), dtype=np.intp)
     return score_pause_arrays(
         model, [sentence], owner, [p.junction for p in pauses], [p.duration_ms for p in pauses]
@@ -139,6 +140,8 @@ def build_constraint_mask(sentence: str, boundaries) -> crf.ConstraintMask:
 
 
 def partial_to_mask(partial: PartialSentence) -> crf.ConstraintMask:
+    """``build_constraint_mask`` of a partial sentence, as ``pipeline.run_partial_crf``
+    needs it and ``perfbench/run.py --trace 1`` times it."""
     return build_constraint_mask(partial.chars, partial.boundaries)
 
 

@@ -89,19 +89,14 @@ def train_baseline(
     return crf.train(gold_examples(source), config, dev=dev)
 
 
-def self_train_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedSentence]:
-    """Segment raw sentences with the model's unconstrained decode, in batches."""
-    return crf.viterbi_words(sentences, model)
-
-
 def segment_corpus(model: crf.CrfModel, sentences: list[str]) -> list[SegmentedSentence]:
-    """Segment raw text lines: ``self_train_corpus`` without their whitespace.
+    """Segment raw text lines: ``crf.viterbi_words`` of them without their whitespace.
 
     Whitespace is not text to segment: it is dropped first, so ``"有人 在倾听"``
     is read as ``"有人在倾听"``. Partial annotations keep their spaces as
-    characters, so self-training decodes them with ``self_train_corpus``.
+    characters, so self-training decodes them with ``crf.viterbi_words`` as they are.
     """
-    return self_train_corpus(model, ["".join(s.split()) for s in sentences])
+    return crf.viterbi_words(["".join(s.split()) for s in sentences], model)
 
 
 def complete_annotation(
@@ -155,7 +150,7 @@ def run_ctt(
     if baseline is None:
         baseline = train_baseline(source, config, dev=dev)
     if self_training:
-        completed = self_train_corpus(baseline, [p.chars for p in target])
+        completed = crf.viterbi_words([p.chars for p in target], baseline)
     else:
         completed = complete_corpus(baseline, [p for p in target if p.boundaries])
     skipped = len(target) - len(completed)

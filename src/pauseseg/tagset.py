@@ -165,7 +165,8 @@ def words_to_labels(seg: SegmentedSentence) -> str:
 
 
 def labels_to_words(tags: str | Sequence[int], sentence: str) -> SegmentedSentence:
-    """Decode a legal BMES sequence into word spans over ``sentence``."""
+    """Decode a legal BMES sequence into word spans over ``sentence``: ``cut_words``
+    after a legality check, the checked decoder the tests hold the corpus decode to."""
     t = parse_tags(tags)
     if len(t) != len(sentence):
         raise LengthMismatch(f"{len(t)} tags for {len(sentence)} characters")

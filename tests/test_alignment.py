@@ -26,24 +26,30 @@ def make_alignment(gaps_frames, frame_offset_ms=10.0, start=0, width=5):
     return CharAlignment("utt", tuple(chars), frame_offset_ms)
 
 
+def junction_durations(a):
+    """Every junction's silence in ms, in order: durations clamp at 0, so a 0 ms
+    floor keeps every junction as a pause."""
+    return [p.duration_ms for p in alignment.detect_pauses(a, 0.0)]
+
+
 class TestPauseDurations:
     def test_worked_example(self):
         # 23-frame and 11-frame silences at 10 ms per frame
         a = make_alignment([23, 0, 11, 1])
-        assert alignment.pause_durations(a) == [230.0, 0.0, 110.0, 10.0]
+        assert junction_durations(a) == [230.0, 0.0, 110.0, 10.0]
 
     def test_overlap_clamps_to_zero(self):
         a = CharAlignment("utt", (("一", 0, 10), ("二", 7, 15)))
-        assert alignment.pause_durations(a) == [0.0]
+        assert junction_durations(a) == [0.0]
 
     def test_frame_offset_scales_durations(self):
         a = make_alignment([4], frame_offset_ms=25.0)
-        assert alignment.pause_durations(a) == [100.0]
+        assert junction_durations(a) == [100.0]
 
     def test_single_character_raises(self):
         # one character has no junction, so nothing to measure and no error
         a = CharAlignment("utt", (("一", 0, 5),))
-        assert alignment.pause_durations(a) == []
+        assert junction_durations(a) == []
         assert alignment.detect_pauses(a) == []
 
 
@@ -75,7 +81,7 @@ class TestDetectPauses:
 def test_pause_durations_cover_every_junction(gaps):
     # Negative gaps overlap the previous character; durations clamp at 0.
     a = make_alignment(gaps)
-    durations = alignment.pause_durations(a)
+    durations = junction_durations(a)
     assert len(durations) == len(a) - 1
     assert all(d >= 0.0 for d in durations)
 
@@ -123,7 +129,7 @@ class TestCharAlignment:
 
     def test_accepts_numpy_integer_frames(self):
         a = CharAlignment("utt", (("一", np.int64(0), np.int32(2)), ("二", np.uint8(3), 5)))
-        assert alignment.pause_durations(a) == [10.0]
+        assert junction_durations(a) == [10.0]
 
 
 def assert_bad_record(good: str, bad: str, match=None, error=ParseError):
@@ -253,7 +259,7 @@ class TestJsonIO:
         top = sys.float_info.max / alignment.MAX_FRAME
         last = alignment.MAX_FRAME
         a = CharAlignment("utt", (("一", 0, 0), ("二", last, last)), top)
-        assert alignment.pause_durations(a) == [last * top]
+        assert junction_durations(a) == [last * top]
         assert math.isfinite(last * top)
         with pytest.raises(InvalidConfig, match=re.escape(f"at most {top!r}")):
             make_alignment([4], frame_offset_ms=math.nextafter(top, math.inf))
@@ -394,7 +400,7 @@ class TestTextGrid:
         a = alignment.parse_textgrid(TEXTGRID, "utt1")
         assert a.sentence == "一二三"
         assert a.chars == (("一", 0, 5), ("二", 28, 33), ("三", 33, 40))
-        assert alignment.pause_durations(a) == [230.0, 0.0]
+        assert junction_durations(a) == [230.0, 0.0]
 
     def test_missing_tier_raises(self):
         with pytest.raises(ParseError):
@@ -411,7 +417,7 @@ class TestTextGrid:
         a = alignment.parse_textgrid(quoted, "utt1")
         assert a.sentence == '一"三'
         assert a.chars == (("一", 0, 5), ('"', 28, 33), ("三", 33, 40))
-        assert alignment.pause_durations(a) == [230.0, 0.0]
+        assert junction_durations(a) == [230.0, 0.0]
 
     def test_quoted_tier_name_is_unescaped(self):
         named = TEXTGRID.replace('name = "characters"', 'name = "say ""hi"""')

@@ -160,6 +160,25 @@ def pad(emissions):
     return E, lengths
 
 
+def corpus_tags(sentences, model, masks=None):
+    """The paths of ``crf.viterbi_words``, the corpus decode, as tag strings, each under
+    ``masks[k]`` (None, a ``ConstraintMask`` or a raw array), checked as ``viterbi`` does."""
+    allowed = None if masks is None else [
+        crf._allowed_array(m, len(s)) for s, m in zip(sentences, masks, strict=True)]
+    return [tagset.words_to_labels(w) for w in crf.viterbi_words(sentences, model, allowed)]
+
+
+def corpus_probabilities(sentences, model):
+    """Every junction's boundary probability, one array per sentence, from one
+    ``crf.boundary_probabilities_at`` call over the corpus."""
+    counts = [len(s) - 1 for s in sentences]
+    rows = np.repeat(np.arange(len(sentences)), counts)
+    junctions = [j for n in counts for j in range(n)]
+    flat = crf.boundary_probabilities_at(sentences, model, rows, junctions)
+    first = np.cumsum([0] + counts)
+    return [flat[a:b] for a, b in zip(first[:-1], first[1:])]
+
+
 # ---------------------------------------------------------------------------
 # Tests
 
@@ -200,7 +219,7 @@ def test_boundary_probabilities_match_reference():
     rng = np.random.default_rng(5)
     model = random_model(5, scale=3.0)
     sentences = [oracle.random_sentence(rng, int(n), ALPHABET) for n in rng.integers(2, 15, 40)]
-    batched = crf.boundary_probabilities_batch(sentences, model)
+    batched = corpus_probabilities(sentences, model)
     for s, got in zip(sentences, batched):
         Em = model.emissions(s)
         _, _, bi = ref_scaled_forward_backward(
@@ -273,7 +292,7 @@ def test_model_without_a_legal_path_raises_naming_the_model(scale, dead):
     _, lengths, _, spread = crf._emission_batch(model, [model.vocab.encode("abc")])
     assert crf._in_range(lengths, spread, model.trans, model.start, model.end)[0] == (scale < 10)
     message = "^the model admits no legal tag sequence$"
-    for decode in (crf.log_partition, crf.viterbi, lambda s, m: crf.viterbi_batch([s], m)):
+    for decode in (crf.log_partition, crf.viterbi, lambda s, m: crf.viterbi_words([s], m)):
         with pytest.raises(NoLegalPath, match=message):
             decode("abc", model)
 
@@ -319,7 +338,7 @@ def test_viterbi_matches_reference_on_mixed_lengths_and_masks(grid):
     sentences, allowed, emissions = mixed_batch(rng, model, n_rows=30)
     masks = [None if a is None else ConstraintMask(a) for a in allowed]
     want = [ref_viterbi(Em, model.trans, model.start, model.end) for Em in emissions]
-    assert crf.viterbi_batch(sentences, model, masks) == want
+    assert corpus_tags(sentences, model, masks) == want
     assert [crf.viterbi(s, model, m) for s, m in zip(sentences, masks)] == want
 
 
@@ -330,11 +349,11 @@ def test_viterbi_ties_on_the_all_zero_model():
     zero = np.zeros((1, N))
     assert [ref_viterbi(np.repeat(zero, len(s), 0), model.trans, model.start, model.end)
             for s in sentences] == want
-    assert crf.viterbi_batch(sentences, model) == want
+    assert corpus_tags(sentences, model) == want
     assert [crf.viterbi(s, model) for s in sentences] == want
     # a boundary after character 0 forces S or E there and B or S next
     masks = [mining.build_constraint_mask(s, [0] if len(s) > 1 else []) for s in sentences]
-    assert crf.viterbi_batch(sentences, model, masks) == ["SBME", "S", "SS", "SBE", "SBMMME"]
+    assert corpus_tags(sentences, model, masks) == ["SBME", "S", "SS", "SBE", "SBMMME"]
     assert [crf.viterbi(s, model, m) for s, m in zip(sentences, masks)] == [
         "SBME", "S", "SS", "SBE", "SBMMME"]
 
@@ -358,7 +377,7 @@ def test_one_sentence_viterbi_equals_the_batched_core(data):
             mask = ConstraintMask(mask)
     want = ref_viterbi(Em, model.trans, model.start, model.end)
     assert crf.viterbi(sentence, model, mask) == want
-    assert crf.viterbi_batch([sentence], model, [mask]) == [want]
+    assert corpus_tags([sentence], model, [mask]) == [want]
 
 
 ILLEGAL = {"trans": ~crf.TRANS_LEGAL, "start": ~crf.START_LEGAL, "end": ~crf.END_LEGAL}
@@ -400,18 +419,18 @@ def inference_outputs(model, sentences, partials, tags):
         "viterbi_labels": [crf.viterbi_labels(s, model) for s in sentences],
         "viterbi_labels masked": [crf.viterbi_labels(s, model, m.allowed)
                                   for s, m in zip(sentences, masks)],
-        "viterbi_batch": crf.viterbi_batch(sentences, model),
-        "viterbi_batch masked": crf.viterbi_batch(sentences, model, masks),
+        "viterbi_words tags": corpus_tags(sentences, model),
+        "viterbi_words tags masked": corpus_tags(sentences, model, masks),
         "segment_corpus": pipeline.segment_corpus(model, sentences),
-        "self_train_corpus": pipeline.self_train_corpus(model, sentences),
+        "viterbi_words": crf.viterbi_words(sentences, model),
         "complete_annotation": [pipeline.complete_annotation(model, p) for p in partials],
         "complete_corpus": pipeline.complete_corpus(model, partials),
         "log_partition": bits([crf.log_partition(s, model) for s in sentences]),
         "log_partition masked": bits([crf.log_partition(s, model, m)
                                       for s, m in zip(sentences, masks)]),
         "bigram_marginals": [bits(crf.bigram_marginals(s, model)) for s in pairs],
-        "boundary_probabilities_batch": [bits(p) for p in
-                                         crf.boundary_probabilities_batch(pairs, model)],
+        "boundary_probabilities_at every junction": [
+            bits(p) for p in corpus_probabilities(pairs, model)],
         "boundary_probabilities_at": bits(
             crf.boundary_probabilities_at(sentences, model, rows, junctions)),
         "score_pauses": [mining.score_pauses(model, s, ps) for s, ps in zip(sentences, pauses)],
@@ -448,7 +467,7 @@ def test_one_sentence_viterbi_visits_only_legal_successors():
     assert want != scanned
     assert all(tagset.is_legal(t) for t in want)
     assert [crf.viterbi(s, model) for s in sentences] == want
-    assert crf.viterbi_batch(sentences, model) == want
+    assert corpus_tags(sentences, model) == want
 
 
 def test_corpus_decoding_refuses_an_illegal_best_path():
@@ -497,7 +516,7 @@ def test_inference_reads_illegal_entries_as_minus_infinity(key, values, partials
     clean = CLEAN_MODELS[key]
     dirty = with_illegal_entries(clean, values)
     sentences = [p.chars for p in partials]
-    tags = crf.viterbi_batch(sentences, clean)
+    tags = corpus_tags(sentences, clean)
     want = inference_outputs(clean, sentences, partials, tags)
     got = inference_outputs(dirty, sentences, partials, tags)
     for name in want:
@@ -524,13 +543,13 @@ def test_inference_reads_illegal_entries_as_minus_infinity(key, values, partials
     refusing = [
         lambda: crf.viterbi(s, inf_model),
         lambda: crf.viterbi_labels(s, inf_model),
-        lambda: crf.viterbi_batch([s], inf_model),
+        lambda: crf.viterbi_words([s], inf_model),
         lambda: pipeline.segment_corpus(inf_model, [s]),
         lambda: pipeline.complete_annotation(inf_model, partial),
         lambda: pipeline.complete_corpus(inf_model, [partial]),
         lambda: crf.log_partition(s, inf_model),
         lambda: crf.bigram_marginals(s, inf_model),
-        lambda: crf.boundary_probabilities_batch([s], inf_model),
+        lambda: corpus_probabilities([s], inf_model),
         lambda: crf.boundary_probabilities_at([s], inf_model, [0], [0]),
         lambda: mining.score_pauses(inf_model, s, [Pause(0, 10.0)]),
         lambda: crf.score_sequence(s, crf.viterbi(s, clean), inf_model),
@@ -554,14 +573,7 @@ def test_one_sentence_viterbi_raises_as_the_batched_core_does():
         with pytest.raises(error):
             crf.viterbi(sentence, model, mask)
         with pytest.raises(error):
-            crf.viterbi_batch([sentence], model, [mask])
-
-
-def test_viterbi_batch_refuses_a_mask_list_of_another_length():
-    model = random_model(31)
-    for masks in ([None], [None, None, None]):
-        with pytest.raises(LengthMismatch, match=f"^{len(masks)} masks for 2 sentences$"):
-            crf.viterbi_batch(["ab", "ba"], model, masks)
+            corpus_tags([sentence], model, [mask])
 
 
 def test_batch_gradient_is_the_sum_of_per_sentence_gradients():
@@ -622,9 +634,9 @@ def test_results_do_not_depend_on_batch_composition_or_order(data):
     saved = crf.INFERENCE_BATCH_CHARS
     crf.INFERENCE_BATCH_CHARS = budget
     try:
-        free = crf.viterbi_batch(shuffled, MODEL)
-        masked = crf.viterbi_batch(shuffled, MODEL, [masks[k] for k in order])
-        probs = crf.boundary_probabilities_batch([s for s in shuffled if len(s) > 1], MODEL)
+        free = corpus_tags(shuffled, MODEL)
+        masked = corpus_tags(shuffled, MODEL, [masks[k] for k in order])
+        probs = corpus_probabilities([s for s in shuffled if len(s) > 1], MODEL)
     finally:
         crf.INFERENCE_BATCH_CHARS = saved
 
@@ -650,10 +662,10 @@ def test_corpus_entry_points_encode_the_corpus_once(monkeypatch):
 
     monkeypatch.setattr(features.FeatureVocabulary, "encode_corpus", recorded)
     model = random_model(17)
-    tags = crf.viterbi_batch(sentences, model)
+    tags = corpus_tags(sentences, model)
     assert calls == [sentences]
     calls.clear()
-    probs = crf.boundary_probabilities_batch(sentences, model)
+    probs = corpus_probabilities(sentences, model)
     assert calls == [sentences]
     calls.clear()
     at = crf.boundary_probabilities_at(sentences, model, [3, 1, 3], [0, 0, 1])

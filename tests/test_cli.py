@@ -679,6 +679,23 @@ class TestErrorHandling:
         assert "\\u3000" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ctt", "selftrain"])
+    def test_recipe_whose_completions_are_refused_writes_no_file(
+        self, workspace, capsys, command
+    ):
+        # both models train, then the completions cannot be written: nothing is
+        tmp, gold = workspace
+        target = tmp / "target.txt"
+        target.write_text("一　二|三\n", encoding="utf-8")
+        model, baseline, completed = tmp / "m.txt", tmp / "b.txt", tmp / "c.txt"
+        assert run(
+            command, gold, target, "-o", model, "--epochs", "1",
+            "--baseline-out", baseline, "--completed-out", completed,
+        ) == 1
+        assert "error[WhitespaceInWord]" in capsys.readouterr().err
+        written = [model, baseline, completed, tmp / "m.txt.manifest.json"]
+        assert [p.name for p in written if p.exists()] == []
+
     @pytest.mark.parametrize("text, flags", [
         ("", []), ("\n \n", []), ("。， ！\n「」\n", ["--strip-punct"]),
     ], ids=["empty", "blank-lines", "punctuation-only"])

@@ -746,7 +746,7 @@ def test_unseen_rows_never_train(monkeypatch, l2):
     assert got.emit_w[1:].tobytes() == want.emit_w[T:].tobytes()
     for name in ("trans", "start", "end"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert crf.viterbi_batch([s.chars for s in dev], got) == crf.viterbi_batch(
+    assert crf.viterbi_words([s.chars for s in dev], got) == crf.viterbi_words(
         [s.chars for s in dev], want)
 
 

@@ -93,10 +93,10 @@ class TestCompletion:
 
 
 class TestSelfTrainLabel:
-    """One sentence self-trained alone: a batch of one through ``self_train_corpus``."""
+    """One sentence self-trained alone: a batch of one through ``crf.viterbi_words``."""
 
     def test_zero_model_prefers_one_word(self):
-        (out,) = pipeline.self_train_corpus(zero_model(), ["一二"])
+        (out,) = crf.viterbi_words(["一二"], zero_model())
         assert out.words == ["一二"]
 
     def test_equals_completion_without_boundaries(self):
@@ -108,7 +108,7 @@ class TestSelfTrainLabel:
             s = oracle.random_sentence(rng, n, alphabet="abcd")
             model = oracle.make_model(rng, [s])
             free = pipeline.complete_annotation(model, PartialSentence(s, ()))
-            assert pipeline.self_train_corpus(model, [s])[0] == free
+            assert crf.viterbi_words([s], model)[0] == free
 
     def test_repeated_calls_agree(self):
         import oracle
@@ -116,10 +116,8 @@ class TestSelfTrainLabel:
         rng = np.random.default_rng(37)
         s = oracle.random_sentence(rng, 6)
         model = oracle.make_model(rng, [s], grid=0.25)
-        first = pipeline.self_train_corpus(model, [s])[0]
-        assert all(
-            pipeline.self_train_corpus(model, [s])[0] == first for _ in range(5)
-        )
+        first = crf.viterbi_words([s], model)[0]
+        assert all(crf.viterbi_words([s], model)[0] == first for _ in range(5))
 
 
 class TestRunCtt:
@@ -265,7 +263,7 @@ def test_mining_equals_the_per_alignment_calls(corpus, model, min_pause_ms, thre
     assert pipeline.score_alignments(model, corpus, min_pause_ms) == scored
     assert pipeline.mine_partials(model, corpus, threshold, min_pause_ms) == (partials, scored)
     for a, pauses in zip(corpus, scored):
-        durations = alignment.pause_durations(a)
+        durations = [p.duration_ms for p in alignment.detect_pauses(a, 0.0)]
         assert [p.duration_ms for p in pauses] == [d for d in durations if d >= min_pause_ms]
         for p in pauses:
             assert (type(p.junction), type(p.duration_ms), type(p.probability)) == (int, float, float)
@@ -298,7 +296,7 @@ def test_every_decode_and_score_refuses_weights_that_are_not_finite(weights, val
     partial = PartialSentence("abcd", (1,))
     calls = [
         lambda: crf.viterbi("abcd", model),
-        lambda: crf.viterbi_batch(["abcd", "ef"], model),
+        lambda: crf.viterbi_words(["abcd", "ef"], model),
         lambda: pipeline.complete_annotation(model, partial),
         lambda: pipeline.complete_corpus(model, [partial]),
         lambda: pipeline.segment_corpus(model, ["abcd"]),
@@ -324,7 +322,8 @@ def test_one_sentence_decode_refuses_a_nan_wherever_the_batched_core_does():
         allowed[(ids == f).any(axis=1), E] = False
         mask = crf.ConstraintMask(allowed)
         masked = crf.viterbi(s, nan_model, mask)
-        assert masked == crf.viterbi_batch([s], nan_model, [mask])[0] == crf.viterbi(s, model, mask)
+        assert masked == crf.viterbi(s, model, mask)
+        assert crf.viterbi_words([s], nan_model, [allowed]) == [tagset.labels_to_words(masked, s)]
         broken.append(nan_model)
     for name in ("trans", "start", "end"):
         for index in np.ndindex(getattr(model, name).shape):  # illegal entries too
@@ -333,7 +332,7 @@ def test_one_sentence_decode_refuses_a_nan_wherever_the_batched_core_does():
             broken.append(nan_model)
     for nan_model in broken:
         with pytest.raises(NonFiniteWeights, match="not finite"):
-            crf.viterbi_batch([s], nan_model)
+            crf.viterbi_words([s], nan_model)
         with pytest.raises(NonFiniteWeights, match="not finite"):
             crf.viterbi(s, nan_model)
         with pytest.raises(NonFiniteWeights, match="not finite"):
@@ -356,10 +355,12 @@ def test_corpus_decodes_cut_each_sentence_as_it_is_decoded_alone(seed, grid):
     free = [tagset.labels_to_words(t, s) for t, s in zip(free_tags, sentences)]
     masked = [tagset.labels_to_words(t, s) for t, s in zip(masked_tags, sentences)]
 
-    assert crf.viterbi_batch(sentences, model) == free_tags
-    assert crf.viterbi_batch(sentences, model, masks) == masked_tags
+    free_words = crf.viterbi_words(sentences, model)
+    masked_words = crf.viterbi_words(sentences, model, [m.allowed for m in masks])
+    assert [tagset.words_to_labels(w) for w in free_words] == free_tags
+    assert [tagset.words_to_labels(w) for w in masked_words] == masked_tags
     assert pipeline.segment_corpus(model, sentences) == free
-    assert pipeline.self_train_corpus(model, sentences) == free
+    assert free_words == free
     assert pipeline.complete_corpus(model, partials) == masked
     gold = [SegmentedSentence.from_words(list(s)) for s in sentences]
     dev_ids = model.vocab.encode_corpus(sentences)
