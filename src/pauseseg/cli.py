@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import alignment, crf, evaluate, mining, pipeline
-from .errors import InvalidConfig, ParseError, PausesegError, SentenceMismatch
+from .errors import InvalidConfig, ParseError, PausesegError, SentenceMismatch, WhitespaceInWord
 from .segments import read_gold_corpus, read_text, split_lines, write_gold_corpus, write_text
 
 _OPTIMIZER = {f.name: f.default for f in dataclasses.fields(crf.TrainConfig)}
@@ -187,10 +187,19 @@ def _cmd_recipe(args) -> int:
     if args.command == "partialcrf":
         model = pipeline.run_partial_crf(source, target, config, dev=dev)
     else:
+        self_training = args.command == "selftrain"
+        if args.completed_out:
+            # every character of a completion is in a word, and the gold format holds
+            # no whitespace in one: refuse such a target before anything is trained
+            for p in pipeline.completion_targets(target, self_training):
+                if any(map(str.isspace, p.chars)):
+                    raise WhitespaceInWord(
+                        f"target sentence {p.chars!r} holds whitespace, so its completion"
+                        " cannot be written in the gold format"
+                    )
         baseline = crf.CrfModel.load(args.baseline) if args.baseline else None
         result = pipeline.run_ctt(
-            source, target, config, dev=dev, baseline=baseline,
-            self_training=args.command == "selftrain",
+            source, target, config, dev=dev, baseline=baseline, self_training=self_training
         )
         model = result.model
         # first of the files: a completion the gold format refuses leaves none written

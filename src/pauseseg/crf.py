@@ -13,18 +13,22 @@ too wide a range for that; batched Viterbi is the log-space backward with max.
 One rule holds for every model, read from a file or changed in memory:
 inference reads illegal entries as -inf; a NaN or +inf anywhere is refused
 (``NonFiniteWeights``). Every operation reads the transition, start and end
-weights through ``_inference_weights``.
+weights through ``_inference_weights``, a view computed once per weight
+state: it is keyed on the weights' content, not on the model object, so an
+edit in place is seen by the next call.
 """
 
 from __future__ import annotations
 
 import base64
 import ctypes
+import functools
 import logging
 import math
 import random
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -564,6 +568,9 @@ def _corpus_batches(sentences):
     return _batches(order, lengths, INFERENCE_BATCH_CHARS)
 
 
+_NON_FINITE = "the model holds a weight that is not finite (NaN or +inf)"
+
+
 def _require_paths(best) -> None:
     """Refuse unless each best path score, or log Z, of a batch (an array or one float) is finite.
 
@@ -573,28 +580,61 @@ def _require_paths(best) -> None:
     """
     values = best.tolist() if isinstance(best, np.ndarray) else [best]
     if not all(v < math.inf for v in values):  # NaN fails too
-        raise NonFiniteWeights("the model holds a weight that is not finite (NaN or +inf)")
+        raise NonFiniteWeights(_NON_FINITE)
     if NEG_INF in values:
         raise NoLegalPath("the model admits no legal tag sequence")
 
 
-def _refuse_non_finite(E, trans, start, end) -> None:
+class _WeightView(NamedTuple):
+    """(trans, start, end) as inference reads them, as read-only arrays and as
+    (nested) tuples of Python floats, and whether they hold no NaN or +inf."""
+
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
+    floats: tuple[tuple, tuple, tuple]
+    finite: bool
+
+
+def _refuse_non_finite(E, weights: _WeightView) -> None:
     """``NonFiniteWeights`` if emissions ``E`` or the weights hold a NaN or +inf."""
-    top = np.maximum.reduce(np.concatenate((E.ravel(), trans.ravel(), start, end)))
-    if not top < math.inf:  # NaN fails too
-        raise NonFiniteWeights("the model holds a weight that is not finite (NaN or +inf)")
+    if not (weights.finite and np.maximum.reduce(E, axis=None) < math.inf):  # NaN fails too
+        raise NonFiniteWeights(_NON_FINITE)
 
 
-def _inference_weights(model: CrfModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _inference_weights(model: CrfModel) -> _WeightView:
     """``model``'s (trans, start, end) as every inference operation reads them.
 
     The arrays plus 0 on legal entries and -inf on illegal ones: a finite
     illegal entry reads as -inf, a NaN or +inf one as NaN (inf + -inf),
     which the output checks refuse. A model that keeps the invariant of
     ``weight_fault`` reads bitwise as it is (x + 0.0 == x).
+
+    The view is computed once per weight state: it is cached on the
+    weights' dtype, shape and bytes, never on the model object, because
+    models are edited in place.
     """
+    t, s, e = model.trans, model.start, model.end
+    return _weight_view(
+        (t.dtype, t.shape, t.tobytes()),
+        (s.dtype, s.shape, s.tobytes()),
+        (e.dtype, e.shape, e.tobytes()),
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _weight_view(*content) -> _WeightView:
+    """``_inference_weights`` of the trans, start and end whose (dtype, shape, bytes)
+    are ``content``."""
     with np.errstate(invalid="ignore"):
-        return model.trans + _TRANS_0, model.start + _START_0, model.end + _END_0
+        arrays = tuple(
+            np.frombuffer(data, dtype).reshape(shape) + zero
+            for (dtype, shape, data), zero in zip(content, (_TRANS_0, _START_0, _END_0))
+        )
+    for w in arrays:
+        w.setflags(write=False)
+    trans, start, end = (w.tolist() for w in arrays)
+    floats = tuple(map(tuple, trans)), tuple(start), tuple(end)
+    top = np.maximum.reduce(np.concatenate([w.ravel() for w in arrays]))
+    return _WeightView(arrays, floats, bool(top < math.inf))
 
 
 def _boundary_mass(bigram: np.ndarray) -> np.ndarray:
@@ -629,8 +669,8 @@ def score_sequence(sentence: str, tags, model: CrfModel) -> float:
         raise SentenceTooShort("empty sentence")
     E = model.emissions(sentence)
     weights = _inference_weights(model)
-    _refuse_non_finite(E, *weights)
-    return _path_score(E, t, *weights)
+    _refuse_non_finite(E, weights)
+    return _path_score(E, t, *weights.arrays)
 
 
 def log_partition(sentence: str, model: CrfModel, mask=None) -> float:
@@ -639,7 +679,7 @@ def log_partition(sentence: str, model: CrfModel, mask=None) -> float:
         raise SentenceTooShort("empty sentence")
     allowed = _allowed_array(mask, len(sentence))
     E, lengths, shift, spread = _emission_batch(model, [model.vocab.encode(sentence)], [allowed])
-    weights = _inference_weights(model)
+    weights = _inference_weights(model).arrays
     if _in_range(lengths, spread, *weights)[0]:
         X, T, S, F = _exponentiate(E, shift, *weights)
         *_, log_z = _forward(X, lengths, shift, T, S, F)
@@ -655,7 +695,7 @@ def _bigram_batch(ids, model: CrfModel) -> tuple[np.ndarray, np.ndarray]:
         if len(x) < 2:
             raise SentenceTooShort("bigram marginals need at least 2 characters")
     E, lengths, shift, spread = _emission_batch(model, ids)
-    fb = _forward_backward(E, lengths, shift, spread, *_inference_weights(model))
+    fb = _forward_backward(E, lengths, shift, spread, *_inference_weights(model).arrays)
     _require_paths(fb.log_z)
     return fb.bigram, lengths
 
@@ -712,12 +752,12 @@ def boundary_probability(sentence: str, model: CrfModel, i: int) -> float:
 _NEXT_LABELS = tuple((q, r) for q, r in (np.flatnonzero(row).tolist() for row in TRANS_LEGAL))
 
 
-def _viterbi_one(E: list, trans: list, start: list, end: list) -> list[int]:
+def _viterbi_one(E: list, trans, start, end) -> list[int]:
     """``_viterbi`` of one sentence on Python floats, its score checked by ``_require_paths``.
 
     ``E`` is the sentence's [n][4] emission rows (-inf where a mask
-    excludes a label), the weights are ``_inference_weights`` as nested
-    lists. After label p it visits only p's two legal successors
+    excludes a label), the weights are ``_inference_weights``' Python
+    floats. After label p it visits only p's two legal successors
     (``_NEXT_LABELS``), in ascending id, where ``_viterbi`` scans all four:
     the others read -inf, so the additions, the path and its first-maximum
     tie-breaks are ``_viterbi``'s.
@@ -761,11 +801,11 @@ def viterbi_labels(sentence: str, model: CrfModel, allowed: np.ndarray | None = 
     E = model.emissions(sentence)
     if allowed is not None:
         E[~allowed] = NEG_INF
-    trans, start, end = _inference_weights(model)
+    weights = _inference_weights(model)
     # _viterbi_one's comparisons drop a NaN that only some paths meet: refuse what
     # the batched core refuses, a NaN or +inf in an unmasked emission or any weight
-    _refuse_non_finite(E, trans, start, end)
-    return _viterbi_one(E.tolist(), trans.tolist(), start.tolist(), end.tolist())
+    _refuse_non_finite(E, weights)
+    return _viterbi_one(E.tolist(), *weights.floats)
 
 
 def viterbi(sentence: str, model: CrfModel, mask=None) -> str:
@@ -789,7 +829,7 @@ def _viterbi_corpus(sentences, model: CrfModel, allowed=None, ids=None):
         raise SentenceTooShort("empty sentence")
     if ids is None:
         ids = model.vocab.encode_corpus(sentences)
-    weights = _inference_weights(model)
+    weights = _inference_weights(model).arrays
     for batch in _corpus_batches(sentences):
         masks = None if allowed is None else [allowed[k] for k in batch]
         E, lengths, _, _ = _emission_batch(model, [ids[k] for k in batch], masks)
@@ -939,7 +979,7 @@ def _loss_and_grad(model: CrfModel, items, emit_scale: float = 1.0) -> tuple[flo
     E, lengths, shift, spread = _emission_batch(
         model, rows, [None] * B + [items[b][2] for b in part], emit_scale
     )
-    trans, start, end = _inference_weights(model)
+    trans, start, end = _inference_weights(model).arrays
     fb = _forward_backward(E, lengths, shift, spread, trans, start, end)
     lengths = lengths[:B]
     ids = np.concatenate(rows[:B])

@@ -118,13 +118,19 @@ class FeatureVocabulary:
     # -- keys ---------------------------------------------------------------
 
     def _keys(self, sentence: str) -> np.ndarray:
-        """Keys [characters, templates] of one sentence's characters."""
+        """Keys [characters, templates] of one sentence's characters.
+
+        The sentence is laid out as BOS BOS c... EOS EOS, as a corpus's
+        sentences are (``_corpus_keys``). The offsets are -2..+2, so the codes
+        at character i's offsets are the slots i..i+4: row i of a strided view
+        of the layout, which reads inside it for every i < n.
+        """
         codes = np.frombuffer(sentence.encode("utf-32-le", "surrogatepass"), "<u4")
         n = len(codes)
-        padded = np.empty(n + 2, dtype=np.int64)
-        padded[0], padded[1:-1], padded[-1] = BOS_CODE, codes, EOS_CODE
-        # the code at every distinct offset, sentinels past the sentence ends
-        window = padded[np.minimum(np.maximum(np.arange(1, n + 1)[:, None] + _OFFSETS, 0), n + 1)]
+        padded = np.empty(n + 4, dtype=np.int64)
+        padded[:2], padded[2:-2], padded[-2:] = BOS_CODE, codes, EOS_CODE
+        step = padded.itemsize
+        window = np.ndarray((n, len(_OFFSETS)), np.int64, padded, 0, (step, step))
         return window @ _PACK + _BASE
 
     def _corpus_keys(self, sentences: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +189,7 @@ class FeatureVocabulary:
 
     def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of known keys and a mask of the unknown ones, both shaped like ``keys``."""
-        pos = np.searchsorted(self._sorted_keys, keys)
+        pos = self._sorted_keys.searchsorted(keys)
         return pos + 1, self._sorted_keys[pos] != keys
 
     # -- building -----------------------------------------------------------
@@ -226,7 +232,8 @@ class FeatureVocabulary:
         if not self.frozen:
             raise RuntimeError("freeze the vocabulary before encoding")
         ids, unseen = self._lookup(self._keys(sentence))
-        return np.where(unseen, 0, ids)
+        ids[unseen] = 0
+        return ids
 
     def encode_corpus(self, sentences: list[str]) -> list[np.ndarray]:
         """``encode`` of each sentence, keyed at once by ``_corpus_keys``."""

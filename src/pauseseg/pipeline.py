@@ -121,6 +121,14 @@ def complete_corpus(
     return crf.viterbi_words([p.chars for p in partials], model, allowed)
 
 
+def completion_targets(
+    target: list[PartialSentence], self_training: bool = False
+) -> list[PartialSentence]:
+    """The target sentences ``run_ctt`` completes: every one in self-training, else
+    those with a boundary (the others carry no constraint signal)."""
+    return list(target) if self_training else [p for p in target if p.boundaries]
+
+
 @dataclass
 class CttResult:
     model: crf.CrfModel
@@ -145,14 +153,15 @@ def run_ctt(
     annotation, then train a fresh model on source plus completions. In
     self-training the constraints are ignored and every target sentence is
     decoded freely. Target sentences without boundaries carry no constraint
-    signal and are skipped in complete-then-train.
+    signal and are skipped in complete-then-train (``completion_targets``).
     """
     if baseline is None:
         baseline = train_baseline(source, config, dev=dev)
+    todo = completion_targets(target, self_training)
     if self_training:
-        completed = crf.viterbi_words([p.chars for p in target], baseline)
+        completed = crf.viterbi_words([p.chars for p in todo], baseline)
     else:
-        completed = complete_corpus(baseline, [p for p in target if p.boundaries])
+        completed = complete_corpus(baseline, todo)
     skipped = len(target) - len(completed)
     if skipped:
         log.info("skipped %d target sentences without usable constraints", skipped)

@@ -93,7 +93,7 @@ def allowed_labels(n: int, boundaries) -> np.ndarray:
             raise IndexOutOfRange(f"junction {b} outside sentence of length {n}")
         codes[b] &= _FINAL_LABELS
         codes[b + 1] &= _INITIAL_LABELS
-    return _ROW_OF_CODE[codes]
+    return _ROW_OF_CODE.take(codes, axis=0)
 
 
 def admits_legal_path(allowed: np.ndarray) -> bool:

@@ -576,6 +576,53 @@ def test_one_sentence_viterbi_raises_as_the_batched_core_does():
             corpus_tags([sentence], model, [mask])
 
 
+def test_one_sentence_calls_read_weights_edited_in_place_between_them():
+    # the weight view is computed once per weight state, keyed on the weights'
+    # content: each call sees the edits made since the last one
+    model = random_model(43)
+    rng = np.random.default_rng(43)
+    s = oracle.random_sentence(rng, 9, ALPHABET)
+    partial = mining.PartialSentence(s, (2, 5))
+    tags = crf.viterbi(s, model)
+    t = tagset.parse_tags(tags)
+
+    def answers(m):
+        return (
+            pipeline.complete_annotation(m, partial),
+            crf.viterbi(s, m),
+            crf.viterbi_labels(s, m),
+            np.float64(crf.score_sequence(s, tags, m)).tobytes(),
+        )
+
+    first = answers(model)
+    # the path's own entries: an edit there moves its score
+    for name, at in (("trans", (t[3], t[4])), ("start", t[0]), ("end", t[-1])):
+        weights = getattr(model, name)
+        saved = weights.copy()
+        weights[at] = np.nan
+        for call in (
+            lambda: pipeline.complete_annotation(model, partial),
+            lambda: crf.viterbi(s, model),
+            lambda: crf.viterbi_labels(s, model),
+            lambda: crf.score_sequence(s, tags, model),
+        ):
+            with pytest.raises(NonFiniteWeights, match="not finite"):
+                call()
+        weights[at] = saved[at] - 8.0
+        edited = answers(model)
+        assert edited != first
+        assert edited == answers(model.copy())
+        assert crf.viterbi_words([s], model, [tagset.allowed_labels(len(s), partial.boundaries)]) \
+            == [edited[0]]
+        assert corpus_tags([s], model) == [edited[1]]
+        weights[...] = saved
+        assert answers(model) == first
+
+    for arr in crf._inference_weights(model).arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+
+
 def test_batch_gradient_is_the_sum_of_per_sentence_gradients():
     rng = np.random.default_rng(11)
     model = random_model(11)

@@ -49,6 +49,9 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+crf_train = crf.train
+
+
 class TestTrainAndSegment:
     def test_train_writes_model_and_manifest(self, workspace):
         tmp, gold = workspace
@@ -681,9 +684,12 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command", ["ctt", "selftrain"])
     def test_recipe_whose_completions_are_refused_writes_no_file(
-        self, workspace, capsys, command
+        self, workspace, capsys, monkeypatch, command
     ):
-        # both models train, then the completions cannot be written: nothing is
+        # a completion of a sentence holding whitespace cannot be written, whatever
+        # its cut: the recipe stops before any model trains, and nothing is written
+        trained = []
+        monkeypatch.setattr(crf, "train", lambda *a, **k: trained.append(1) or crf_train(*a, **k))
         tmp, gold = workspace
         target = tmp / "target.txt"
         target.write_text("一　二|三\n", encoding="utf-8")
@@ -692,9 +698,31 @@ class TestErrorHandling:
             command, gold, target, "-o", model, "--epochs", "1",
             "--baseline-out", baseline, "--completed-out", completed,
         ) == 1
-        assert "error[WhitespaceInWord]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error[WhitespaceInWord]" in err
+        assert "\\u3000" in err
+        assert trained == []
         written = [model, baseline, completed, tmp / "m.txt.manifest.json"]
         assert [p.name for p in written if p.exists()] == []
+
+    @pytest.mark.parametrize("command, code", [("ctt", 0), ("selftrain", 1)])
+    def test_whitespace_in_a_target_is_refused_only_where_it_is_completed(
+        self, workspace, capsys, command, code
+    ):
+        # ctt skips a target sentence without a boundary, so its space is never written
+        tmp, gold = workspace
+        target = tmp / "target.txt"
+        target.write_text("一　二\n三|四五\n", encoding="utf-8")
+        completed = tmp / "c.txt"
+        assert run(
+            command, gold, target, "-o", tmp / "m.txt", "--epochs", "1",
+            "--completed-out", completed,
+        ) == code
+        if code:
+            assert "error[WhitespaceInWord]" in capsys.readouterr().err
+            assert not completed.exists()
+        else:
+            assert [s.chars for s in read_gold_corpus(completed)] == ["三四五"]
 
     @pytest.mark.parametrize("text, flags", [
         ("", []), ("\n \n", []), ("。， ！\n「」\n", ["--strip-punct"]),
