@@ -14,6 +14,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,9 +96,12 @@ class CharAlignment:
         return len(self.chars)
 
 
-@dataclass(frozen=True)
-class Pause:
-    """Silence at one junction, optionally scored with a boundary probability."""
+class Pause(NamedTuple):
+    """Silence at one junction, optionally scored with a boundary probability.
+
+    A named tuple: immutable and hashable, and built without the per-field
+    ``object.__setattr__`` of a frozen dataclass (mining builds one per pause).
+    """
 
     junction: int
     duration_ms: float

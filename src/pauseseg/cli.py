@@ -122,6 +122,20 @@ def _read_alignment_files(paths, tier_name: str, frame_offset_ms: float):
     return out
 
 
+def _refuse_unwritable_completions(partials) -> None:
+    """``WhitespaceInWord`` for the first partial sentence holding whitespace.
+
+    Every character of a completion is in a word, and the gold format holds
+    no whitespace in one, so such a sentence is refused before it is decoded.
+    """
+    for p in partials:
+        if any(map(str.isspace, p.chars)):
+            raise WhitespaceInWord(
+                f"target sentence {p.chars!r} holds whitespace, so its completion"
+                " cannot be written in the gold format"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -172,6 +186,7 @@ def _cmd_filter(args) -> int:
 def _cmd_complete(args) -> int:
     model = crf.CrfModel.load(args.model)
     partials = _load_partial(args.partial, args.strip_punct)
+    _refuse_unwritable_completions(partials)
     completed = pipeline.complete_corpus(model, partials)
     write_gold_corpus(args.output, completed)
     print(f"completed {len(completed)} sentences to {args.output}")
@@ -188,15 +203,8 @@ def _cmd_recipe(args) -> int:
         model = pipeline.run_partial_crf(source, target, config, dev=dev)
     else:
         self_training = args.command == "selftrain"
-        if args.completed_out:
-            # every character of a completion is in a word, and the gold format holds
-            # no whitespace in one: refuse such a target before anything is trained
-            for p in pipeline.completion_targets(target, self_training):
-                if any(map(str.isspace, p.chars)):
-                    raise WhitespaceInWord(
-                        f"target sentence {p.chars!r} holds whitespace, so its completion"
-                        " cannot be written in the gold format"
-                    )
+        if args.completed_out:  # before anything is trained
+            _refuse_unwritable_completions(pipeline.completion_targets(target, self_training))
         baseline = crf.CrfModel.load(args.baseline) if args.baseline else None
         result = pipeline.run_ctt(
             source, target, config, dev=dev, baseline=baseline, self_training=self_training

@@ -747,38 +747,51 @@ def boundary_probability(sentence: str, model: CrfModel, i: int) -> float:
     return float(boundary_probabilities(sentence, model)[i])
 
 
-# each label's two legal successors, in ascending id: the word-initial labels
-# after a word-final one, else the two others (unpacking checks there are two)
-_NEXT_LABELS = tuple((q, r) for q, r in (np.flatnonzero(row).tolist() for row in TRANS_LEGAL))
-
-
 def _viterbi_one(E: list, trans, start, end) -> list[int]:
     """``_viterbi`` of one sentence on Python floats, its score checked by ``_require_paths``.
 
     ``E`` is the sentence's [n][4] emission rows (-inf where a mask
     excludes a label), the weights are ``_inference_weights``' Python
-    floats. After label p it visits only p's two legal successors
-    (``_NEXT_LABELS``), in ascending id, where ``_viterbi`` scans all four:
-    the others read -inf, so the additions, the path and its first-maximum
-    tie-breaks are ``_viterbi``'s.
+    floats. The recursion is written out for BMES's two successor pairs:
+    after B or M comes M or E, after E or S comes B or S. So it reads only
+    those eight trans entries, and weighs each label's two successors in
+    ascending id where ``_viterbi`` scans all four: the others read -inf,
+    so the additions, the path and its first-maximum tie-breaks are
+    ``_viterbi``'s. ``d0..d3`` are the best suffix scores of B, M, E, S
+    and ``e0..e3`` a position's emissions.
     """
-    delta = [e + x for e, x in zip(E[-1], end)]
+    # t_pq: the weight of label q after label p
+    (_, t_bm, t_be, _), (_, t_mm, t_me, _), (t_eb, _, _, t_es), (t_sb, _, _, t_ss) = trans
+    e0, e1, e2, e3 = E[-1]
+    x0, x1, x2, x3 = end
+    d0, d1, d2, d3 = e0 + x0, e1 + x1, e2 + x2, e3 + x3
     back = []  # back[k][p]: the best label after p, for positions n-1 down to 1
-    for row in reversed(E[:-1]):
-        scores = []
-        best_next = []
-        for e, tp, (q, r) in zip(row, trans, _NEXT_LABELS):
-            x = tp[q] + delta[q]
-            y = tp[r] + delta[r]
-            if y > x:  # ties go to q, the lower id
-                scores.append(e + y)
-                best_next.append(r)
-            else:
-                scores.append(e + x)
-                best_next.append(q)
-        delta = scores
-        back.append(best_next)
-    first = [s + d for s, d in zip(start, delta)]
+    for e0, e1, e2, e3 in E[-2::-1]:
+        # x is the lower-id successor, y the higher one; ties go to x
+        x, y = t_bm + d1, t_be + d2
+        if y > x:
+            nb, a0 = 2, e0 + y
+        else:
+            nb, a0 = 1, e0 + x
+        x, y = t_mm + d1, t_me + d2
+        if y > x:
+            nm, a1 = 2, e1 + y
+        else:
+            nm, a1 = 1, e1 + x
+        x, y = t_eb + d0, t_es + d3
+        if y > x:
+            ne, a2 = 3, e2 + y
+        else:
+            ne, a2 = 0, e2 + x
+        x, y = t_sb + d0, t_ss + d3
+        if y > x:
+            ns, a3 = 3, e3 + y
+        else:
+            ns, a3 = 0, e3 + x
+        d0, d1, d2, d3 = a0, a1, a2, a3
+        back.append((nb, nm, ne, ns))
+    x0, x1, x2, x3 = start
+    first = [x0 + d0, x1 + d1, x2 + d2, x3 + d3]
     best = max(first)
     _require_paths(best)
     t = first.index(best)
@@ -986,16 +999,22 @@ def _loss_and_grad(model: CrfModel, items, emit_scale: float = 1.0) -> tuple[flo
     row = np.repeat(np.arange(B), lengths)
     col = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     unigram, bigram = fb.unigram[:B], fb.bigram[:B]
-    # subtract marginals before scattering: when a mask excludes nothing
-    # the difference is exactly zero, so the update is too
-    unigram[part] -= fb.unigram[B:]
-    bigram[part] -= fb.bigram[B:]
-    loss = float(np.sum(fb.log_z[part] - fb.log_z[B:]))
+    loss = 0.0
+    if part.size:
+        # subtract marginals before scattering: when a mask excludes nothing
+        # the difference is exactly zero, so the update is too
+        unigram[part] -= fb.unigram[B:]
+        bigram[part] -= fb.bigram[B:]
+        loss = float(np.sum(fb.log_z[part] - fb.log_z[B:]))
 
     full = [b for b, it in enumerate(items) if it[1] is not None]
     if full:
-        on_full = np.isin(row, full)
-        frow, fcol = row[on_full], col[on_full]
+        frow, fcol = row, col
+        if len(full) < B:  # the positions of the full examples, each one whole
+            is_full = np.zeros(B, dtype=bool)
+            is_full[full] = True
+            on_full = is_full[row]
+            frow, fcol = row[on_full], col[on_full]
         gold = np.concatenate([items[b][1] for b in full])
         first, last = fcol == 0, np.append(fcol[1:] == 0, True)
         step = np.flatnonzero(~first)  # positions with a gold transition into them

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pauseseg import alignment
-from pauseseg.alignment import CharAlignment
+from pauseseg import alignment, mining
+from pauseseg.alignment import CharAlignment, Pause
 from pauseseg.errors import InvalidConfig, NonMonotoneFrames, ParseError
 
 
@@ -75,6 +75,42 @@ class TestDetectPauses:
     def test_floor_that_makes_no_sense_is_refused(self, floor):
         with pytest.raises(InvalidConfig, match="min_pause_ms"):
             alignment.detect_pauses(make_alignment([23]), floor)
+
+
+class TestPauseRecord:
+    def test_positional_and_keyword_construction_agree(self):
+        p = Pause(0, 230.0, 0.97)
+        assert p == Pause(junction=0, duration_ms=230.0, probability=0.97)
+        assert (p.junction, p.duration_ms, p.probability) == (0, 230.0, 0.97)
+
+    def test_probability_defaults_to_none(self):
+        assert Pause(2, 110.0).probability is None
+        assert Pause(2, 110.0) == Pause(2, 110.0, None)
+
+    @pytest.mark.parametrize("field", ["junction", "duration_ms", "probability"])
+    def test_fields_cannot_be_assigned(self, field):
+        p = Pause(0, 230.0, 0.97)
+        with pytest.raises(AttributeError):
+            setattr(p, field, 1)
+        assert p == Pause(0, 230.0, 0.97)
+
+    def test_equal_pauses_hash_alike(self):
+        a, b = Pause(1, 50.0, 0.5), Pause(1, 50.0, 0.5)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Pause(1, 50.0)}) == 2
+        assert a != Pause(1, 50.0, 0.25)
+
+    def test_repr(self):
+        assert repr(Pause(0, 230.0, 0.97)) == "Pause(junction=0, duration_ms=230.0, probability=0.97)"
+        assert repr(Pause(3, 10.0)) == "Pause(junction=3, duration_ms=10.0, probability=None)"
+
+    def test_scored_file_gives_back_equal_records(self, tmp_path):
+        path = tmp_path / "scored.jsonl"
+        pauses = [Pause(0, 230.0, 0.97), Pause(1, 110.0, None), Pause(2, 0.0, 0.0)]
+        mining.write_scored_pauses(path, [("u1", "一二三四", pauses)])
+        ((_, _, back),) = mining.read_scored_pauses(path)
+        assert back == pauses
+        assert all(type(p) is Pause for p in back)
 
 
 @given(st.lists(st.integers(min_value=-3, max_value=40), min_size=1, max_size=9))

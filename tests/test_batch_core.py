@@ -386,6 +386,49 @@ CLEAN_MODELS = {(seed, scale): random_model(seed, scale=scale, grid=grid)
                 for seed, scale, grid in [(29, 1.5, 0.25), (37, 1.5, None), (41, 300.0, None)]}
 
 
+@pytest.mark.parametrize("seed", [19, 23])
+def test_unrolled_recursion_equals_the_batched_core_row_by_row_on_the_tie_grid(seed):
+    # dyadic weights in {-0.25, 0, 0.25} and random masks: exact ties everywhere
+    model = random_model(seed, grid=0.25)
+    _, _, emissions = mixed_batch(np.random.default_rng(seed), model, n_rows=40)
+    weights = crf._inference_weights(model)
+    paths, _ = crf._viterbi(*pad(emissions), *weights.arrays)
+    for b, Em in enumerate(emissions):
+        assert crf._viterbi_one(Em.tolist(), *weights.floats) == paths[b, : len(Em)].tolist()
+
+
+def test_unrolled_recursion_equals_the_batched_core_when_every_path_ties():
+    weights = crf._inference_weights(crf.CrfModel(random_model(0).vocab))  # every weight 0
+    B, M, E, S = tagset.Label
+    rng = np.random.default_rng(3)
+    unmasked = [np.zeros((n, N)) for n in range(1, 12)]
+    # random masks put E and S before the last position, where their successors tie
+    masked = [np.where(oracle.random_mask(rng, n), 0.0, NEG_INF) for n in list(range(1, 12)) * 3]
+    paths, _ = crf._viterbi(*pad(unmasked + masked), *weights.arrays)
+    for b, Em in enumerate(unmasked + masked):
+        n = len(Em)
+        got = crf._viterbi_one(Em.tolist(), *weights.floats)
+        assert got == paths[b, :n].tolist()
+        if b < len(unmasked):
+            assert got == ([S] if n == 1 else [B] + [M] * (n - 2) + [E])
+
+
+def test_unrolled_recursion_reads_exactly_the_legal_transitions():
+    # every weight 0 but trans[p][q] = 1: a two-character decode gives the path
+    # (p, q) exactly when the recursion reads that entry, that is when it spells
+    # q out as a successor of p
+    zeros = [0.0] * N
+    read = set()
+    for p in range(N):
+        for q in range(N):
+            trans = [list(zeros) for _ in range(N)]
+            trans[p][q] = 1.0
+            if crf._viterbi_one([zeros, zeros], trans, zeros, zeros) == [p, q]:
+                read.add((p, q))
+    legal = tagset.legal_transitions().legal
+    assert read == {(p, q) for p in range(N) for q in range(N) if legal[p, q]}
+
+
 def with_illegal_entries(model, values):
     """A copy of ``model`` whose illegal trans, start and end entries hold ``values``, in turn."""
     dirty = model.copy()

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pauseseg import alignment, cli, crf, mining
+from pauseseg import alignment, cli, crf, mining, pipeline
 from pauseseg.alignment import CharAlignment
 from pauseseg.segments import SegmentedSentence, read_gold_corpus, write_gold_corpus
 
@@ -669,14 +669,18 @@ class TestErrorHandling:
         assert f"(line {line})" in err
         assert not scored.exists()
 
-    def test_completed_word_holding_whitespace_exits_one(self, workspace, capsys):
+    def test_completed_word_holding_whitespace_exits_one(self, workspace, capsys, monkeypatch):
+        # the partial is refused before any sentence is decoded
         tmp, gold = workspace
         model_path = tmp / "model.txt"
         run("train", gold, "-o", model_path, "--epochs", "1")
+        decoded = []
+        monkeypatch.setattr(pipeline, "complete_corpus", lambda *a: decoded.append(a))
         partial = tmp / "partial.txt"
         partial.write_text("一\u3000二|三\n", encoding="utf-8")
         out = tmp / "completed.txt"
         assert run("complete", model_path, partial, "-o", out) == 1
+        assert decoded == []
         err = capsys.readouterr().err
         assert "error[WhitespaceInWord]" in err
         assert "\\u3000" in err
