@@ -4,11 +4,12 @@ Dynamic programming runs on float64 arrays, over padded batches of
 sentences. Hard constraints are uniform: illegal transitions, illegal
 start/end labels and constraint-mask exclusions are -inf score entries
 (0 once exponentiated), so a single forward / backward pair serves the
-partition function, marginals and both losses, and a single Viterbi
-recursion serves (constrained) decoding: over batches for corpora, and on
-Python floats for one sentence. Forward-backward runs in scaled
-probability space, and in log space for a sentence whose weights span
-too wide a range for that; batched Viterbi is the log-space backward with max.
+partition function, the label marginals, boundary probabilities and both
+losses, and a single Viterbi recursion serves (constrained) decoding: over
+batches for corpora, and on Python floats for one sentence. Forward-backward
+runs in scaled probability space, and in log space for a sentence whose
+weights span too wide a range for that; batched Viterbi is the log-space
+backward with max. ``bigram_marginals`` is a one-sentence log-space report.
 
 One rule holds for every model, read from a file or changed in memory:
 inference reads illegal entries as -inf; a NaN or +inf anywhere is refused
@@ -57,8 +58,6 @@ _TABLE = tagset.legal_transitions()
 TRANS_LEGAL = _TABLE.legal
 START_LEGAL = _TABLE.legal_start
 END_LEGAL = _TABLE.legal_end
-
-_BOUNDARY_PAIRS = sorted((int(a), int(b)) for a, b in tagset.boundary_bigrams())
 
 # 0 on the legal entries of trans, start and end, -inf on the illegal ones: a
 # new model's weights, and what inference adds to a model's
@@ -289,8 +288,10 @@ def _allowed_array(mask, n: int) -> np.ndarray | None:
 # Z' = sum_l alpha[n-1, l] F[l] and Y[i] = X[i+1] beta[i+1] / c[i+1]:
 #     log Z = log Z' + sum_i log c[i] + sum_i shift[i]
 #     unigram[i, l] = alpha[i, l] beta[i, l] / Z'
-#     bigram[i, p, q] = alpha[i, p] T[p, q] Y[i, q] / Z'
-# Illegal bigrams, excluded labels and padding get exactly 0.
+#     pairs[p, q] = T[p, q] sum_i alpha[i, p] Y[i, q] / Z'
+# pairs, the bigram marginals summed over a row's junctions, is one einsum
+# that adds in position order whatever B is. Excluded labels, illegal
+# bigrams and padding get exactly 0.
 #
 # Range guard. Let W be the largest |w| over the entries of trans, start
 # and end that are not -inf, and D_i the max - min of the unmasked scores
@@ -321,8 +322,8 @@ _LOG4 = math.log(4.0)
 @dataclass
 class _FB:
     log_z: np.ndarray  # [B]
-    unigram: np.ndarray  # [B, L, 4]
-    bigram: np.ndarray  # [B, L-1, 4, 4]
+    unigram: np.ndarray  # [B, L, 4], the label marginals
+    pairs: np.ndarray  # [B, 4, 4], each row's bigram marginals summed over its junctions
 
 
 def _label_major(E: np.ndarray) -> np.ndarray:
@@ -400,12 +401,10 @@ def _scaled_forward_backward(E, lengths, shift, trans, start, end) -> _FB:
     X, T, S, F = _exponentiate(E, shift, trans, start, end)
     alpha, c, z, log_z = _forward(X, lengths, shift, T, S, F)
     beta, Y = _backward(X, lengths, c, T, F)
-    bigram = alpha[:-1, :, None, :] * T[:, :, None]
-    bigram *= Y[:, None, :, :]
-    bigram /= z
+    pairs = np.einsum("ipb,iqb->bpq", alpha[:-1], Y) * T / z[:, None, None]
     alpha *= beta
     alpha /= z
-    return _FB(log_z, alpha.transpose(2, 0, 1), bigram.transpose(3, 0, 1, 2))
+    return _FB(log_z, alpha.transpose(2, 0, 1), pairs)
 
 
 def _forward_backward(E, lengths, shift, spread, trans, start, end) -> _FB:
@@ -418,7 +417,7 @@ def _forward_backward(E, lengths, shift, spread, trans, start, end) -> _FB:
     if scaled.all():
         return _scaled_forward_backward(E, lengths, shift, trans, start, end)
     B, L, _ = E.shape
-    fb = _FB(np.empty(B), np.zeros((B, L, N)), np.zeros((B, L - 1, N, N)))
+    fb = _FB(np.empty(B), np.zeros((B, L, N)), np.zeros((B, N, N)))
     for rows in (np.flatnonzero(scaled), np.flatnonzero(~scaled)):
         if not len(rows):
             continue
@@ -431,7 +430,7 @@ def _forward_backward(E, lengths, shift, spread, trans, start, end) -> _FB:
             part = _log_forward_backward(E[rows, :n], lengths[rows], trans, start, end)
         fb.log_z[rows] = part.log_z
         fb.unigram[rows, :n] = part.unigram
-        fb.bigram[rows, : n - 1] = part.bigram
+        fb.pairs[rows] = part.pairs
     return fb
 
 
@@ -473,22 +472,26 @@ def _log_backward(Et, lengths, trans, end, reduce=_lse):
     return beta
 
 
+def _log_bigrams(Et, alpha, beta, log_z, trans) -> np.ndarray:
+    """Bigram marginals [L-1, 4, 4, B] of a label-major batch from its log-space alpha,
+    beta and log Z, in one array; exactly 0 on illegal bigrams and padding."""
+    # -inf - -inf in a row without a legal path, as 0 / 0 in the scaled one:
+    # its marginals are NaN, and _require_paths refuses its log Z
+    with np.errstate(invalid="ignore"):
+        bigram = alpha[:-1, :, None, :] + trans[:, :, None]
+        bigram += (Et[1:] + beta[1:])[:, None, :, :]
+        bigram -= log_z
+        return np.exp(bigram, out=bigram)
+
+
 def _log_forward_backward(E, lengths, trans, start, end) -> _FB:
     Et = _label_major(E)
     alpha, log_z = _log_forward(Et, lengths, trans, start, end)
     beta = _log_backward(Et, lengths, trans, end)
-    # -inf - -inf in a row without a legal path, as 0 / 0 in the scaled one:
-    # its marginals are NaN, and _require_paths refuses its log Z
-    with np.errstate(invalid="ignore"):
-        # in place, so that one [L-1, 4, 4, B] array is alive at a time
-        unigram = alpha + beta
-        unigram -= log_z
-        np.exp(unigram, out=unigram)
-        bigram = alpha[:-1, :, None, :] + trans[:, :, None]
-        bigram += (Et[1:] + beta[1:])[:, None, :, :]
-        bigram -= log_z
-        np.exp(bigram, out=bigram)
-    return _FB(log_z, unigram.transpose(2, 0, 1), bigram.transpose(3, 0, 1, 2))
+    pairs = np.add.reduce(_log_bigrams(Et, alpha, beta, log_z, trans), axis=0)
+    with np.errstate(invalid="ignore"):  # as in _log_bigrams
+        unigram = np.exp(alpha + beta - log_z)
+    return _FB(log_z, unigram.transpose(2, 0, 1), pairs.transpose(2, 0, 1))
 
 
 def _viterbi(E, lengths, trans, start, end) -> tuple[np.ndarray, np.ndarray]:
@@ -637,14 +640,6 @@ def _weight_view(*content) -> _WeightView:
     return _WeightView(arrays, floats, bool(top < math.inf))
 
 
-def _boundary_mass(bigram: np.ndarray) -> np.ndarray:
-    """Sum of the boundary bigrams' marginals, over the last two axes."""
-    out = np.zeros(bigram.shape[:-2])
-    for a, b in _BOUNDARY_PAIRS:
-        out += bigram[..., a, b]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Inference operations
 
@@ -689,38 +684,40 @@ def log_partition(sentence: str, model: CrfModel, mask=None) -> float:
     return float(log_z[0])
 
 
-def _bigram_batch(ids, model: CrfModel) -> tuple[np.ndarray, np.ndarray]:
-    """Bigram marginals [B, L-1, 4, 4] and lengths of encoded sentences of 2+ characters."""
-    for x in ids:
-        if len(x) < 2:
-            raise SentenceTooShort("bigram marginals need at least 2 characters")
-    E, lengths, shift, spread = _emission_batch(model, ids)
-    fb = _forward_backward(E, lengths, shift, spread, *_inference_weights(model).arrays)
-    _require_paths(fb.log_z)
-    return fb.bigram, lengths
-
-
 def bigram_marginals(sentence: str, model: CrfModel) -> np.ndarray:
-    """p(l, l' | junction i) as a [n-1, 4, 4] tensor; illegal bigrams are 0."""
-    bigram, _ = _bigram_batch([model.vocab.encode(sentence)], model)
-    return bigram[0]
+    """p(l, l' | junction i) as a [n-1, 4, 4] tensor, in log space; illegal bigrams are 0."""
+    if len(sentence) < 2:
+        raise SentenceTooShort("bigram marginals need at least 2 characters")
+    E, lengths, _, _ = _emission_batch(model, [model.vocab.encode(sentence)])
+    trans, start, end = _inference_weights(model).arrays
+    Et = _label_major(E)
+    alpha, log_z = _log_forward(Et, lengths, trans, start, end)
+    _require_paths(log_z)
+    return _log_bigrams(Et, alpha, _log_backward(Et, lengths, trans, end), log_z, trans)[..., 0]
 
 
 def boundary_probabilities(sentence: str, model: CrfModel) -> np.ndarray:
     """Boundary probability at every junction, shape [n-1]."""
-    return _boundary_mass(bigram_marginals(sentence, model))
+    n = len(sentence)
+    if n < 2:
+        raise SentenceTooShort("boundary probabilities need at least 2 characters")
+    return boundary_probabilities_at([sentence], model, np.zeros(n - 1, np.intp), np.arange(n - 1))
 
 
 def boundary_probabilities_at(sentences, model: CrfModel, rows, junctions) -> np.ndarray:
     """The boundary probability at junction ``junctions[k]`` of ``sentences[rows[k]]``, for each k.
 
+    A junction is a boundary exactly when the label before it is E or S.
     Only the sentences that ``rows`` names are scored: they are encoded at
-    once, their marginals computed batch by batch, and the probabilities
-    gathered with one fancy index. A junction outside its sentence raises
+    once, their marginals computed batch by batch, and P(E) + P(S) gathered
+    with one fancy index. A row or junction out of range raises
     ``IndexOutOfRange`` before anything is scored.
     """
     rows = np.asarray(rows, dtype=np.intp)
     junctions = np.asarray(junctions, dtype=np.intp)
+    outside = (rows < 0) | (rows >= len(sentences))
+    if outside.any():
+        raise IndexOutOfRange(f"row {rows[outside][0]} outside {len(sentences)} sentences")
     n = np.fromiter(map(len, sentences), np.intp, len(sentences))[rows]
     outside = (junctions < 0) | (junctions >= n - 1)
     if outside.any():
@@ -733,8 +730,11 @@ def boundary_probabilities_at(sentences, model: CrfModel, rows, junctions) -> np
     ids = model.vocab.encode_corpus(scored)
     mass: list[np.ndarray] = [None] * len(scored)  # type: ignore[list-item]
     for batch in _corpus_batches(scored):
-        bigram, lengths = _bigram_batch([ids[k] for k in batch], model)
-        for k, row, length in zip(batch, _boundary_mass(bigram), lengths):
+        E, lengths, shift, spread = _emission_batch(model, [ids[k] for k in batch])
+        fb = _forward_backward(E, lengths, shift, spread, *_inference_weights(model).arrays)
+        _require_paths(fb.log_z)
+        boundary = fb.unigram[:, :-1, tagset.Label.E] + fb.unigram[:, :-1, tagset.Label.S]
+        for k, row, length in zip(batch, boundary, lengths):
             mass[k] = row[: length - 1]
     first = np.cumsum([0] + [len(m) for m in mass])  # where each one's junctions begin
     return np.concatenate([np.empty(0), *mass])[first[at] + junctions]
@@ -742,9 +742,7 @@ def boundary_probabilities_at(sentences, model: CrfModel, rows, junctions) -> np
 
 def boundary_probability(sentence: str, model: CrfModel, i: int) -> float:
     """Probability of a word boundary between characters i and i+1."""
-    if not 0 <= i < len(sentence) - 1:
-        raise IndexOutOfRange(f"junction {i} outside sentence of length {len(sentence)}")
-    return float(boundary_probabilities(sentence, model)[i])
+    return float(boundary_probabilities_at([sentence], model, [0], [i])[0])
 
 
 def _viterbi_one(E: list, trans, start, end) -> list[int]:
@@ -998,14 +996,15 @@ def _loss_and_grad(model: CrfModel, items, emit_scale: float = 1.0) -> tuple[flo
     ids = np.concatenate(rows[:B])
     row = np.repeat(np.arange(B), lengths)
     col = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    unigram, bigram = fb.unigram[:B], fb.bigram[:B]
+    unigram, pairs = fb.unigram[:B], fb.pairs[:B]
     loss = 0.0
     if part.size:
         # subtract marginals before scattering: when a mask excludes nothing
         # the difference is exactly zero, so the update is too
         unigram[part] -= fb.unigram[B:]
-        bigram[part] -= fb.bigram[B:]
+        pairs[part] -= fb.pairs[B:]
         loss = float(np.sum(fb.log_z[part] - fb.log_z[B:]))
+    trans_count = pairs.sum(axis=0)
 
     full = [b for b, it in enumerate(items) if it[1] is not None]
     if full:
@@ -1027,12 +1026,12 @@ def _loss_and_grad(model: CrfModel, items, emit_scale: float = 1.0) -> tuple[flo
             - end[gold[last]].sum()
         )
         unigram[frow, fcol, gold] -= 1.0
-        bigram[frow[step], fcol[step] - 1, prev, cur] -= 1.0
+        trans_count -= np.bincount(prev * N + cur, minlength=N * N).reshape(N, N)
 
     return loss, _Counts(
         ids,
         unigram[row, col],
-        bigram.sum(axis=(0, 1)),
+        trans_count,
         unigram[:, 0].sum(axis=0),
         unigram[np.arange(B), lengths - 1].sum(axis=0),
     )

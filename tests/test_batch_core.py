@@ -1,12 +1,13 @@
 """The batched inference core against simple per-sentence references.
 
 The references below run one sentence at a time. The scaled one does the
-core's arithmetic per entry, so scores and marginals must agree with it
-bitwise; the log-space one is the recursion the core replaced, which
-they match to a relative 1e-12. Decoded paths agree bitwise with the
-max-sum reference, and batching must not change any row's result.
-Gradients sum their counts in a different order, so they agree to a
-tolerance.
+core's arithmetic per entry, so scores and label marginals must agree with
+it bitwise; the log-space one is the recursion the core replaced, which
+they match to a relative 1e-12. Each row's bigram marginals summed over
+its junctions (``_FB.pairs``) match both references' sums to a relative
+1e-12. Decoded paths agree bitwise with the max-sum reference, and
+batching must not change any row's result. Gradients sum their counts in
+a different order, so they agree to a tolerance.
 """
 
 import math
@@ -183,20 +184,22 @@ def corpus_probabilities(sentences, model):
 # Tests
 
 
-def assert_matches_references(log_z, unigram, bigram, Em, shift, model):
-    """One row of the core against both references: bitwise, and to 1e-12."""
+def assert_matches_references(log_z, unigram, pairs, Em, shift, model):
+    """One row of the core against both references: bitwise, and to 1e-12.
+
+    ``pairs`` is compared with each reference's bigrams summed over junctions.
+    """
     n = len(Em)
     weights = (model.trans, model.start, model.end)
     want = ref_scaled_forward_backward(Em, shift, *weights)
     assert log_z == want[0]
     assert np.array_equal(unigram[:n], want[1])
-    assert np.array_equal(bigram[: n - 1], want[2])
     assert np.all(unigram[n:] == 0.0)
-    assert np.all(bigram[n - 1 :] == 0.0)
     log_ref = ref_forward_backward(Em, *weights)
     assert log_z == pytest.approx(log_ref[0], rel=1e-12)
     np.testing.assert_allclose(unigram[:n], log_ref[1], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(bigram[: n - 1], log_ref[2], rtol=1e-12, atol=0)
+    for bigram in (want[2], log_ref[2]):
+        np.testing.assert_allclose(pairs, bigram.sum(axis=0), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -212,37 +215,39 @@ def test_marginals_match_reference_on_mixed_lengths_and_masks(seed):
     for b, (s, Em) in enumerate(zip(sentences, emissions)):
         row_shift = model.emissions(s).max(axis=1)  # of the unmasked scores
         assert np.array_equal(shift[b, : len(s)], row_shift)
-        assert_matches_references(fb.log_z[b], fb.unigram[b], fb.bigram[b], Em, row_shift, model)
+        assert_matches_references(fb.log_z[b], fb.unigram[b], fb.pairs[b], Em, row_shift, model)
 
 
 def test_boundary_probabilities_match_reference():
+    # P(E) + P(S) of the label before each junction: bitwise the scaled
+    # reference's, and within 1e-12 of both references' boundary bigrams
     rng = np.random.default_rng(5)
     model = random_model(5, scale=3.0)
     sentences = [oracle.random_sentence(rng, int(n), ALPHABET) for n in rng.integers(2, 15, 40)]
     batched = corpus_probabilities(sentences, model)
+    B, M, E, S = tagset.Label
     for s, got in zip(sentences, batched):
         Em = model.emissions(s)
-        _, _, bi = ref_scaled_forward_backward(
+        _, uni, bi = ref_scaled_forward_backward(
             Em, Em.max(axis=1), model.trans, model.start, model.end
         )
         _, _, log_bi = ref_forward_backward(Em, model.trans, model.start, model.end)
-        want = np.zeros(len(s) - 1)
-        log_want = np.zeros(len(s) - 1)
-        for a, b in BOUNDARY:
-            want += bi[:, a, b]
-            log_want += log_bi[:, a, b]
+        want = uni[:-1, E] + uni[:-1, S]
         assert np.array_equal(got, want)
         assert np.array_equal(crf.boundary_probabilities(s, model), want)
-        np.testing.assert_allclose(got, log_want, rtol=1e-12, atol=0)
+        for bigram in (bi, log_bi):
+            boundary = sum(bigram[:, a, b] for a, b in BOUNDARY)
+            np.testing.assert_allclose(got, boundary, rtol=1e-12, atol=0)
 
 
 def masked_marginals(model, sentence, allowed):
-    """log Z and bigram marginals of one sentence under ``allowed`` (None: no mask), by the core."""
+    """log Z and summed bigram marginals of one sentence under ``allowed`` (None: no
+    mask), by the core."""
     ids = [model.vocab.encode(sentence)]
     fb = crf._forward_backward(
         *crf._emission_batch(model, ids, [allowed]), model.trans, model.start, model.end
     )
-    return fb.log_z[0], fb.bigram[0]
+    return fb.log_z[0], fb.pairs[0]
 
 
 @pytest.mark.parametrize("scale", [300.0, 1000.0])
@@ -257,11 +262,15 @@ def test_large_weights_match_the_oracle(scale):
             mask = None if allowed is None else ConstraintMask(allowed)
             want = oracle.log_partition(model, s, allowed)
             assert crf.log_partition(s, model, mask) == pytest.approx(want, rel=1e-9)
-            log_z, bigram = masked_marginals(model, s, allowed)
+            log_z, pairs = masked_marginals(model, s, allowed)
             assert log_z == pytest.approx(want, rel=1e-9)
-            if n > 1:
+            if n == 1:
+                assert np.all(pairs == 0.0)
+            else:
                 want_bigram = oracle.bigram_marginals(model, s, allowed)
-                np.testing.assert_allclose(bigram, want_bigram, rtol=1e-9, atol=1e-300)
+                np.testing.assert_allclose(
+                    pairs, want_bigram.sum(axis=0), rtol=1e-9, atol=1e-300
+                )
                 if allowed is None:
                     np.testing.assert_allclose(
                         crf.bigram_marginals(s, model), want_bigram, rtol=1e-9, atol=1e-300
@@ -321,12 +330,12 @@ def test_rows_in_and_out_of_the_scaled_range_share_a_batch():
             n = len(s)
             assert fb.log_z[b] == alone.log_z[0]
             assert np.array_equal(fb.unigram[b, :n], alone.unigram[0])
-            assert np.array_equal(fb.bigram[b, : n - 1], alone.bigram[0])
+            assert np.array_equal(fb.pairs[b], alone.pairs[0])
             assert paths[b, :n].tolist() == crf._viterbi_one(E[b, :n].tolist(), *lists)
             assert fb.log_z[b] == pytest.approx(oracle.log_partition(model, s, a), rel=1e-9)
             if n > 1:
                 np.testing.assert_allclose(
-                    fb.bigram[b, : n - 1], oracle.bigram_marginals(model, s, a),
+                    fb.pairs[b], oracle.bigram_marginals(model, s, a).sum(axis=0),
                     rtol=1e-9, atol=1e-300,
                 )
 

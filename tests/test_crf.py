@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from pauseseg import crf, features, tagset
+from pauseseg import crf, features, mining, tagset
 from pauseseg.crf import ConstraintMask, CrfModel, PartialExample, TrainConfig
 from pauseseg.errors import (
     EmptyDataset,
@@ -173,6 +173,19 @@ class TestBoundaryProbability:
                 p_boundary = crf.boundary_probability(s, m, i)
                 p_internal = sum(marg[i, a, b] for a, b in internal)
                 assert p_boundary + p_internal == pytest.approx(1.0, abs=1e-9)
+
+    def test_row_outside_the_corpus_is_refused_before_scoring(self, monkeypatch):
+        # a negative row would wrap to the last sentence, one past the end
+        # would escape as numpy's IndexError
+        m = zero_model()
+        calls = []
+        monkeypatch.setattr(crf, "_forward_backward", lambda *a: calls.append(a))
+        for rows in ([-1], [2], [0, -3], [1, 0, 5]):
+            with pytest.raises(IndexOutOfRange, match="^row "):
+                crf.boundary_probabilities_at(["abc", "ab"], m, rows, [0] * len(rows))
+        with pytest.raises(IndexOutOfRange, match="^row 1 "):
+            mining.score_pause_arrays(m, ["abc"], np.array([0, 1]), [0, 0], [10.0, 10.0])
+        assert calls == []
 
     def test_junction_out_of_range(self):
         m = zero_model()
@@ -362,6 +375,22 @@ class TestGradients:
         assert loss == 0.0  # exactly: both passes run on identical inputs
         assert np.all(grad.emit == 0.0)
         assert np.all(grad.trans[oracle.TABLE.legal] == 0.0)
+
+        # in a training batch (run_partial_crf's mix), the partial example
+        # adds exactly nothing to the full examples' loss and counts
+        sentences = [oracle.random_sentence(rng, n) for n in (3, 8, 1, 6)]
+        tags = [oracle.legal_sequences(len(t))[-1] for t in sentences]
+        gold = crf._gold_labels(tags, [len(t) for t in sentences])
+        full = [(m.vocab.encode(t), g, None) for t, g in zip(sentences, gold)]
+        partial = crf._prepare_partial(m.vocab.encode(s), mask)
+        want_loss, want = crf._loss_and_grad(m, full)
+        got_loss, got = crf._loss_and_grad(m, full[:2] + [partial] + full[2:])
+        assert got_loss == want_loss
+        for name in ("trans", "start", "end"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(crf._gradient(m, got).emit, crf._gradient(m, want).emit)
+        at = len(sentences[0]) + len(sentences[1])  # the partial example's first position
+        assert np.all(got.coef[at : at + len(s)] == 0.0)
 
     def test_partial_loss_is_nonnegative(self):
         rng = np.random.default_rng(89)
