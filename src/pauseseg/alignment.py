@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -19,7 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidConfig, NonMonotoneFrames, ParseError
-from .segments import check_utf8, json_records, read_text, split_lines, string_field, write_text
+from .segments import (
+    check_utf8, is_integer, json_records, read_text, split_lines, string_field, write_text,
+)
 
 DEFAULT_FRAME_OFFSET_MS = 10.0
 DEFAULT_MIN_PAUSE_MS = 10.0
@@ -71,10 +72,7 @@ class CharAlignment:
         for ch, b, e in self.chars:
             if len(ch) != 1:
                 raise ValueError(f"alignment entries hold single characters, got {ch!r}")
-            # exact ints pass without the slow ABC check of numbers.Integral
-            if (type(b) is not int or type(e) is not int) and not all(
-                isinstance(f, numbers.Integral) and not isinstance(f, bool) for f in (b, e)
-            ):
+            if (type(b) is not int or type(e) is not int) and not (is_integer(b) and is_integer(e)):
                 raise ValueError(f"frames {b!r}, {e!r} of {ch!r} are not integers")
             if not (0 <= b <= MAX_FRAME and 0 <= e <= MAX_FRAME):
                 raise ValueError(f"frames of {ch!r} must lie in [0, 2**53)")

@@ -37,7 +37,6 @@ from . import features as feat
 from . import tagset
 from .errors import (
     EmptyDataset,
-    IllegalTagSequence,
     IndexOutOfRange,
     InvalidConfig,
     LengthMismatch,
@@ -733,7 +732,7 @@ def boundary_probabilities_at(sentences, model: CrfModel, rows, junctions) -> np
         E, lengths, shift, spread = _emission_batch(model, [ids[k] for k in batch])
         fb = _forward_backward(E, lengths, shift, spread, *_inference_weights(model).arrays)
         _require_paths(fb.log_z)
-        boundary = fb.unigram[:, :-1, tagset.Label.E] + fb.unigram[:, :-1, tagset.Label.S]
+        boundary = np.add.reduce(fb.unigram[:, :-1, tagset.WORD_FINAL], axis=-1)
         for k, row, length in zip(batch, boundary, lengths):
             mass[k] = row[: length - 1]
     first = np.cumsum([0] + [len(m) for m in mass])  # where each one's junctions begin
@@ -917,59 +916,6 @@ def _gradient(model: CrfModel, counts: _Counts) -> Gradient:
     return Gradient(emit, counts.trans, counts.start, counts.end)
 
 
-# ASCII code -> label id, -1 where the character is not a label
-_LABEL_OF_CODE = np.full(128, -1, dtype=np.intp)
-_LABEL_OF_CODE[[ord(c) for c in tagset.LABEL_CHARS]] = np.arange(N)
-
-
-def _gold_labels(tag_sequences, lengths) -> list[np.ndarray]:
-    """The label arrays of gold tag sequences for sentences of ``lengths`` characters.
-
-    Checks every sequence in one pass over their concatenation. The first
-    bad one, in order, raises what checking it alone would: an unknown label
-    (``tagset.parse_tags``' error for a sequence of ints), else a length
-    mismatch, else an illegal start, end or transition.
-    """
-    texts = []
-    for k, tags in enumerate(tag_sequences):
-        if not isinstance(tags, str):
-            try:
-                tags = tagset.tags_to_str(tagset.parse_tags(tags))
-            except Exception:
-                _gold_labels(tag_sequences[:k], lengths[:k])  # an earlier error comes first
-                raise
-        texts.append(tags)
-    n_tags = np.fromiter(map(len, texts), np.intp, len(texts))
-    ends = np.cumsum(n_tags)
-    starts = ends - n_tags
-    # a non-ASCII character becomes "?", which is no label either
-    labels = _LABEL_OF_CODE[np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8)]
-    # position i starts its sequence when is_first[i], ends it when is_first[i + 1]
-    is_first = np.zeros(len(labels) + 1, dtype=bool)
-    is_first[starts] = True
-    is_first[-1] = True
-    prev = np.roll(labels, 1)  # the label before each position, where there is one
-    illegal = np.where(is_first[:-1], ~START_LEGAL[labels], ~TRANS_LEGAL[prev, labels])
-    illegal |= is_first[1:] & ~END_LEGAL[labels]
-
-    def per_sequence(at: np.ndarray) -> np.ndarray:
-        """Whether ``at`` holds at some position of each sequence."""
-        count = np.concatenate([[0], np.cumsum(at)])
-        return count[ends] > count[starts]
-
-    unknown = per_sequence(labels < 0)
-    wrong_length = n_tags != np.asarray(lengths, dtype=np.intp)
-    bad = unknown | wrong_length | per_sequence(illegal) | (n_tags == 0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if unknown[k]:
-            raise IllegalTagSequence(f"unknown label character in {texts[k]!r}")
-        if wrong_length[k]:
-            raise LengthMismatch(f"{n_tags[k]} tags for {lengths[k]} characters")
-        raise IllegalTagSequence(f"illegal gold sequence {texts[k]!r}")
-    return [labels[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-
-
 def _prepare_partial(ids: np.ndarray, mask):
     """(feature ids, None, allowed labels) for a constraint-mask example."""
     return ids, None, _allowed_array(mask, len(ids))
@@ -1051,7 +997,7 @@ def nll_loss_and_grad(batch, model: CrfModel) -> tuple[float, Gradient]:
     emissions, transitions and start/end weights.
     """
     sentences = [sentence for sentence, _ in batch]
-    gold = _gold_labels([tags for _, tags in batch], [len(s) for s in sentences])
+    gold = tagset.label_arrays([tags for _, tags in batch], [len(s) for s in sentences])
     items = [(model.vocab.encode(s), labels, None) for s, labels in zip(sentences, gold)]
     return _batch_loss_and_grad(model, items)
 
@@ -1125,7 +1071,7 @@ def _prepare(examples) -> tuple[feat.FeatureVocabulary, list]:
     is built, all at once.
     """
     full = [ex for ex in examples if isinstance(ex, FullExample)]
-    gold = iter(_gold_labels([ex.tags for ex in full], [len(ex.sentence) for ex in full]))
+    gold = iter(tagset.label_arrays([ex.tags for ex in full], [len(ex.sentence) for ex in full]))
     vocab = feat.FeatureVocabulary()
     prepared = [
         (ids, next(gold), None) if isinstance(ex, FullExample) else _prepare_partial(ids, ex.mask)

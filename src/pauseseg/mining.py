@@ -22,7 +22,7 @@ from .errors import (
     UnscoredPause,
 )
 from .segments import (
-    SegmentedSentence, json_records, read_text, split_lines, string_field, write_text,
+    SegmentedSentence, is_integer, json_records, read_text, split_lines, string_field, write_text,
 )
 
 DEFAULT_THRESHOLD = 0.5
@@ -57,7 +57,10 @@ class PartialSentence:
     def __post_init__(self):
         if not self.chars:
             raise ValueError("empty sentence")
-        bounds = tuple(sorted(set(self.boundaries)))
+        for b in self.boundaries:
+            if type(b) is not int and not is_integer(b):
+                raise ValueError(f"junction {b!r} is not an integer")
+        bounds = tuple(sorted(set(map(int, self.boundaries))))
         for b in bounds:
             if not 0 <= b < len(self.chars) - 1:
                 raise IndexOutOfRange(

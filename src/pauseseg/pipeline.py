@@ -104,9 +104,10 @@ def complete_annotation(
 ) -> SegmentedSentence:
     """Fill in a partial annotation by decoding under its constraint mask.
 
-    The path is ``crf.viterbi``'s under ``mining.partial_to_mask``, taken as
-    label ids and cut into words: a partial's rows always admit the all-S
-    path and the decoder returns only legal paths, so neither is checked again.
+    The rows are ``tagset.allowed_labels`` of the partial's junctions, and
+    ``crf.viterbi_labels`` decodes under them; ``tagset.cut_words`` cuts the
+    label ids into words. A partial's rows always admit the all-S path and the
+    decoder returns only legal paths, so neither is checked again.
     """
     n = len(partial.chars)
     labels = crf.viterbi_labels(partial.chars, model, tagset.allowed_labels(n, partial.boundaries))

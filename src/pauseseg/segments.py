@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, PausesegError, WhitespaceInWord
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool: the rule for
+    alignment frames, partial junctions and span bounds. Hot loops test
+    ``type(value) is int`` first, which passes an exact int without this slow ABC check."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,10 @@ class SegmentedSentence:
             raise ValueError("empty sentence")
         pos = 0
         for start, end in self.spans:
+            if (type(start) is not int or type(end) is not int) and not (
+                is_integer(start) and is_integer(end)
+            ):
+                raise ValueError(f"span {(start, end)!r} has a bound that is not an integer")
             if start != pos or end <= start:
                 raise ValueError(f"spans do not partition the sentence: {self.spans!r}")
             pos = end

@@ -74,10 +74,11 @@ _FINAL_LABELS = int(_LABEL_BITS[WORD_FINAL].sum())
 _ROW_OF_CODE = _frozen(np.arange(_ALL_LABELS + 1)[:, None] & _LABEL_BITS > 0)
 _SUCCESSORS = [int(_LABEL_BITS[_TABLE.legal[row].any(axis=0)].sum()) for row in _ROW_OF_CODE]
 
-# The table as sets of label ids, for checking a parsed sequence in Python.
-_LEGAL_PAIRS = frozenset(zip(*(ids.tolist() for ids in np.nonzero(_TABLE.legal))))
-_LEGAL_FIRST = frozenset(np.flatnonzero(_TABLE.legal_start).tolist())
-_LEGAL_LAST = frozenset(np.flatnonzero(_TABLE.legal_end).tolist())
+# ASCII code -> label id, -1 where the character is not a label
+_LABEL_OF_CODE = np.full(128, -1, dtype=np.intp)
+_LABEL_OF_CODE[[ord(c) for c in LABEL_CHARS]] = np.arange(N_LABELS)
+# The word-final label ids, for cut_words to test one label at a time.
+_WORD_FINAL_IDS = tuple(np.flatnonzero(WORD_FINAL).tolist())
 
 
 def allowed_labels(n: int, boundaries) -> np.ndarray:
@@ -141,18 +142,64 @@ def tags_to_str(tags: Sequence[int]) -> str:
     return "".join(LABEL_CHARS[t] for t in tags)
 
 
-def _is_legal(t: tuple[int, ...]) -> bool:
-    return (
-        bool(t)
-        and t[0] in _LEGAL_FIRST
-        and t[-1] in _LEGAL_LAST
-        and all(pair in _LEGAL_PAIRS for pair in zip(t, t[1:]))
-    )
+def label_arrays(tag_sequences, lengths) -> list[np.ndarray]:
+    """The label arrays of tag sequences for sentences of ``lengths`` characters:
+    the one check of tag sequences, for training gold, ``is_legal`` and ``labels_to_words``.
+
+    Checks every sequence in one pass over their concatenation. The first
+    bad one, in order, raises what checking it alone would: an unknown label
+    (``parse_tags``' error for a sequence of ints), else a length mismatch,
+    else an illegal start, end or transition (an empty sequence is illegal).
+    """
+    texts = []
+    for k, tags in enumerate(tag_sequences):
+        if not isinstance(tags, str):
+            try:
+                tags = tags_to_str(parse_tags(tags))
+            except Exception:
+                label_arrays(tag_sequences[:k], lengths[:k])  # an earlier error comes first
+                raise
+        texts.append(tags)
+    n_tags = np.fromiter(map(len, texts), np.intp, len(texts))
+    ends = np.cumsum(n_tags)
+    starts = ends - n_tags
+    # a non-ASCII character becomes "?", which is no label either
+    labels = _LABEL_OF_CODE[np.frombuffer("".join(texts).encode("ascii", "replace"), np.uint8)]
+    # position i starts its sequence when is_first[i], ends it when is_first[i + 1]
+    is_first = np.zeros(len(labels) + 1, dtype=bool)
+    is_first[starts] = True
+    is_first[-1] = True
+    prev = np.roll(labels, 1)  # the label before each position, where there is one
+    illegal = np.where(is_first[:-1], ~_TABLE.legal_start[labels], ~_TABLE.legal[prev, labels])
+    illegal |= is_first[1:] & ~_TABLE.legal_end[labels]
+
+    def per_sequence(at: np.ndarray) -> np.ndarray:
+        """Whether ``at`` holds at some position of each sequence."""
+        count = np.concatenate([[0], np.cumsum(at)])
+        return count[ends] > count[starts]
+
+    unknown = per_sequence(labels < 0)
+    wrong_length = n_tags != np.asarray(lengths, dtype=np.intp)
+    bad = unknown | wrong_length | per_sequence(illegal) | (n_tags == 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if unknown[k]:
+            raise IllegalTagSequence(f"unknown label character in {texts[k]!r}")
+        if wrong_length[k]:
+            raise LengthMismatch(f"{n_tags[k]} tags for {lengths[k]} characters")
+        raise IllegalTagSequence(f"illegal tag sequence {texts[k]!r}")
+    return [labels[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def is_legal(tags: str | Sequence[int]) -> bool:
-    """A sequence is legal iff start, end and every adjacent bigram are legal."""
-    return _is_legal(parse_tags(tags))
+    """A sequence is legal iff start, end and every adjacent bigram are legal;
+    ``IllegalTagSequence`` for an unknown label."""
+    t = parse_tags(tags)
+    try:
+        label_arrays([t], [len(t)])
+    except IllegalTagSequence:
+        return False
+    return True
 
 
 def words_to_labels(seg: SegmentedSentence) -> str:
@@ -166,13 +213,9 @@ def words_to_labels(seg: SegmentedSentence) -> str:
 
 def labels_to_words(tags: str | Sequence[int], sentence: str) -> SegmentedSentence:
     """Decode a legal BMES sequence into word spans over ``sentence``: ``cut_words``
-    after a legality check, the checked decoder the tests hold the corpus decode to."""
-    t = parse_tags(tags)
-    if len(t) != len(sentence):
-        raise LengthMismatch(f"{len(t)} tags for {len(sentence)} characters")
-    if not _is_legal(t):
-        raise IllegalTagSequence(f"illegal tag sequence {tags_to_str(t)!r}")
-    return cut_words(t, sentence)
+    after ``label_arrays``' check, the checked decoder the tests hold the corpus decode to."""
+    [labels] = label_arrays([tags], [len(sentence)])
+    return cut_words(labels.tolist(), sentence)
 
 
 def cut_words(labels: Sequence[int], sentence: str) -> SegmentedSentence:
@@ -181,7 +224,7 @@ def cut_words(labels: Sequence[int], sentence: str) -> SegmentedSentence:
     spans = []
     start = 0
     for i, tag in enumerate(labels):
-        if tag in _LEGAL_LAST:  # word-final
+        if tag in _WORD_FINAL_IDS:
             spans.append((start, i + 1))
             start = i + 1
     return SegmentedSentence(sentence, tuple(spans))

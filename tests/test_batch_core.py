@@ -698,7 +698,7 @@ def test_batch_gradient_is_the_sum_of_per_sentence_gradients():
           [ref_loss_and_grad(model, s, allowed=m.allowed) for s, m in partial])
 
     # full and partial examples in one training batch
-    gold = crf._gold_labels([t for _, t in full], [len(s) for s, _ in full])
+    gold = tagset.label_arrays([t for _, t in full], [len(s) for s, _ in full])
     items = [(model.vocab.encode(s), labels, None) for (s, _), labels in zip(full, gold)]
     items += [crf._prepare_partial(model.vocab.encode(s), m) for s, m in partial]
     loss, counts = crf._loss_and_grad(model, items)

@@ -156,6 +156,19 @@ class TestPartialSentence:
         with pytest.raises(ValueError):
             PartialSentence("", ())
 
+    def test_junctions_are_integers(self):
+        # a numpy integer is stored as an int; a bool or a float is refused, not
+        # read as junction 1 or written as a line without its mark
+        p = PartialSentence("abcd", (np.int64(2), np.uint8(0)))
+        assert p.boundaries == (0, 2)
+        assert [type(b) for b in p.boundaries] == [int, int]
+        for bad in (1.5, 1.0, True, "1", None):
+            message = f"junction {re.escape(repr(bad))} is not an integer"
+            with pytest.raises(ValueError, match=message):
+                PartialSentence("abcd", (1, bad))
+        with pytest.raises(IndexOutOfRange):
+            PartialSentence("abcd", (np.int64(3),))
+
 
 class TestBins:
     @pytest.mark.parametrize("p,expected", [

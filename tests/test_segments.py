@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,15 @@ class TestSegmentedSentence:
             SegmentedSentence("一二三", ((0, 2), (1, 3)))  # overlap
         with pytest.raises(ValueError):
             SegmentedSentence("一二", ((0, 0), (0, 2)))  # empty word
+
+    def test_span_bounds_are_integers(self):
+        # a float or bool bound is refused, not kept for .words to fail on
+        for spans in (((0, 1.0), (1.0, 2)), ((0, True), (True, 2)), ((0, "1"), ("1", 2)),
+                      ((0.0, 1), (1, 2)), ((0, 1), (1, 2.0))):
+            with pytest.raises(ValueError, match="not an integer"):
+                SegmentedSentence("ab", spans)
+        seg = SegmentedSentence("ab", ((0, np.int64(1)), (np.int64(1), 2)))
+        assert seg.words == ["a", "b"]
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):
